@@ -241,7 +241,8 @@ class MaskCost:
 #: on-disk cache entries can never be confused with current ones.
 #: v2: cost content is fed as either a model content-token or the
 #: enumerated per-candidate prices (domain-separated).
-FINGERPRINT_VERSION = 2
+#: v3: the content token is scoped to the component's properties.
+FINGERPRINT_VERSION = 3
 
 #: The rung slot cache lookups pin: cached entries always hold the
 #: *primary* solver's answer (fallback/degraded outputs are never
@@ -306,10 +307,18 @@ def component_fingerprint(
     Pricing is captured one of two domain-separated ways.  When the
     component's cost chain advertises a
     :meth:`~repro.core.costs.CostModel.content_token` (tables, overlays,
-    every shipped model except opaque callables), that digest is fed
-    directly — it is cached on the model, so a 250-component run pays
-    for it once.  Otherwise every candidate classifier the solvers may
-    consider (all submasks of the queries up to
+    every shipped model except opaque callables), the token *scoped to
+    the component's sorted property tuple* is fed directly.  Every
+    candidate classifier is a subset of one of the component's queries,
+    so it lies inside those properties; the scoped token pins the price
+    of every candidate while ignoring overlay edits elsewhere in the
+    load.  Two components that agree on properties, query masks, base
+    digest, length cap and in-scope overrides therefore share a
+    fingerprint — a re-plan whose edits touch other components is served
+    from the cache.  Immutable models digest their whole content once;
+    an overlay digests only its in-scope overrides, found through a
+    per-property index.  Otherwise every candidate classifier the
+    solvers may consider (all submasks of the queries up to
     ``max_classifier_length``) is priced through ``component.weight``
     so overlay select/remove state is captured exactly, floats encoded
     bit-for-bit.
@@ -338,10 +347,10 @@ def component_fingerprint(
     cost_token = None
     token_of = getattr(component, "cost_content_token", None)
     if token_of is not None:
-        cost_token = token_of()
+        cost_token = token_of(space.properties)
     if cost_token is not None:
         # Content-token fast path: the cost chain digests its own
-        # pricing (cached across components and runs), so candidates
+        # pricing inside this component's properties, so candidates
         # need not be priced one by one.  Domain-separated from the
         # enumerated path — the two encodings can never collide.
         _feed_text(digest, "costs:token")

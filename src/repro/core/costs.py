@@ -28,6 +28,11 @@ Concrete models:
 * :class:`OverlayCost` — decorator with per-classifier overrides, used by
   preprocessing to "select" (weight 0) and "remove" (weight ``∞``)
   classifiers without copying the underlying model.
+
+Every model can digest its pricing for the component-solution cache
+(:meth:`CostModel.content_token`).  The digest is *scoped*: it covers
+only the classifiers whose properties lie inside a given property set,
+because a property-disjoint component can only ever price those.
 """
 
 from __future__ import annotations
@@ -36,9 +41,14 @@ import hashlib
 import math
 import struct
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterable, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.properties import Classifier, PropertySet, canonical_label
+from repro.core.properties import (
+    Classifier,
+    PropertySet,
+    canonical_label,
+    classifier_sort_key,
+)
 from repro.exceptions import InvalidInstanceError
 
 INFINITY = math.inf
@@ -96,15 +106,22 @@ class CostModel(ABC):
     def cost(self, clf: Classifier) -> float:
         """Return ``W(clf)``; ``math.inf`` means the classifier is unavailable."""
 
-    def content_token(self) -> Optional[bytes]:
-        """Canonical digest of this model's pricing content, or ``None``.
+    def content_token(self, scope: Sequence[str]) -> Optional[bytes]:
+        """Canonical digest of this model's pricing inside ``scope``, or ``None``.
 
-        The component-solution cache (:mod:`repro.engine.cache`) keys
-        entries by content: two models with equal tokens must price
-        *every* classifier identically, in every process, regardless of
-        ``PYTHONHASHSEED``.  Models whose content cannot be enumerated
-        (opaque callables) return ``None``; the fingerprint then falls
-        back to pricing each candidate classifier individually.
+        ``scope`` is a component's sorted property tuple.  The
+        component-solution cache (:mod:`repro.engine.cache`) keys
+        entries by content: two models with equal tokens for the same
+        scope must price every classifier whose properties all lie in
+        ``scope`` identically, in every process, regardless of
+        ``PYTHONHASHSEED``.  Classifiers reaching outside the scope may
+        price differently — no candidate of the component is one of
+        them, since every candidate is a subset of one of its queries.
+        A model may digest more than the scope (the immutable models
+        digest their whole content once), never less.  Models whose
+        content cannot be enumerated (opaque callables) return ``None``;
+        the fingerprint then falls back to pricing each candidate
+        classifier individually.
         """
         return None
 
@@ -113,8 +130,13 @@ class CostModel(ABC):
         return math.isfinite(self.cost(clf))
 
     def total(self, classifiers: Iterable[Classifier]) -> float:
-        """Sum of costs — the paper's ``W(S)``.  ``inf`` if any member is."""
-        return sum(self.cost(clf) for clf in classifiers)
+        """Sum of costs — the paper's ``W(S)``.  ``inf`` if any member is.
+
+        Summed in :func:`~repro.core.properties.classifier_sort_key`
+        order: float addition is order-sensitive, and callers pass sets
+        whose iteration order depends on the hash seed.
+        """
+        return sum(self.cost(clf) for clf in sorted(classifiers, key=classifier_sort_key))
 
 
 class TableCost(CostModel):
@@ -140,10 +162,11 @@ class TableCost(CostModel):
     def cost(self, clf: Classifier) -> float:
         return self._table.get(clf, self.default)
 
-    def content_token(self) -> Optional[bytes]:
+    def content_token(self, scope: Sequence[str]) -> Optional[bytes]:
         # The table never mutates after construction (``copy()`` builds a
-        # new model), so the digest is computed once.  Entries are fed in
-        # canonical-label order — insertion history must not leak in.
+        # new model), so the whole-table digest is computed once and
+        # serves every scope.  Entries are fed in canonical-label order —
+        # insertion history must not leak in.
         if self._token is None:
             parts = [b"table", _weight_bytes(self.default)]
             for label, weight in sorted(
@@ -176,16 +199,17 @@ class UniformCost(CostModel):
         if max_length is not None and max_length < 1:
             raise InvalidInstanceError("max_length must be >= 1")
         self.max_length = max_length
+        self._token = _token_digest(
+            b"uniform", _weight_bytes(self.value), str(self.max_length).encode()
+        )
 
     def cost(self, clf: Classifier) -> float:
         if self.max_length is not None and len(clf) > self.max_length:
             return INFINITY
         return self.value
 
-    def content_token(self) -> Optional[bytes]:
-        return _token_digest(
-            b"uniform", _weight_bytes(self.value), str(self.max_length).encode()
-        )
+    def content_token(self, scope: Sequence[str]) -> Optional[bytes]:
+        return self._token
 
 
 class CallableCost(CostModel):
@@ -230,6 +254,10 @@ class HashCost(CostModel):
         self.high = int(high)
         self.seed = int(seed)
         self.max_length = max_length
+        self._token = _token_digest(
+            b"hash",
+            str((self.low, self.high, self.seed, self.max_length)).encode(),
+        )
 
     def cost(self, clf: Classifier) -> float:
         if self.max_length is not None and len(clf) > self.max_length:
@@ -244,11 +272,8 @@ class HashCost(CostModel):
         span = self.high - self.low + 1
         return float(self.low + draw % span)
 
-    def content_token(self) -> Optional[bytes]:
-        return _token_digest(
-            b"hash",
-            str((self.low, self.high, self.seed, self.max_length)).encode(),
-        )
+    def content_token(self, scope: Sequence[str]) -> Optional[bytes]:
+        return self._token
 
 
 class ZeroedCost(CostModel):
@@ -269,8 +294,8 @@ class ZeroedCost(CostModel):
             return 0.0
         return self.base.cost(clf)
 
-    def content_token(self) -> Optional[bytes]:
-        base = self.base.content_token()
+    def content_token(self, scope: Sequence[str]) -> Optional[bytes]:
+        base = self.base.content_token(scope)
         if base is None:
             return None
         return _token_digest(
@@ -292,8 +317,8 @@ class LengthCappedCost(CostModel):
             return INFINITY
         return self.base.cost(clf)
 
-    def content_token(self) -> Optional[bytes]:
-        base = self.base.content_token()
+    def content_token(self, scope: Sequence[str]) -> Optional[bytes]:
+        base = self.base.content_token(scope)
         if base is None:
             return None
         return _token_digest(b"capped", base, str(self.max_length).encode())
@@ -305,12 +330,24 @@ class OverlayCost(CostModel):
     Preprocessing models *selecting* a classifier by setting its weight to
     0 and *removing* one by setting its weight to ``∞`` (Section 3); the
     overlay keeps those edits separate from the caller's model.
+
+    Each override is also filed under its lowest property, so a scoped
+    :meth:`content_token` visits only the overrides a component can
+    price — O(overrides inside the component), not O(all overrides).
+    Mutate overrides only through :meth:`select`/:meth:`remove`; a
+    direct write to ``overrides`` would bypass that index.
     """
 
     def __init__(self, base: CostModel, overrides: Optional[Dict[Classifier, float]] = None):
         self.base = base
-        self.overrides: Dict[Classifier, float] = dict(overrides or {})
-        self._token: Optional[bytes] = None
+        self.overrides: Dict[Classifier, float] = {}
+        self._by_lowest: Dict[str, Set[Classifier]] = {}
+        for clf, weight in (overrides or {}).items():
+            self._override(clf, weight)
+
+    def _override(self, clf: Classifier, weight: float) -> None:
+        self.overrides[clf] = weight
+        self._by_lowest.setdefault(min(clf), set()).add(clf)
 
     def cost(self, clf: Classifier) -> float:
         if clf in self.overrides:
@@ -319,31 +356,31 @@ class OverlayCost(CostModel):
 
     def select(self, clf: Classifier) -> None:
         """Mark ``clf`` as already built (weight 0)."""
-        self.overrides[clf] = 0.0
-        self._token = None
+        self._override(clf, 0.0)
 
     def remove(self, clf: Classifier) -> None:
         """Mark ``clf`` as unavailable (weight ``∞``)."""
-        self.overrides[clf] = INFINITY
-        self._token = None
+        self._override(clf, INFINITY)
 
     def is_removed(self, clf: Classifier) -> bool:
         return self.overrides.get(clf) == INFINITY
 
-    def content_token(self) -> Optional[bytes]:
-        # Cached between mutations: preprocessing batches all of its
-        # select/remove edits before any fingerprint runs, so every
-        # component of a run shares one digest.  Mutate overrides only
-        # through select/remove — a direct dict write would go unseen.
-        base = self.base.content_token()
+    def content_token(self, scope: Sequence[str]) -> Optional[bytes]:
+        # The base digest plus every override lying inside the scope, in
+        # canonical order.  An override reaching outside the scope can
+        # price no candidate of the component, so it stays out: edits
+        # elsewhere in the load leave this component's token unchanged.
+        base = self.base.content_token(scope)
         if base is None:
             return None
-        if self._token is None:
-            parts = [b"overlay", base]
-            for label, weight in sorted(
-                (canonical_label(clf), weight) for clf, weight in self.overrides.items()
-            ):
-                parts.append(label.encode("utf-8"))
-                parts.append(_weight_bytes(weight))
-            self._token = _token_digest(*parts)
-        return self._token
+        inside = frozenset(scope)
+        entries: List[Tuple[str, float]] = []
+        for prop in scope:
+            for clf in self._by_lowest.get(prop, ()):
+                if clf <= inside:
+                    entries.append((canonical_label(clf), self.overrides[clf]))
+        parts = [b"overlay", base]
+        for label, weight in sorted(entries):
+            parts.append(label.encode("utf-8"))
+            parts.append(_weight_bytes(weight))
+        return _token_digest(*parts)

@@ -16,6 +16,7 @@ from repro.core.properties import (
     Classifier,
     PropertySet,
     Query,
+    classifier_sort_key,
     iter_nonempty_subsets,
     query as make_query,
     union_of,
@@ -117,23 +118,35 @@ class MC3Instance:
             return math.inf
         return self._cost.cost(clf)
 
-    def cost_content_token(self):
-        """Canonical digest of this instance's pricing content, or ``None``.
+    def cost_content_token(self, scope: Optional[Sequence[str]] = None):
+        """Canonical digest of this instance's pricing inside ``scope``, or ``None``.
 
-        Combines the cost model's :meth:`~repro.core.costs.CostModel.content_token`
-        with the instance-level length cap (which :meth:`weight` applies
-        on top of the model) — everything :func:`~repro.core.bitspace.component_fingerprint`
-        needs to skip pricing candidates one by one.  ``None`` when the
-        model is opaque (e.g. :class:`~repro.core.costs.CallableCost`).
+        Combines the cost model's scoped
+        :meth:`~repro.core.costs.CostModel.content_token` with the
+        instance-level length cap (which :meth:`weight` applies on top
+        of the model) — everything :func:`~repro.core.bitspace.component_fingerprint`
+        needs to skip pricing candidates one by one.  ``scope`` is a
+        sorted property tuple and defaults to this instance's own
+        properties, which contain every candidate classifier.  ``None``
+        when the model is opaque (e.g. :class:`~repro.core.costs.CallableCost`).
         """
-        token = self._cost.content_token()
+        if scope is None:
+            scope = tuple(sorted(self.properties))
+        token = self._cost.content_token(scope)
         if token is None:
             return None
         return token + str(self.max_classifier_length).encode("utf-8")
 
     def total_weight(self, classifiers: Iterable[Classifier]) -> float:
-        """``W(S)`` — the sum of individual classifier weights."""
-        return sum(self.weight(clf) for clf in classifiers)
+        """``W(S)`` — the sum of individual classifier weights.
+
+        Summed in :func:`~repro.core.properties.classifier_sort_key`
+        order, so the float is the same whatever order (or hash seed)
+        the set arrives in.
+        """
+        return sum(
+            self.weight(clf) for clf in sorted(classifiers, key=classifier_sort_key)
+        )
 
     # ------------------------------------------------------------------
     # Candidate classifiers

@@ -67,11 +67,16 @@ class FunctionInfo:
         self.node = node
         self.class_name = class_name
         arguments = node.args
+        positional = list(arguments.posonlyargs) + list(arguments.args)
+        #: Index of the ``*args`` parameter, which absorbs every
+        #: positional argument from that index on; ``None`` without one.
+        self.vararg_index: Optional[int] = (
+            len(positional) if arguments.vararg is not None else None
+        )
+        if arguments.vararg is not None:
+            positional.append(arguments.vararg)
         self.param_names: Tuple[str, ...] = tuple(
-            arg.arg
-            for arg in list(arguments.posonlyargs)
-            + list(arguments.args)
-            + list(arguments.kwonlyargs)
+            arg.arg for arg in positional + list(arguments.kwonlyargs)
         )
 
     @property

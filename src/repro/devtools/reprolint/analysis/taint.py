@@ -20,12 +20,19 @@ about a value:
 ``params``
     Formal-parameter indices whose taint flows into this value, the
     substitution hook that makes function summaries polymorphic.
+    ``content_token`` parameters also start ``unordered``: a content
+    token must be canonical whatever container its caller passes.
 ``pending_order``
     ``(param_index, site)`` pairs meaning *if the actual argument at
     that index is unordered, the result carries an order label at
     site* — i.e. the callee iterates its parameter.  This is what lets
     a two-hop flow (build a set in helper A, materialise it in helper
     B) surface at the call site where the set actually arrives.
+
+Order also flows by control: an order-sensitive mutation (``append``,
+``update``, ...) inside a loop over an unordered iterable taints its
+receiver with the loop's order facts, even when the argument itself was
+sanitized — the list grows in hash order all the same.
 
 Joins are set unions (plus boolean or), so the lattice is finite per
 program and the worklist fixpoint terminates.  Sanitizers —
@@ -151,6 +158,11 @@ _MUTATORS = {
     "setdefault",
     "appendleft",
 }
+#: Mutators whose effect depends on the order they are called in: a
+#: list grows in call order, a digest absorbs its updates in call order.
+#: Called inside a loop over an unordered iterable, they make the
+#: receiver order-dependent even when each argument is order-clean.
+_ORDERED_MUTATORS = {"append", "extend", "insert", "appendleft", "update"}
 
 _SOLUTION_CTORS = {"Solution", "PartialSolution"}
 
@@ -219,12 +231,22 @@ class _FunctionPass:
         self.module = info.table.module
         self.extra_aliases = _local_aliases(info.node)
         self.env: Dict[str, Taint] = {}
+        # A content token must be canonical whatever container its
+        # caller passes, so its parameters (a component's property
+        # scope, say) are analysed as if they arrived as sets: iterating
+        # one into the digest without a sort is a finding in the token
+        # itself, not only at call sites that pass a set.
+        unordered = info.name == "content_token"
         for index, name in enumerate(info.param_names):
             if name != "self":
-                self.env[name] = Taint(params=frozenset({index}))
+                self.env[name] = Taint(
+                    unordered=unordered, params=frozenset({index})
+                )
         self.return_taint = BOTTOM
         self.sink_params: Dict[str, FrozenSet[int]] = {}
         self.findings: List[TaintFinding] = []
+        #: Order facts of the enclosing ``for`` loops' iterables.
+        self.loop_order = BOTTOM
 
     # -- summary -------------------------------------------------------
 
@@ -309,7 +331,17 @@ class _FunctionPass:
             iter_taint = self.eval_expr(node.iter)
             element = self._iteration_taint(iter_taint, node)
             self._bind(node.target, element)
-            for inner in node.body + node.orelse:
+            enclosing = self.loop_order
+            self.loop_order = enclosing.join(
+                Taint(
+                    order_labels=element.order_labels,
+                    pending_order=element.pending_order,
+                )
+            )
+            for inner in node.body:
+                self.exec_stmt(inner)
+            self.loop_order = enclosing
+            for inner in node.orelse:
                 self.exec_stmt(inner)
         elif isinstance(node, (ast.While, ast.If)):
             self.eval_expr(node.test)
@@ -363,7 +395,10 @@ class _FunctionPass:
         if iter_taint.unordered:
             order.add(self._site(node, "unsorted-iteration"))
         for index in iter_taint.params:
-            pending.add((index, self._site(node, "unsorted-iteration")))
+            # ``*args`` is a tuple in call order; its star-unpacked
+            # actuals are iterated (and judged) at the call site.
+            if index != self.info.vararg_index:
+                pending.add((index, self._site(node, "unsorted-iteration")))
         return Taint(
             labels=iter_taint.labels,
             order_labels=frozenset(order),
@@ -513,7 +548,13 @@ class _FunctionPass:
     # -- calls ---------------------------------------------------------
 
     def eval_call(self, call: ast.Call) -> Taint:
-        arg_taints = [self.eval_expr(arg) for arg in call.args]
+        arg_taints = [
+            # Star-unpacking iterates the container, in its own order.
+            self._iteration_taint(self.eval_expr(arg.value), arg)
+            if isinstance(arg, ast.Starred)
+            else self.eval_expr(arg)
+            for arg in call.args
+        ]
         keyword_taints = [self.eval_expr(kw.value) for kw in call.keywords]
         everything = _join_all(arg_taints + keyword_taints)
         sanitized_here = self._sanitized_line(call)
@@ -586,6 +627,8 @@ class _FunctionPass:
         if isinstance(func, ast.Attribute):
             receiver = self.eval_expr(func.value)
             if func.attr in _MUTATORS:
+                if func.attr in _ORDERED_MUTATORS and not receiver.unordered:
+                    everything = everything.join(self.loop_order)
                 self._mutate_receiver(func.value, everything)
                 return BOTTOM
             if func.attr in _SET_PRESERVING_METHODS:
@@ -679,8 +722,12 @@ class _FunctionPass:
         offset = 0
         if target_info is not None and target_info.param_names[:1] == ("self",):
             offset = 1
+        vararg = target_info.vararg_index if target_info is not None else None
         for position, taint in enumerate(arg_taints):
-            actuals[position + offset] = taint
+            index = position + offset
+            if vararg is not None and index > vararg:
+                index = vararg
+            actuals[index] = actuals.get(index, BOTTOM).join(taint)
         if target_info is not None:
             names = list(target_info.param_names)
             for keyword, taint in zip(call.keywords, keyword_taints):

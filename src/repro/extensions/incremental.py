@@ -96,6 +96,12 @@ class IncrementalPlanner:
         self.cache = self.solver_kwargs.get("cache")
         self.max_classifier_length = max_classifier_length
         self._built: Set[Classifier] = set()
+        # The residual pricing: the base model with every built
+        # classifier selected (weight 0).  Kept across batches and
+        # extended by each batch's new classifiers, so a request never
+        # rebuilds it, and its scoped content token lets untouched
+        # components hit the solution cache.
+        self._overlay = OverlayCost(cost)
         self._queries: List[Query] = []
         self._query_set: Set[Query] = set()
         self._batches: List[BatchOutcome] = []
@@ -178,7 +184,10 @@ class IncrementalPlanner:
 
         Already-seen queries are ignored; already-built classifiers are
         free for the residual solve.  Returns the batch outcome (empty
-        batch ⇒ zero-cost outcome).
+        batch ⇒ zero-cost outcome).  Planner state changes only once the
+        residual solve has returned: a batch whose solve raises leaves
+        the seen queries, built classifiers, residual pricing and
+        :meth:`state_digest` untouched.
 
         ``solver_overrides`` layers per-batch solver kwargs over the
         planner's defaults for this batch only — the planner daemon uses
@@ -187,11 +196,11 @@ class IncrementalPlanner:
         solve without perturbing the planner's configuration.
         """
         fresh: List[Query] = []
+        fresh_set: Set[Query] = set()
         for spec in queries:
             q = make_query(spec)
-            if q not in self._query_set:
-                self._query_set.add(q)
-                self._queries.append(q)
+            if q not in self._query_set and q not in fresh_set:
+                fresh_set.add(q)
                 fresh.append(q)
         index = len(self._batches)
         if not fresh:
@@ -200,12 +209,9 @@ class IncrementalPlanner:
             self._fold_digest(outcome)
             return outcome
 
-        overlay = OverlayCost(self.cost)
-        for clf in self._built:
-            overlay.select(clf)
         residual = MC3Instance(
             fresh,
-            overlay,
+            self._overlay,
             max_classifier_length=self.max_classifier_length,
             name=f"batch{index}",
         )
@@ -215,9 +221,15 @@ class IncrementalPlanner:
         solver = make_solver(self.solver_name, **kwargs)
         result = solver.solve(residual)
 
+        # Commit only now: a solve that raised leaves the planner exactly
+        # as it was, so a retried batch is planned from scratch.
         new_classifiers = frozenset(result.solution.classifiers) - self._built
-        incremental_cost = sum(self.cost.cost(clf) for clf in new_classifiers)
+        incremental_cost = self.cost.total(new_classifiers)
+        self._query_set |= fresh_set
+        self._queries.extend(fresh)
         self._built |= new_classifiers
+        for clf in sorted(new_classifiers, key=classifier_sort_key):
+            self._overlay.select(clf)
         self._total_cost += incremental_cost
         outcome = BatchOutcome(index, tuple(fresh), incremental_cost, new_classifiers, result)
         self._batches.append(outcome)
@@ -257,5 +269,4 @@ class IncrementalPlanner:
 
     def as_solution(self) -> Solution:
         """The cumulative selection priced against the base cost model."""
-        total = sum(self.cost.cost(clf) for clf in self._built)
-        return Solution(self._built, total)
+        return Solution(self._built, self.cost.total(self._built))

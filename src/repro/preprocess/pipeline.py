@@ -55,10 +55,10 @@ class _InstanceCost(CostModel):
             self._cache[clf] = cached
         return cached
 
-    def content_token(self):
+    def content_token(self, scope):
         # Memoisation never changes pricing, so the adapter is exactly
         # as content-addressable as the instance it wraps.
-        return self._instance.cost_content_token()
+        return self._instance.cost_content_token(scope)
 
 
 class PreprocessResult:

@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 
 from repro.core import MC3Instance, TableCost
 from repro.core.bitspace import PRIMARY_RUNG, component_fingerprint
-from repro.core.costs import CallableCost, OverlayCost, UniformCost
+from repro.core.costs import CallableCost, HashCost, OverlayCost, UniformCost
+from repro.core.properties import classifier_sort_key, iter_nonempty_subsets
+from repro.datasets import bestbuy_like
 from repro.devtools.chaos import ChaosInjector
 from repro.engine import ResiliencePolicy
 from repro.engine.cache import (
@@ -41,9 +43,14 @@ from repro.engine.cache import (
 from repro.extensions.incremental import IncrementalPlanner
 from repro.solvers import make_solver
 
-from tests.strategies import mc3_instances
+from tests.strategies import PROPERTY_NAMES, mc3_instances
+from tests.strategies import queries as query_strategy
 
 pytestmark = []
+
+
+#: Properties no generated instance uses.
+OUTSIDE = ["x0", "x1", "x2"]
 
 
 def fingerprint(instance, **kwargs):
@@ -70,7 +77,9 @@ class TestFingerprint:
         # The same tiny component fingerprinted in subprocesses with
         # different PYTHONHASHSEED values must agree byte-for-byte —
         # the whole point of RPL204.  Both cost paths are exercised:
-        # the table content-token and the enumerated fallback.
+        # the table content-token and the enumerated fallback, plus an
+        # overlay whose scoped token gathers overrides from per-property
+        # sets.
         script = tmp_path / "fp.py"
         script.write_text(
             "from repro.core import MC3Instance, TableCost\n"
@@ -82,6 +91,13 @@ class TestFingerprint:
             " CallableCost(lambda clf: float(len(clf))))\n"
             "print(component_fingerprint(inst, solver_token=('s', 1)))\n"
             "print(component_fingerprint(opaque, solver_token=('s', 1)))\n"
+            "from repro.core.costs import OverlayCost\n"
+            "overlay = OverlayCost(TableCost(cost))\n"
+            "for label in ('a b', 'c', 'a x', 'b c y', 'x y', 'a b c'):\n"
+            "    overlay.select(frozenset(label.split()))\n"
+            "overlay.remove(frozenset({'a', 'c'}))\n"
+            "scoped = MC3Instance(['a b', 'a c', 'b c'], overlay)\n"
+            "print(component_fingerprint(scoped, solver_token=('s', 1)))\n"
         )
         outputs = set()
         for seed in ("0", "1", "12345"):
@@ -140,6 +156,49 @@ class TestFingerprint:
         assert priced.cost_content_token() is not None
         assert opaque.cost_content_token() is None
         assert fingerprint(priced) != fingerprint(opaque)
+
+    @given(
+        mc3_instances(max_queries=5),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.frozensets(st.sampled_from(PROPERTY_NAMES), max_size=3),
+                st.frozensets(st.sampled_from(OUTSIDE), min_size=1, max_size=2),
+            ),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scoped_token_ignores_overrides_outside_component(self, instance, edits):
+        overlay = OverlayCost(instance.cost)
+        component = MC3Instance(instance.queries, overlay)
+        reference = fingerprint(component)
+        for select, inside, outside in edits:
+            # Reaching at least one property outside the component, the
+            # edit can price none of its candidates.
+            clf = inside | outside
+            (overlay.select if select else overlay.remove)(clf)
+            assert fingerprint(component) == reference
+
+    @given(mc3_instances(max_queries=5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scoped_token_sees_every_candidate_edit(self, instance, data):
+        overlay = OverlayCost(instance.cost)
+        component = MC3Instance(instance.queries, overlay)
+        before = fingerprint(component)
+        candidates = sorted(
+            {clf for q in instance.queries for clf in iter_nonempty_subsets(q)},
+            key=classifier_sort_key,
+        )
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            clf = data.draw(st.sampled_from(candidates))
+            select = data.draw(st.booleans())
+            was = overlay.overrides.get(clf)
+            (overlay.select if select else overlay.remove)(clf)
+            after = fingerprint(component)
+            if was != overlay.overrides[clf]:  # re-applying an edit is no edit
+                assert after != before
+            before = after
 
     @given(mc3_instances(max_queries=4))
     @settings(max_examples=20, deadline=None)
@@ -474,6 +533,40 @@ class TestPlumbing:
         assert planner.total_cost == uncached.total_cost
         assert outcome_of(first) == outcome_of(second)
         assert store.stats()["hits"] > hits_after_first
+
+    def test_sliding_window_replans_hit_and_match_uncached(self):
+        # Consecutive windows share most of their components, and the
+        # preprocessing edits elsewhere in each window stay out of a
+        # component's scoped fingerprint, so later re-plans are served
+        # largely from the cache — each equal to a cache-off solve.
+        log = bestbuy_like(120, seed=3)
+        store = MemorySolutionCache()
+        hits = 0
+        for start in range(0, 60, 10):
+            window = MC3Instance(log.queries[start:start + 60], log.cost)
+            served = make_solver("mc3-general", cache=store).solve(window)
+            plain = make_solver("mc3-general", cache="off").solve(window)
+            assert outcome_of(served) == outcome_of(plain)
+            hits += served.details["engine"]["cache"]["hits"]
+        assert hits > 0
+
+    @given(st.lists(st.lists(query_strategy, max_size=4), min_size=1, max_size=5))
+    @settings(max_examples=25, deadline=None)
+    def test_persistent_overlay_planner_matches_replay_reference(self, batches):
+        from repro.service import ServiceConfig, replay_reference
+        from repro.service.journal import JournalRecord
+
+        cost = HashCost(seed=5)
+        planner = IncrementalPlanner(cost, cache=MemorySolutionCache())
+        for batch in batches:
+            planner.add_batch(batch)
+        records = [
+            JournalRecord(seq, tuple(tuple(sorted(q)) for q in batch), None)
+            for seq, batch in enumerate(batches)
+        ]
+        reference = replay_reference(cost, ServiceConfig(cache="off"), records)
+        assert planner.state_digest() == reference.state_digest()
+        assert planner.built_classifiers == reference.built_classifiers
 
     def test_cli_cache_stats_and_clear(self, tmp_path, capsys, example11):
         from repro.cli import main

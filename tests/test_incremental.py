@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import TableCost, UniformCost
 from repro.core.costs import HashCost
-from repro.exceptions import InvalidInstanceError
+from repro.exceptions import InvalidInstanceError, UncoverableQueryError
 from repro.extensions import IncrementalPlanner
 from repro.solvers import ExactSolver
 from tests.conftest import random_instance
@@ -60,6 +60,75 @@ class TestBasics:
         planner = planner_with(UniformCost(1.0))
         with pytest.raises(InvalidInstanceError):
             planner.replan()
+
+
+class TestFailedBatch:
+    def test_failed_batch_leaves_no_state(self):
+        # Nothing prices {a,c} or {c}: the residual solve raises.
+        planner = planner_with(TableCost({"a": 1, "b": 2}))
+        planner.add_batch(["a"])
+        digest = planner.state_digest()
+        built = planner.built_classifiers
+        overrides = dict(planner._overlay.overrides)
+        with pytest.raises(UncoverableQueryError):
+            planner.add_batch(["a c", "b"])
+        assert planner.state_digest() == digest
+        assert planner.built_classifiers == built
+        assert planner._overlay.overrides == overrides
+        assert planner.queries == (frozenset({"a"}),)
+        assert len(planner.batches) == 1
+        retried = planner.add_batch(["b"])
+        assert retried.new_queries == (frozenset({"b"}),)
+        assert frozenset({"b"}) in planner.built_classifiers
+        planner.verify()
+
+
+_SUM_SCRIPT = """
+import sys
+from repro.core import MC3Instance, TableCost
+from repro.extensions import IncrementalPlanner
+
+# 9 + 1e-6 + 1e-6 + ... rounds differently from 1e-6 + ... + 9, so a sum
+# taken in set iteration order would follow the hash seed.
+names = ["a"] + ["t%02d" % i for i in range(12)]
+cost = TableCost({name: (9.0 if name == "a" else 1e-6) for name in names})
+chosen = frozenset(frozenset({name}) for name in names)
+planner = IncrementalPlanner(cost)
+outcome = planner.add_batch(names)
+totals = [
+    MC3Instance(names, cost).total_weight(chosen),
+    cost.total(chosen),
+    outcome.incremental_cost,
+    planner.as_solution().cost,
+]
+sys.stdout.write(" ".join(total.hex() for total in totals))
+"""
+
+
+class TestOrderIndependentSums:
+    def test_cost_sums_identical_across_hash_seeds(self):
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH")) if p
+            )
+            outputs.add(
+                subprocess.run(
+                    [sys.executable, "-c", _SUM_SCRIPT],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        (output,) = outputs
+        totals = {float.fromhex(part) for part in output.split()}
+        # Every path sums in classifier_sort_key order: "a" first.
+        expected = 9.0
+        for _ in range(12):
+            expected += 1e-6
+        assert totals == {expected}
 
 
 class TestRegret:

@@ -425,6 +425,59 @@ def test_rpl502_content_token_clean_twin(tmp_path):
     assert result.ok
 
 
+SCOPED_TOKEN = """
+    import hashlib
+
+    def _digest(*parts):
+        digest = hashlib.blake2b(digest_size=16)
+        for part in parts:
+            digest.update(part)
+        return digest.digest()
+
+    class Overlay:
+        def __init__(self):
+            self.overrides = {}
+            self.by_lowest = {}
+
+        def content_token(self, scope):
+            inside = frozenset(scope)
+            entries = []
+            for prop in scope:
+                for clf in self.by_lowest.get(prop, ()):
+                    if clf <= inside:
+                        entries.append(("+".join(sorted(clf)), self.overrides[clf]))
+            parts = [b"overlay"]
+            for label, weight in %s:
+                parts.append(label.encode())
+                parts.append(str(weight).encode())
+            return _digest(*parts)
+
+    def fingerprint(overlay, properties):
+        return overlay.content_token(frozenset(properties))
+    """
+
+
+def test_rpl502_scoped_token_iterated_in_scope_order(tmp_path):
+    # The scope may arrive as a set and each property's bucket is a set:
+    # entries appended in that iteration order and digested unsorted
+    # make the token depend on the hash seed, even though every entry's
+    # own label is sorted.
+    write_module(tmp_path, "src/repro/core/overlay.py", SCOPED_TOKEN % "entries")
+    result = lint_paths([tmp_path], select=["RPL502"], analyze=True)
+    assert rule_ids(result) == {"RPL502"}
+    (violation,) = result.violations
+    assert "content_token" in violation.message
+    assert "unsorted-iteration@" in violation.message
+
+
+def test_rpl502_scoped_token_clean_twin(tmp_path):
+    write_module(
+        tmp_path, "src/repro/core/overlay.py", SCOPED_TOKEN % "sorted(entries)"
+    )
+    result = lint_paths([tmp_path], select=["RPL502"], analyze=True)
+    assert result.ok
+
+
 # ----------------------------------------------------------------------
 # RPL503: kernel-backend purity
 # ----------------------------------------------------------------------
