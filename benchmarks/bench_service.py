@@ -84,8 +84,6 @@ def service_config(journal_path: str = None) -> ServiceConfig:
         journal_fsync=False,
         cache=None,  # cache off on both legs: measure the daemon, not hits
         default_deadline_seconds=None,
-        max_retries=0,
-        backoff_base_seconds=0.0,
     )
 
 

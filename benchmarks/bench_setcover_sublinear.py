@@ -1,19 +1,17 @@
-"""Sub-linear set cover at scale: sampled + streaming vs materialize-and-solve.
+"""Sub-linear set cover at scale: sampled greedy vs materialize-and-solve.
 
 The scale-tier workloads (:mod:`repro.datasets.scale`) are weighted set
-systems defined by arithmetic, so the two lazy solvers can cover them
-without ever holding the full membership structure:
+systems defined by arithmetic, so ``sampled_greedy_wsc`` can cover them
+without ever holding the full membership structure.  It estimates gains
+on sampled elements and repairs the residual exactly.  Two claims:
 
-* ``sampled_greedy_wsc`` estimates gains on sampled elements and
-  repairs the residual exactly — the claim is **wall-clock**: at the
-  1M-element tier it must be at least ``SPEEDUP_FLOOR``x faster than
-  materializing the workload and running the bucket greedy, while its
-  cover costs at most ``RATIO_CEILING``x the bucket greedy's;
-* ``streaming_greedy_wsc`` reads the element stream once (plus a prune
-  pass) — the claim is **memory**: under an address-space cap that
-  kills the materializing path outright, the streaming (and sampled)
-  solvers still finish, which the ``--memcap`` legs demonstrate in a
-  capped subprocess.
+* **wall-clock** — at the 1M-element tier it must be at least
+  ``SPEEDUP_FLOOR``x faster than materializing the workload and running
+  the bucket greedy, while its cover costs at most ``RATIO_CEILING``x
+  the bucket greedy's;
+* **memory** — under an address-space cap that kills the materializing
+  path outright, the sampled solver still finishes, which the memory-cap
+  legs demonstrate in a capped subprocess.
 
 Every lazy answer is feasibility-checked against the workload itself
 (membership recomputed arithmetically), so a fast-but-wrong solver
@@ -46,7 +44,6 @@ from repro.setcover import (  # noqa: E402
     bucket_greedy_wsc,
     greedy_wsc,
     sampled_greedy_wsc,
-    streaming_greedy_wsc,
 )
 
 FULL_TIER = "1m"
@@ -60,8 +57,8 @@ REPEATS_FAST = 3
 SPEEDUP_FLOOR = 10.0
 RATIO_CEILING = 1.10
 
-#: Address-space cap for the --memcap legs: comfortably above the lazy
-#: solvers' footprint (tens of MB at 1M elements) and far below the
+#: Address-space cap for the memory-cap legs: comfortably above the
+#: sampled solver's footprint (tens of MB at 1M elements) and far below the
 #: materialized instance + its 500MB of member masks.
 MEMCAP_BYTES = 384 * 1024 * 1024
 
@@ -115,13 +112,8 @@ def run_tier(n: int, include_exact_greedy: bool) -> Dict[str, object]:
     )
     check_cover(workload, sampled)
 
-    streaming_seconds, streaming = timed(
-        lambda: streaming_greedy_wsc(workload), repeats=REPEATS_FAST
-    )
-    check_cover(workload, streaming)
-
     # The conventional path pays for materialization *and* the solve; the
-    # lazy solvers replace both, so the honest baseline is their sum.
+    # sampled solver replaces both, so the honest baseline is their sum.
     materialize_seconds, instance = timed(workload.wsc_instance)
     bucket_seconds, bucket = timed(lambda: bucket_greedy_wsc(instance))
     instance.verify_solution(bucket)
@@ -136,10 +128,6 @@ def run_tier(n: int, include_exact_greedy: bool) -> Dict[str, object]:
             "sampled_cost": sampled.cost,
             "sampled_sets": len(sampled.set_ids),
             "sampled_stats": sampled_stats,
-            "streaming_seconds": streaming_seconds,
-            "streaming_cost": streaming.cost,
-            "streaming_sets": len(streaming.set_ids),
-            "streaming_cost_ratio": streaming.cost / bucket.cost if bucket.cost else 1.0,
             "materialize_seconds": materialize_seconds,
             "bucket_seconds": bucket_seconds,
             "baseline_seconds": baseline_seconds,
@@ -157,7 +145,6 @@ def run_tier(n: int, include_exact_greedy: bool) -> Dict[str, object]:
 
     print(
         f"n={n}: sampled {sampled_seconds:.3f}s (cost {sampled.cost:.0f}), "
-        f"streaming {streaming_seconds:.3f}s (cost {streaming.cost:.0f}), "
         f"materialize+bucket {baseline_seconds:.3f}s (cost {bucket.cost:.0f}) "
         f"-> speedup {speedup:.1f}x, cost ratio {ratio:.4f}"
     )
@@ -167,11 +154,11 @@ def run_tier(n: int, include_exact_greedy: bool) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Memory-cap legs: each leg runs in a subprocess whose address space is
 # capped below the materialized instance's footprint.  The materializing
-# leg must die (MemoryError or a hard kill); the lazy legs must finish
+# leg must die (MemoryError or a hard kill); the sampled leg must finish
 # and produce a verified cover.
 # ----------------------------------------------------------------------
 
-MEMCAP_LEGS = ("materialize", "sampled", "streaming")
+MEMCAP_LEGS = ("materialize", "sampled")
 
 
 def _memcap_child(leg: str, n: int, cap_bytes: int) -> int:
@@ -183,11 +170,8 @@ def _memcap_child(leg: str, n: int, cap_bytes: int) -> int:
         if leg == "materialize":
             instance = workload.wsc_instance()
             solution = bucket_greedy_wsc(instance)
-        elif leg == "sampled":
-            solution = sampled_greedy_wsc(workload, seed=SEED)
-            check_cover(workload, solution)
         else:
-            solution = streaming_greedy_wsc(workload)
+            solution = sampled_greedy_wsc(workload, seed=SEED)
             check_cover(workload, solution)
     except MemoryError:
         print(f"memcap-child {leg}: MemoryError", flush=True)
@@ -257,7 +241,6 @@ def run_all(mode: str) -> Dict[str, object]:
             "longer demonstrates anything; lower MEMCAP_BYTES"
         )
         assert memcap["sampled"]["survived"], memcap["sampled"]
-        assert memcap["streaming"]["survived"], memcap["streaming"]
     return results
 
 

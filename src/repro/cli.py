@@ -88,6 +88,14 @@ def _solver_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """Solver, cache and resilience flags of the one-shot subcommands."""
+    _add_solver_flags(parser)
+    _add_run_flags(parser)
+
+
+def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags that configure the solver itself; ``serve`` takes only
+    these, because the daemon owns its cache and resilience policy."""
     parser.add_argument(
         "--jobs",
         type=int,
@@ -134,6 +142,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="element-sampling rate for one round of the sampled greedy "
         "(repeat the flag for a multi-round schedule; mc3-sampled only)",
     )
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Per-run cache and resilience flags."""
     from repro.engine.cache import CACHE_ENV_VAR, cache_choices
 
     parser.add_argument(
@@ -189,7 +201,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help="re-attempt a failed rung up to N times before falling back "
-        "(deterministic backoff, default 0)",
+        "(default 0)",
     )
     parser.add_argument(
         "--fallback",
@@ -535,7 +547,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--deadline", type=float, default=None,
         help="default per-request deadline in seconds",
     )
-    _add_engine_flags(serve)
+    _add_solver_flags(serve)
     serve.set_defaults(fn=_cmd_serve)
 
     cache = sub.add_parser(

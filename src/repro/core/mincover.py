@@ -47,7 +47,6 @@ class QueryCover:
 def min_cover_local(
     full: int,
     usable: Sequence[Tuple[int, float]],
-    backend: Optional[str] = None,
 ) -> Optional[Tuple[float, List[int]]]:
     """Mask-native min-cover DP (shim over the kernel layer).
 
@@ -58,10 +57,9 @@ def min_cover_local(
     order — or ``None`` when ``full`` is unreachable.  Ties break toward
     fewer sets, then earliest ``usable`` order, exactly as the public
     wrapper always has; every backend's bound-pruned DP reproduces the
-    historical exhaustive sweep bit for bit.  ``backend`` overrides the
-    active kernel backend.
+    historical exhaustive sweep bit for bit.
     """
-    return get_backend(backend).min_cover_dp(full, usable)
+    return get_backend().min_cover_dp(full, usable)
 
 
 def min_cover(

@@ -18,7 +18,7 @@ Total resident state is O(m): the per-set cost table and the map
 parameters.  A 10M-element tier fits in a few megabytes while its
 materialised twin needs gigabytes — which is exactly the pairing the
 ``bench_setcover_sublinear`` memory-cap legs demonstrate (the
-materialising path dies under a cap the lazy solvers never notice).
+materialising path dies under a cap the sampled solver never notices).
 
 Query-load-side scale tiers reuse the paper's own S recipe through
 :class:`~repro.datasets.synthetic.SyntheticQueryStream`;
@@ -64,13 +64,12 @@ class ScaleTierWorkload:
     """A lazily-evaluated weighted set system of ``n`` elements.
 
     Satisfies the duck-typed set-system protocol of
-    :func:`repro.setcover.sampled_greedy.sampled_greedy_wsc` and
-    :func:`repro.setcover.streaming.streaming_greedy_wsc`
+    :func:`repro.setcover.sampled_greedy.sampled_greedy_wsc`
     (``universe_size`` / ``num_sets`` / ``set_cost`` / ``set_members`` /
-    ``sets_containing`` plus the streaming ``iter_items``), and can
-    materialise itself into a concrete :class:`WSCInstance` for the
-    conventional pipeline — that path exists to *measure*, not to use:
-    it is the O(n·f) time-and-memory wall the lazy solvers remove.
+    ``sets_containing``), and can materialise itself into a concrete
+    :class:`WSCInstance` for the conventional pipeline — that path exists
+    to *measure*, not to use: it is the O(n·f) time-and-memory wall the
+    sampled solver removes.
 
     All parameters are derived from ``seed`` with string-seeded
     ``random.Random`` draws, so workloads are bit-identical across
@@ -135,14 +134,6 @@ class ScaleTierWorkload:
             first = (inverse * (set_id - b)) % m
             members.update(range(first, n, m))
         return sorted(members)
-
-    def iter_items(self) -> Iterator[Tuple[int, List[int]]]:
-        """The element stream: ``(element_id, candidate set ids)`` pairs
-        computed arithmetically — O(1) transient memory per item."""
-        m = self.num_sets
-        maps = self._maps
-        for element_id in range(self.universe_size):
-            yield element_id, sorted({(a * element_id + b) % m for a, b, _ in maps})
 
     # -- the materialising twin ----------------------------------------
 

@@ -50,10 +50,6 @@ class ComponentOutcome:
     answer (``"degraded"``/``"skipped"`` for the on_error outcomes) and
     ``attempts`` counts every attempt spent, including failed ones.
     Plain runs leave ``rung`` as ``None`` and ``attempts`` at 1.
-
-    ``backend`` is the resolved kernel-backend name the component was
-    solved under (``None`` for callers that bypass the engine's
-    scheduler).
     """
 
     __slots__ = (
@@ -65,7 +61,6 @@ class ComponentOutcome:
         "route",
         "rung",
         "attempts",
-        "backend",
     )
 
     def __init__(
@@ -78,7 +73,6 @@ class ComponentOutcome:
         route: Optional[str] = None,
         rung: Optional[str] = None,
         attempts: int = 1,
-        backend: Optional[str] = None,
     ):
         self.index = index
         self.classifiers = frozenset(classifiers)
@@ -88,7 +82,6 @@ class ComponentOutcome:
         self.route = route
         self.rung = rung
         self.attempts = attempts
-        self.backend = backend
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         via = f" via {self.route}" if self.route else ""

@@ -91,9 +91,8 @@ class SolveEngine:
         Kernel-backend choice for the mask kernels (a
         :mod:`repro.core.kernels.registry` choice string: a backend
         name or ``"auto"``).  ``None`` (the default) uses the active
-        registry default; per-route ``backend`` overrides win for their
-        components.  Resolved once per run, so telemetry and worker
-        tasks always carry a concrete name.
+        registry default.  Resolved once per run, so telemetry and
+        worker tasks always carry a concrete name.
     cache:
         Component-solution cache spec (see :mod:`repro.engine.cache`):
         a choice string (``"off"``/``"memory"``/``"disk"``), a
@@ -197,7 +196,6 @@ class SolveEngine:
                 outcome.route,
                 bitspace if isinstance(bitspace, dict) else None,
                 rung=outcome.rung,
-                backend=outcome.backend,
                 gap=gap if isinstance(gap, dict) else None,
             )
         solution = prep.finalize(selected)
@@ -229,22 +227,18 @@ class SolveEngine:
         backend_name: str,
     ) -> List[ComponentTask]:
         """Assign each component to the first matching route, else the
-        default solver; every task carries its resolved kernel backend
-        (the route's override when present, else the engine's)."""
+        default solver; every task carries the run's resolved kernel
+        backend, so pool workers activate the one the parent chose."""
         tasks: List[ComponentTask] = []
         for index, component in enumerate(components):
             target: SolvesComponents = component_solver
             route_name: Optional[str] = None
-            task_backend = backend_name
             for route in self.routes:
                 if route.matches(component):
                     target = route
                     route_name = route.name
-                    route_backend = getattr(route, "backend", None)
-                    if route_backend is not None:
-                        task_backend = resolve_backend_name(route_backend)
                     break
-            tasks.append((index, target, component, route_name, task_backend))
+            tasks.append((index, target, component, route_name, backend_name))
         return tasks
 
     # ------------------------------------------------------------------
@@ -315,7 +309,6 @@ class SolveEngine:
                     component.n,
                     route_name,
                     rung=getattr(target, "name", None) if resilient else None,
-                    backend=task_backend,
                 )
             )
         return hit_outcomes, pending

@@ -64,15 +64,7 @@ def pool_context():
 
 def _solve_one(
     task: ComponentTask,
-) -> Tuple[
-    int,
-    FrozenSet[Classifier],
-    Dict[str, object],
-    float,
-    int,
-    Optional[str],
-    Optional[str],
-]:
+) -> Tuple[int, FrozenSet[Classifier], Dict[str, object], float, int, Optional[str]]:
     """Worker: solve one component, timed.  Module-level for pickling."""
     index, solver, component, route, backend = task
     started = time.perf_counter()
@@ -89,16 +81,11 @@ def _solve_one(
         exc.worker_traceback = traceback.format_exc()
         raise
     seconds = time.perf_counter() - started
-    return index, frozenset(classifiers), details, seconds, component.n, route, backend
+    return index, frozenset(classifiers), details, seconds, component.n, route
 
 
 def _to_outcomes(rows) -> List[ComponentOutcome]:
-    outcomes = [
-        ComponentOutcome(
-            index, classifiers, details, seconds, size, route, backend=backend
-        )
-        for index, classifiers, details, seconds, size, route, backend in rows
-    ]
+    outcomes = [ComponentOutcome(*row) for row in rows]
     outcomes.sort(key=lambda outcome: outcome.index)
     return outcomes
 

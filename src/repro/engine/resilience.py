@@ -7,9 +7,7 @@ greedy and LP rounding, with primal–dual as the large-instance
 fallback, Section 5) an explicit runtime mechanism:
 
 * **budgets** — a per-attempt wall-clock ``timeout_seconds`` plus an
-  optional retry count with a *deterministic* backoff schedule
-  (``base * growth**n``; no RNG jitter — reprolint RPL102 applies to
-  everything the engine runs);
+  optional count of immediate retries of the same rung;
 * **fallback chains** — an ordered list of rungs; when an attempt
   fails (error, timeout, worker death, infeasible output) the next
   rung solves the *same* component.  Rungs are named entries of
@@ -55,8 +53,8 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bitspace import PropertySpace
 from repro.core.coverage import verify_cover
@@ -322,6 +320,14 @@ class PartialSolution(Solution):
 
 ON_ERROR_POLICIES = ("raise", "degrade", "skip")
 
+#: Extra margin the pool scheduler grants on top of ``timeout_seconds``
+#: before abandoning a still-running attempt.
+TIMEOUT_GRACE_SECONDS = 0.25
+
+#: How long the pool scheduler waits for a completion before it checks
+#: in-flight attempts against their deadline again.
+POLL_INTERVAL_SECONDS = 0.02
+
 
 @dataclass
 class ResiliencePolicy:
@@ -334,14 +340,9 @@ class ResiliencePolicy:
         solve time (identically in sequential and pool modes).  ``None``
         disables the budget.
     max_retries:
-        Extra attempts of the *same* rung after a failure (timeouts are
-        retried only with ``retry_on_timeout``, since a deterministic
-        solver that overran once will overrun again).
-    backoff_base_seconds / backoff_growth / backoff_max_seconds:
-        Deterministic backoff before the *n*-th retry:
-        ``base * growth**(n-1)`` seconds, capped at
-        ``backoff_max_seconds`` when one is set (``None``, the default,
-        preserves the unbounded schedule).  No RNG jitter by design.
+        Extra attempts of the *same* rung after a failure, run
+        immediately.  Timeouts are never retried: a deterministic solver
+        that overran once will overrun again.
     on_error:
         What chain exhaustion means: ``"raise"`` (default) raises
         :class:`~repro.exceptions.FallbackExhaustedError`; ``"degrade"``
@@ -350,18 +351,11 @@ class ResiliencePolicy:
     fallback:
         Rungs tried, in order, after the primary solver fails — registry
         names (see :data:`FALLBACK_RUNGS`) or SolvesComponents objects.
-    route_fallback:
-        Per-route chain overrides keyed by route name (e.g.
-        ``{"exact-k2": ("k2-exact", "greedy")}``); unrouted components
-        and unlisted routes use ``fallback``.
     validate_covers:
         Independently check that each successful attempt actually covers
         its component; an infeasible answer (a buggy rung, an injected
         corruption) counts as a failed attempt instead of poisoning the
         merge.
-    timeout_grace_seconds:
-        Extra margin the pool scheduler grants on top of
-        ``timeout_seconds`` before abandoning a still-running attempt.
     chaos:
         Optional fault injector (see
         :class:`repro.devtools.chaos.ChaosInjector`): anything with a
@@ -382,16 +376,9 @@ class ResiliencePolicy:
 
     timeout_seconds: Optional[float] = None
     max_retries: int = 0
-    retry_on_timeout: bool = False
-    backoff_base_seconds: float = 0.0
-    backoff_growth: float = 2.0
-    backoff_max_seconds: Optional[float] = None
     on_error: str = "raise"
     fallback: Sequence[object] = ()
-    route_fallback: Mapping[str, Sequence[object]] = field(default_factory=dict)
     validate_covers: bool = True
-    timeout_grace_seconds: float = 0.25
-    poll_interval_seconds: float = 0.02
     chaos: Optional[object] = None
     breakers: Optional[object] = None
 
@@ -404,30 +391,11 @@ class ResiliencePolicy:
             raise SolverError("timeout_seconds must be positive (or None)")
         if self.max_retries < 0:
             raise SolverError("max_retries must be >= 0")
-        if self.backoff_max_seconds is not None and self.backoff_max_seconds < 0:
-            raise SolverError("backoff_max_seconds must be >= 0 (or None)")
         self.fallback = tuple(self.fallback)
-        self.route_fallback = {
-            key: tuple(value) for key, value in dict(self.route_fallback).items()
-        }
 
-    def backoff_seconds(self, retry_number: int) -> float:
-        """Deterministic sleep before the ``retry_number``-th retry (1-based)."""
-        if self.backoff_base_seconds <= 0:
-            return 0.0
-        delay = self.backoff_base_seconds * self.backoff_growth ** (retry_number - 1)
-        if self.backoff_max_seconds is not None:
-            return min(delay, self.backoff_max_seconds)
-        return delay
-
-    def chain_for(
-        self, primary: SolvesComponents, route: Optional[str]
-    ) -> List[SolvesComponents]:
+    def chain_for(self, primary: SolvesComponents) -> List[SolvesComponents]:
         """The full rung chain for one component: primary, then fallbacks."""
-        spec = self.fallback
-        if route is not None and route in self.route_fallback:
-            spec = self.route_fallback[route]
-        return [primary] + [resolve_rung(entry) for entry in spec]
+        return [primary] + [resolve_rung(entry) for entry in self.fallback]
 
 
 # ----------------------------------------------------------------------
@@ -505,19 +473,15 @@ class _ChainState:
         "attempt",
         "failures",
         "quarantined",
-        "not_before",
     )
 
     def __init__(self, task: ComponentTask, policy: ResiliencePolicy):
         self.index, primary, self.component, self.route, self.backend = task
-        self.chain = policy.chain_for(primary, self.route)
+        self.chain = policy.chain_for(primary)
         self.pos = 0
         self.attempt = 0
         self.failures: List[ComponentFailure] = []
         self.quarantined = False
-        #: Monotonic timestamp before which the next attempt must not
-        #: start (deterministic retry backoff); 0.0 = immediately.
-        self.not_before = 0.0
 
     @property
     def rung(self) -> SolvesComponents:
@@ -594,18 +558,14 @@ def _advance(
         policy.breakers.record(state.rung.name, False)
     # A skipped-by-breaker attempt never retries: no solve ran, so a
     # retry of the same rung would just be skipped again.
-    retryable = failure.kind != "breaker-open" and (
-        failure.kind != "timeout" or policy.retry_on_timeout
-    )
+    retryable = failure.kind not in ("breaker-open", "timeout")
     if retryable and state.attempt < policy.max_retries:
         state.attempt += 1
         report.retries += 1
-        state.not_before = time.monotonic() + policy.backoff_seconds(state.attempt)
         return "retry"
     if state.pos + 1 < len(state.chain):
         state.pos += 1
         state.attempt = 0
-        state.not_before = 0.0
         report.fallbacks += 1
         return "fallback"
     return "exhausted"
@@ -651,7 +611,6 @@ def _exhausted_outcome(
             state.route,
             rung="degraded",
             attempts=state.total_attempts,
-            backend=state.backend,
         )
     # "skip" — and "degrade" of a genuinely uncoverable component, which
     # even the last-resort rung cannot cover.
@@ -667,7 +626,6 @@ def _exhausted_outcome(
         state.route,
         rung="skipped",
         attempts=state.total_attempts,
-        backend=state.backend,
     )
 
 
@@ -716,7 +674,6 @@ def _success_outcome(
         state.route,
         rung=state.rung.name,
         attempts=state.total_attempts,
-        backend=state.backend,
     )
 
 
@@ -759,12 +716,6 @@ def _adjudicate(
 # ----------------------------------------------------------------------
 
 
-def _sleep_until(not_before: float) -> None:
-    delay = not_before - time.monotonic()
-    if delay > 0:
-        time.sleep(delay)
-
-
 def _solve_chain_inprocess(
     state: _ChainState, policy: ResiliencePolicy, report: ResilienceReport
 ) -> ComponentOutcome:
@@ -773,9 +724,8 @@ def _solve_chain_inprocess(
         gated = _breaker_gate(state, policy, report)
         if gated is not None:
             return gated
-        _sleep_until(state.not_before)
         try:
-            _, classifiers, details, seconds, _, _, _ = _solve_one(
+            _, classifiers, details, seconds, _, _ = _solve_one(
                 state.attempt_task(policy)
             )
         except (ReproError, MemoryError, RecursionError) as exc:
@@ -839,14 +789,14 @@ def _rerun_isolated(
     """
     deadline = None
     if policy.timeout_seconds is not None:
-        deadline = policy.timeout_seconds + policy.timeout_grace_seconds
+        deadline = policy.timeout_seconds + TIMEOUT_GRACE_SECONDS
     # No ``with`` block: context exit would wait for the worker, and the
     # abandonment path must *not* wait for a stalled attempt.
     mini = ProcessPoolExecutor(max_workers=1, mp_context=pool_context())
     try:
         future = mini.submit(_solve_one, state.attempt_task(policy))
         try:
-            _, classifiers, details, seconds, _, _, _ = future.result(timeout=deadline)
+            _, classifiers, details, seconds, _, _ = future.result(timeout=deadline)
         except BrokenProcessPool:
             # The lone worker is dead, so waiting is safe — and joining
             # the manager thread here keeps its wakeup pipe from being
@@ -920,7 +870,6 @@ def _run_pool_resilient(
 
     try:
         while queue or active:
-            now = time.monotonic()
             done = {f for f in abandoned if f.done()}  # reprolint: ignore[RPL101] set difference commutes
             abandoned.difference_update(done)
             # Submit while a worker slot is free (abandoned-but-running
@@ -936,9 +885,6 @@ def _run_pool_resilient(
                     )
                     progressed = True
                     continue
-                if state.not_before > now:
-                    queue.append(state)  # backoff pending; try again later
-                    continue
                 gated = _breaker_gate(state, policy, report)
                 if gated is not None:
                     outcomes[state.index] = gated
@@ -949,25 +895,22 @@ def _run_pool_resilient(
                 submit_times[future] = time.monotonic()
                 progressed = True
             if not active:
-                if queue and not progressed:
-                    if abandoned:
-                        # Every slot is held by an abandoned attempt:
-                        # replace the pool so progress can resume.
-                        pool.shutdown(wait=False)
-                        pool = _new_pool(workers)
-                        abandoned.clear()
-                        report.pool_rebuilds += 1
-                    else:
-                        _sleep_until(min(s.not_before for s in queue))
+                if queue and not progressed and abandoned:
+                    # Every slot is held by an abandoned attempt:
+                    # replace the pool so progress can resume.
+                    pool.shutdown(wait=False)
+                    pool = _new_pool(workers)
+                    abandoned.clear()
+                    report.pool_rebuilds += 1
                 continue
-            done, _ = wait(set(active), timeout=policy.poll_interval_seconds,
+            done, _ = wait(set(active), timeout=POLL_INTERVAL_SECONDS,
                            return_when=FIRST_COMPLETED)
             survivors: List[_ChainState] = []
             for future in done:
                 state = active.pop(future)
                 submit_times.pop(future, None)
                 try:
-                    _, classifiers, details, seconds, _, _, _ = future.result()
+                    _, classifiers, details, seconds, _, _ = future.result()
                 except BrokenProcessPool:
                     survivors.append(state)
                     continue
@@ -1002,7 +945,7 @@ def _run_pool_resilient(
                     _rerun_isolated(state, policy, report, outcomes, queue)
                 continue
             if policy.timeout_seconds is not None:
-                limit = policy.timeout_seconds + policy.timeout_grace_seconds
+                limit = policy.timeout_seconds + TIMEOUT_GRACE_SECONDS
                 now = time.monotonic()
                 for future, state in list(active.items()):
                     if now - submit_times.get(future, now) <= limit:

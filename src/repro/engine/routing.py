@@ -76,12 +76,6 @@ class Route:
     routed and default work identically.  Routes must be picklable for
     process-pool dispatch.
 
-    ``backend`` optionally pins routed components to a specific kernel
-    backend (a :func:`repro.core.kernels.registry` choice string,
-    including ``"auto"``); ``None`` inherits the engine-level backend.
-    A route that knows its components are large can opt into the array
-    backend while small components stay on the cheaper pure-python one.
-
     ``cache_token`` is the route's contribution to the
     component-solution cache key (see :mod:`repro.engine.cache`): a flat
     tuple of scalars naming every output-affecting knob of the routed
@@ -90,20 +84,18 @@ class Route:
     token would miss.
     """
 
-    __slots__ = ("name", "_predicate", "_solve", "backend", "cache_token")
+    __slots__ = ("name", "_predicate", "_solve", "cache_token")
 
     def __init__(
         self,
         name: str,
         predicate: Callable[[MC3Instance], bool],
         solve: Callable[[MC3Instance], Tuple[Set[Classifier], Dict[str, object]]],
-        backend: Optional[str] = None,
         cache_token: Optional[Tuple[object, ...]] = None,
     ):
         self.name = name
         self._predicate = predicate
         self._solve = solve
-        self.backend = backend
         self.cache_token = None if cache_token is None else tuple(cache_token)
 
     def matches(self, component: MC3Instance) -> bool:
@@ -206,7 +198,6 @@ def sampled_wsc_route(
     seed: int = 0,
     rates: Optional[Tuple[float, ...]] = None,
     exact_threshold: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Route:
     """Size-tier rule: very large components go to the sampling-based
     sub-linear greedy (Indyk et al.) instead of the exact-gain greedy.
@@ -226,7 +217,6 @@ def sampled_wsc_route(
         SAMPLED_WSC_ROUTE,
         _IsLargeComponent(min_queries),
         _SolveSampledComponent(seed, resolved_rates, resolved_threshold),
-        backend=backend,
         cache_token=(
             "route",
             SAMPLED_WSC_ROUTE,
@@ -237,9 +227,7 @@ def sampled_wsc_route(
     )
 
 
-def exact_k2_route(
-    flow_algorithm: str = "dinic", backend: Optional[str] = None
-) -> Route:
+def exact_k2_route(flow_algorithm: str = "dinic") -> Route:
     """The k ≤ 2 exact-dispatch rule (``dispatch_k2`` hoisted engine-level).
 
     Because the routed components are solved optimally and components
@@ -252,6 +240,5 @@ def exact_k2_route(
         EXACT_K2_ROUTE,
         _IsK2Component(),
         _SolveK2Component(flow_algorithm),
-        backend=backend,
         cache_token=("route", EXACT_K2_ROUTE, flow_algorithm),
     )

@@ -47,7 +47,6 @@ class EngineTelemetry:
         "component_sizes",
         "component_seconds",
         "routed",
-        "backends",
         "rungs",
         "resilience",
         "cache",
@@ -61,8 +60,7 @@ class EngineTelemetry:
     def __init__(self, jobs: int, mode: str, backend: Optional[str] = None):
         self.jobs = jobs
         self.mode = mode
-        # Engine-level resolved kernel backend; per-route overrides show
-        # up in the per-component ``backends`` counts instead.
+        # Resolved kernel backend every component of the run used.
         self.backend = backend
         self.preprocess_seconds = 0.0
         self.solve_seconds = 0.0
@@ -70,7 +68,6 @@ class EngineTelemetry:
         self.component_sizes: List[int] = []
         self.component_seconds: List[float] = []
         self.routed: Dict[str, int] = {}
-        self.backends: Dict[str, int] = {}
         # Fallback-chain resolution counts per rung name (resilient runs
         # only; plain runs leave this empty) and the resilience report
         # rendered by the engine when a policy was active.
@@ -99,7 +96,6 @@ class EngineTelemetry:
         route: Optional[str],
         bitspace: Optional[Dict[str, int]] = None,
         rung: Optional[str] = None,
-        backend: Optional[str] = None,
         gap: Optional[Dict[str, float]] = None,
     ) -> None:
         self.component_sizes.append(size)
@@ -108,8 +104,6 @@ class EngineTelemetry:
             self.routed[route] = self.routed.get(route, 0) + 1
         if rung is not None:
             self.rungs[rung] = self.rungs.get(rung, 0) + 1
-        if backend is not None:
-            self.backends[backend] = self.backends.get(backend, 0) + 1
         if bitspace is not None:
             self.bitspace_properties.append(int(bitspace.get("properties", 0)))
             self.bitspace_elements.append(int(bitspace.get("elements", 0)))
@@ -174,7 +168,6 @@ class EngineTelemetry:
             "component_seconds": list(self.component_seconds),
             "component_size_histogram": size_histogram(self.component_sizes),
             "routed": dict(self.routed),
-            "backends": dict(self.backends),
             "bitspace": self.bitspace_summary(),
         }
         approx_gap = self.approx_gap_summary()

@@ -41,14 +41,12 @@ def DominatedPruner(  # noqa: N802 - keeps the historical class-style name
     queries: Sequence[Query],
     overlay: OverlayCost,
     max_classifier_length: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> PrunesDominated:
     """Stateful step-3 pass over one property-disjoint component.
 
-    Factory over the kernel registry: ``backend`` picks an
-    implementation explicitly; ``None`` (the default) uses the active
-    backend (see :func:`repro.core.kernels.registry.use_backend`).
+    Factory over the kernel registry: builds the active backend's
+    pruner (see :func:`repro.core.kernels.registry.use_backend`).
     """
-    return get_backend(backend).make_dominated_pruner(
+    return get_backend().make_dominated_pruner(
         queries, overlay, max_classifier_length
     )

@@ -1,7 +1,7 @@
 """Per-rung circuit breakers layered on the resilience fallback chains.
 
 A fallback chain already survives a broken rung — but it survives it
-*every time*, burning the rung's full retry/backoff budget on every
+*every time*, burning the rung's full retry budget on every
 component while the rung keeps failing.  A circuit breaker remembers:
 after ``threshold`` consecutive failures the rung's circuit opens and
 subsequent attempts skip it instantly (the chain advances to the next

@@ -31,8 +31,9 @@ Robustness properties, each with its enforcement point:
   circuit breaker (:mod:`repro.service.breaker`) so later requests skip
   it instantly instead of re-burning its retry budget;
 * **deadline → budget mapping** — a request's remaining deadline is
-  scaled by ``budget_fraction`` (floored at ``min_budget_seconds``)
-  into the :class:`~repro.engine.resilience.ResiliencePolicy` per-attempt
+  scaled by :data:`BUDGET_FRACTION` (floored at
+  :data:`MIN_BUDGET_SECONDS`) into the
+  :class:`~repro.engine.resilience.ResiliencePolicy` per-attempt
   budget, with ``on_error="degrade"`` — so a deadline either holds, or
   the answer degrades to a verified
   :class:`~repro.engine.resilience.PartialSolution`, or the typed error
@@ -89,13 +90,21 @@ def _now() -> float:
     return time.monotonic()  # reprolint: ignore[RPL102] deadline seam: single sanctioned clock read
 
 
+#: Fraction of a request's remaining deadline granted to each component
+#: solve attempt, floored at :data:`MIN_BUDGET_SECONDS`.
+BUDGET_FRACTION = 0.5
+MIN_BUDGET_SECONDS = 0.05
+
+#: Fallback chain appended to the primary solver for every request.
+FALLBACK_CHAIN = ("greedy", "query-oriented")
+
+
 @dataclass
 class ServiceConfig:
     """Tunables of one daemon instance (all deterministic knobs)."""
 
     solver_name: str = "mc3-general"
     solver_kwargs: Dict[str, object] = field(default_factory=dict)
-    max_classifier_length: Optional[int] = None
     #: Component-solution cache spec shared by every batch solve — the
     #: warm-cache half of the recovery story: replayed batches re-solve
     #: through the same content-addressed store.
@@ -107,17 +116,6 @@ class ServiceConfig:
     batch_window: int = 8
     #: Deadline applied to requests that do not carry their own.
     default_deadline_seconds: Optional[float] = None
-    #: Fraction of the remaining deadline granted to each component
-    #: solve attempt, floored at ``min_budget_seconds``.
-    budget_fraction: float = 0.5
-    min_budget_seconds: float = 0.05
-    #: Fallback chain appended to the primary solver for every request.
-    fallback: Tuple[str, ...] = ("greedy", "query-oriented")
-    max_retries: int = 0
-    backoff_base_seconds: float = 0.0
-    backoff_max_seconds: Optional[float] = 0.5
-    breaker_threshold: int = 3
-    breaker_probe_interval: int = 4
     #: Journal path (``None`` = volatile daemon, no crash recovery).
     journal_path: Optional[str] = None
     journal_fsync: bool = True
@@ -225,17 +223,13 @@ class PlannerService:
         self.config = config or ServiceConfig()
         self.cost = cost
         self.chaos = chaos
-        self.breakers = BreakerBoard(
-            threshold=self.config.breaker_threshold,
-            probe_interval=self.config.breaker_probe_interval,
-        )
+        self.breakers = BreakerBoard()
         self.cache = resolve_cache(self.config.cache)
         solver_kwargs = dict(self.config.solver_kwargs)
         self.planner = IncrementalPlanner(
             cost,
             solver_name=self.config.solver_name,
             solver_kwargs=solver_kwargs,
-            max_classifier_length=self.config.max_classifier_length,
             cache=self.cache,
         )
         self.journal: Optional[WorkloadJournal] = None
@@ -266,14 +260,10 @@ class PlannerService:
         replay (the journal records ``budget_seconds``) is what makes
         recovery reproduce live decisions.
         """
-        config = self.config
         return ResiliencePolicy(
             timeout_seconds=budget_seconds,
-            max_retries=config.max_retries,
-            backoff_base_seconds=config.backoff_base_seconds,
-            backoff_max_seconds=config.backoff_max_seconds,
             on_error="degrade",
-            fallback=config.fallback,
+            fallback=FALLBACK_CHAIN,
             breakers=self.breakers,
         )
 
@@ -529,12 +519,7 @@ class PlannerService:
         """
         keys = []
         for group in partition_queries(list(queries)):
-            component = MC3Instance(
-                group,
-                self.cost,
-                max_classifier_length=self.config.max_classifier_length,
-                name="admission",
-            )
+            component = MC3Instance(group, self.cost, name="admission")
             keys.append(
                 component_fingerprint(
                     component, solver_token=("service-admission",)
@@ -586,8 +571,7 @@ class PlannerService:
         if deadlines:
             remaining = min(deadlines) - now
             budget = max(  # reprolint: sanitize deadline→budget seam: resolved once, journaled, replayed verbatim
-                self.config.min_budget_seconds,
-                remaining * self.config.budget_fraction,
+                MIN_BUDGET_SECONDS, remaining * BUDGET_FRACTION
             )
         representative = live[0]
         for pending in group:

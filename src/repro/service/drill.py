@@ -58,15 +58,13 @@ def drill_cost(seed: int) -> HashCost:
 def drill_config(journal_path: str) -> ServiceConfig:
     """One canonical daemon configuration for serve/replay/reference.
 
-    No deadlines and a zero-backoff single-try chain: the deterministic
-    regime where recovery equivalence is exact (see the daemon module
-    docstring for the wall-clock caveat this avoids).
+    No deadlines, so no solve races a wall-clock budget: the
+    deterministic regime where recovery equivalence is exact (see the
+    daemon module docstring for the caveat this avoids).
     """
     return ServiceConfig(
         journal_path=journal_path,
         default_deadline_seconds=None,
-        max_retries=0,
-        backoff_base_seconds=0.0,
         queue_depth=16,
         batch_window=4,
     )

@@ -193,6 +193,9 @@ class WorkloadJournal:
         except OSError as exc:
             raise JournalError(f"cannot open journal {self.path!r}: {exc}") from exc
         self._handle = handle
+        #: Bytes of complete records on disk: where a failed append
+        #: truncates back to.
+        self._valid_bytes = self.recovered.valid_bytes
         self._next_seq = len(self.recovered.records)
         self._appended = 0
         self._closed = False
@@ -210,7 +213,9 @@ class WorkloadJournal:
 
         The record is on disk (written, flushed, fdatasync'd when
         ``fsync``) before this method returns — the write-ahead property
-        the recovery contract depends on.
+        the recovery contract depends on.  A failed append truncates the
+        file back to its last complete record, so a torn line can never
+        hide the batches appended after it from recovery.
         """
         if self._closed:
             raise JournalError("journal is closed")
@@ -223,10 +228,27 @@ class WorkloadJournal:
             if self.fsync:
                 os.fsync(self._handle.fileno())
         except OSError as exc:
+            self._rollback()
             raise JournalError(f"journal append failed: {exc}") from exc
+        self._valid_bytes += len(line)
         self._next_seq = seq + 1
         self._appended += 1
         return seq
+
+    def _rollback(self) -> None:
+        """Drop a partly written record: close the handle (which may
+        still flush bytes of the failed line), truncate the file to the
+        last complete record and reopen it.  When even that fails the
+        journal closes, so no later append can land after torn bytes."""
+        try:
+            self._handle.close()
+        except OSError:
+            pass
+        try:
+            os.truncate(self.path, self._valid_bytes)
+            self._handle = open(self.path, "ab")
+        except OSError:
+            self._closed = True
 
     def stats(self) -> Dict[str, object]:
         return {

@@ -31,7 +31,6 @@ from repro.setcover.sampled_greedy import (
     derive_seed,
     sampled_greedy_wsc,
 )
-from repro.setcover.streaming import streaming_greedy_wsc
 
 
 def solve_wsc(
@@ -65,8 +64,6 @@ def solve_wsc(
         Sampling-based sub-linear greedy [Indyk et al.]; exact-greedy
         fallback below :data:`DEFAULT_EXACT_THRESHOLD` elements.
         ``seed`` drives its (only) randomness.
-    ``streaming``
-        Few-pass streaming greedy; O(solution) working memory.
 
     ``prune`` applies the redundancy post-pass to the LP-rounding and
     primal–dual outputs (extension beyond the paper; guarantee-safe).
@@ -77,8 +74,6 @@ def solve_wsc(
         return bucket_greedy_wsc(instance)
     if method == "sampled":
         return sampled_greedy_wsc(instance, seed=seed)
-    if method == "streaming":
-        return streaming_greedy_wsc(instance)
     if method == "lp":
         return lp_rounding_wsc(instance, prune=prune)
     if method == "primal_dual":
@@ -107,7 +102,6 @@ __all__ = [
     "bucket_greedy_wsc",
     "derive_seed",
     "sampled_greedy_wsc",
-    "streaming_greedy_wsc",
     "exact_multicover",
     "exact_wsc",
     "exact_wsc_lp",

@@ -10,19 +10,15 @@ through :mod:`repro.core.kernels.registry`.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.kernels.registry import get_backend
 from repro.setcover.instance import WSCInstance, WSCSolution
 
 
-def bucket_greedy_wsc(
-    instance: WSCInstance, epsilon: float = 0.1, backend: Optional[str] = None
-) -> WSCSolution:
-    """Solve WSC with the bucketed greedy.
+def bucket_greedy_wsc(instance: WSCInstance, epsilon: float = 0.1) -> WSCSolution:
+    """Solve WSC with the bucketed greedy on the active kernel backend.
 
     ``epsilon`` trades quality for movement: larger values mean fewer
     bucket migrations and a looser ``(1+ε)`` factor on the greedy
-    ratio.  ``backend`` overrides the active kernel backend.
+    ratio.
     """
-    return get_backend(backend).bucket_greedy_wsc(instance, epsilon)
+    return get_backend().bucket_greedy_wsc(instance, epsilon)

@@ -9,13 +9,11 @@ bit-identical to the per-element reference
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.kernels.registry import get_backend
 from repro.setcover.instance import WSCInstance, WSCSolution
 
 
-def greedy_wsc(instance: WSCInstance, backend: Optional[str] = None) -> WSCSolution:
-    """Solve a WSC instance greedily; raises if some element is
-    uncoverable.  ``backend`` overrides the active kernel backend."""
-    return get_backend(backend).greedy_wsc(instance)
+def greedy_wsc(instance: WSCInstance) -> WSCSolution:
+    """Solve a WSC instance greedily with the active kernel backend;
+    raises if some element is uncoverable."""
+    return get_backend().greedy_wsc(instance)

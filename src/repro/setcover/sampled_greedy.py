@@ -100,7 +100,6 @@ def _greedy_restricted(
     covered: bytearray,
     chosen: bytearray,
     selection: List[int],
-    backend: Optional[str],
 ) -> Tuple[float, int]:
     """Exact Chvátal greedy on the sub-instance induced by ``elements``.
 
@@ -131,7 +130,7 @@ def _greedy_restricted(
     set_ids = sorted(buffers)
     masks = [int.from_bytes(buffers[set_id], "little") for set_id in set_ids]
     costs = [system.set_cost(set_id) for set_id in set_ids]
-    gains = get_backend(backend).sampled_gains(masks, 0)
+    gains = get_backend().sampled_gains(masks, 0)
 
     # Lazy-deletion heap, same discipline and tie-breaks as the full
     # greedy kernel: ties on ratio resolve by lowest (global) set id.
@@ -179,7 +178,6 @@ def sampled_greedy_wsc(
     seed: int = 0,
     rates: Sequence[float] = DEFAULT_SAMPLE_RATES,
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    backend: Optional[str] = None,
     stats: Optional[dict] = None,
 ) -> WSCSolution:
     """Solve a set system with the sampling-based sub-linear greedy.
@@ -201,8 +199,6 @@ def sampled_greedy_wsc(
     exact_threshold:
         Universe size at or below which the classic greedy runs instead
         (``ln Δ + 1`` guarantee preserved exactly).
-    backend:
-        Kernel-backend override for the gain-estimation batch kernel.
     stats:
         Optional dict filled with per-phase telemetry (mode, rounds,
         residual size, selection count).
@@ -210,7 +206,7 @@ def sampled_greedy_wsc(
     n = int(system.universe_size)
     if n <= int(exact_threshold):
         instance = system if isinstance(system, WSCInstance) else _materialize(system)
-        solution = greedy_wsc(instance, backend=backend)
+        solution = greedy_wsc(instance)
         if stats is not None:
             stats.update(
                 {"mode": "exact-fallback", "universe": n, "rounds": [],
@@ -241,7 +237,7 @@ def sampled_greedy_wsc(
             else:
                 sampled = sorted(rng.sample(population, target))
         cost, newly = _greedy_restricted(
-            system, sampled, covered, chosen, selection, backend
+            system, sampled, covered, chosen, selection
         )
         total_cost += cost
         uncovered_count -= newly
@@ -257,7 +253,7 @@ def sampled_greedy_wsc(
         # sampled rounds only ever *guide* selections, the tail is solved
         # exactly.
         cost, newly = _greedy_restricted(
-            system, residual, covered, chosen, selection, backend
+            system, residual, covered, chosen, selection
         )
         total_cost += cost
         uncovered_count -= newly

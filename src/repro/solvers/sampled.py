@@ -104,13 +104,14 @@ class SampledSolver(ComponentSolver):
         self.gap_probe = gap_probe
 
     def cache_token(self) -> Optional[Tuple[object, ...]]:
-        # ``gap_probe`` is absent on purpose: probes only add telemetry,
-        # the selected classifiers are identical either way.
+        # ``gap_probe`` leaves the selected classifiers alone but adds a
+        # "gap" entry to the cached details, so it must key the entry.
         return (
             self.name,
             self.seed,
             *self.sample_rates,
             self.exact_threshold,
+            self.gap_probe,
         )
 
     def solve_component(

@@ -9,9 +9,7 @@ how many queries have streamed past — so the solver pairs with lazily
 materialised loads (:class:`~repro.datasets.scale.LazyQueryLoad`) where
 holding the full query list is exactly what we refuse to do.
 
-This is the MC³-level sibling of the element-stream WSC solver in
-:mod:`repro.setcover.streaming`: same one-pass discipline, but items
-are queries and purchases are classifiers.  Like any online rule it has
+Like any online rule it has
 no sub-logarithmic guarantee — it can never beat the query-oriented
 baseline by less than the sharing it happens to discover — but it is
 deterministic (no RNG, no ``hash()`` iteration order: queries arrive in

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MC3Instance, UniformCost
 from repro.core.kernels import (
     AUTO,
     available_backends,
@@ -37,9 +36,8 @@ from repro.core.kernels import (
 )
 from repro.core.kernels import registry as kernel_registry
 from repro.datasets import synthetic
-from repro.engine.routing import exact_k2_route
 from repro.exceptions import SolverError
-from repro.solvers import GeneralSolver, make_solver
+from repro.solvers import make_solver
 from tests.test_setcover import random_wsc
 
 ARRAY_AVAILABLE = backend_available("array")
@@ -317,7 +315,6 @@ class TestBackendThreading:
         result = make_solver("mc3-general", backend="pyjit").solve(instance)
         engine = result.details["engine"]
         assert engine["backend"] == "pyjit"
-        assert set(engine["backends"]) == {"pyjit"}
 
     @needs_array
     def test_solver_kwarg_array(self):
@@ -336,32 +333,6 @@ class TestBackendThreading:
         assert plain.details["engine"]["backend"] == current_backend_name()
         assert scoped.solution.classifiers == plain.solution.classifiers
         assert scoped.cost == plain.cost
-
-    @needs_array
-    def test_per_route_override_wins_for_routed_components(self):
-        # One k <= 2 component (routed, pinned to array) and one k = 3
-        # component (default path, engine-level pyjit).
-        queries = [
-            frozenset({"a", "b"}),
-            frozenset({"a", "c"}),
-            frozenset({"b", "c"}),
-            frozenset({"x", "y", "z"}),
-            frozenset({"x", "y"}),
-        ]
-        instance = MC3Instance(queries, UniformCost(1.0))
-
-        class RoutedGeneral(GeneralSolver):
-            def routes(self):
-                return (exact_k2_route(backend="array"),)
-
-        result = RoutedGeneral(backend="pyjit").solve(instance)
-        engine = result.details["engine"]
-        assert engine["backend"] == "pyjit"
-        assert engine["backends"].get("array", 0) >= 1
-        assert engine["backends"].get("pyjit", 0) >= 1
-        baseline = GeneralSolver(dispatch_k2=True).solve(instance)
-        assert result.solution.classifiers == baseline.solution.classifiers
-        assert result.cost == baseline.cost
 
     def test_solver_registry_accepts_backend_for_all_solvers(self):
         # k <= 2 keeps every registered solver applicable (mc3-k2

@@ -204,37 +204,6 @@ class TestPolicy:
         with pytest.raises(SolverError):
             ResiliencePolicy(timeout_seconds=0.0)
 
-    def test_backoff_schedule_is_deterministic(self):
-        policy = ResiliencePolicy(backoff_base_seconds=0.1, backoff_growth=3.0)
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.3)
-        assert policy.backoff_seconds(3) == pytest.approx(0.9)
-        assert ResiliencePolicy().backoff_seconds(5) == 0.0
-
-    def test_backoff_cap_pins_the_schedule(self):
-        capped = ResiliencePolicy(
-            backoff_base_seconds=0.1,
-            backoff_growth=3.0,
-            backoff_max_seconds=0.25,
-        )
-        # Pinned: growth applies until the cap, then the cap holds flat.
-        assert [capped.backoff_seconds(n) for n in (1, 2, 3, 4)] == [
-            pytest.approx(0.1),
-            pytest.approx(0.25),
-            pytest.approx(0.25),
-            pytest.approx(0.25),
-        ]
-        # Default (None) preserves the uncapped geometric schedule.
-        uncapped = ResiliencePolicy(backoff_base_seconds=0.1, backoff_growth=3.0)
-        assert uncapped.backoff_max_seconds is None
-        assert uncapped.backoff_seconds(4) == pytest.approx(2.7)
-        with pytest.raises(SolverError):
-            ResiliencePolicy(backoff_max_seconds=-0.5)
-        zero = ResiliencePolicy(
-            backoff_base_seconds=0.1, backoff_max_seconds=0.0
-        )
-        assert zero.backoff_seconds(3) == 0.0
-
     def test_resolve_rung_rejects_unknown_name(self):
         with pytest.raises(SolverError, match="unknown fallback rung"):
             resolve_rung("nope")
@@ -242,22 +211,6 @@ class TestPolicy:
             resolve_rung(42)
         for name in FALLBACK_RUNGS:
             assert resolve_rung(name).name == name
-
-    def test_route_fallback_overrides_default_chain(self):
-        policy = ResiliencePolicy(
-            fallback=("greedy",),
-            route_fallback={"exact-k2": ("primal-dual", "greedy")},
-        )
-        primary = resolve_rung("query-oriented")
-        assert [r.name for r in policy.chain_for(primary, None)] == [
-            "query-oriented",
-            "greedy",
-        ]
-        assert [r.name for r in policy.chain_for(primary, "exact-k2")] == [
-            "query-oriented",
-            "primal-dual",
-            "greedy",
-        ]
 
 
 # ----------------------------------------------------------------------

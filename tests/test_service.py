@@ -54,11 +54,30 @@ from repro.service import (
 from repro.service import protocol
 from repro.service.daemon import _Pending
 from repro.service.drill import drill_config, drill_cost, workload_batch
-from repro.service.journal import encode_record
+from repro.service.journal import JournalError, encode_record
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+class _TornWriter:
+    """File stand-in whose first write lands half the line, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self._armed = True
+
+    def write(self, data):
+        if self._armed:
+            self._armed = False
+            self._handle.write(data[: len(data) // 2])
+            self._handle.flush()
+            raise OSError(28, "No space left on device")
+        return self._handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
 
 
 def plain_cost():
@@ -140,6 +159,42 @@ class TestJournal:
         recovered = read_journal(path)
         assert [r.seq for r in recovered.records] == [0, 1]
         assert recovered.dropped_entries == 0
+
+    def test_failed_append_truncates_and_later_batches_survive(self, tmp_path):
+        # The disk fails half-way through a record: the torn bytes must
+        # not stay in front of the batches acknowledged after it.
+        path = str(tmp_path / "w.journal")
+        journal = WorkloadJournal(path, fsync=False)
+        assert journal.append_batch([frozenset({"a"})], None) == 0
+        journal._handle = _TornWriter(journal._handle)
+        with pytest.raises(JournalError):
+            journal.append_batch([frozenset({"b"})], None)
+        assert journal.append_batch([frozenset({"c"})], 1.0) == 1
+        assert journal.append_batch([frozenset({"d"})], None) == 2
+        journal.close()
+        recovered = read_journal(path)
+        assert [r.seq for r in recovered.records] == [0, 1, 2]
+        assert [r.queries for r in recovered.records] == [
+            (("a",),),
+            (("c",),),
+            (("d",),),
+        ]
+        assert recovered.dropped_entries == 0
+
+    def test_failed_rollback_closes_the_journal(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "w.journal")
+        journal = WorkloadJournal(path, fsync=False)
+        journal.append_batch([frozenset({"a"})], None)
+        journal._handle = _TornWriter(journal._handle)
+
+        def refuse(*_args):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "truncate", refuse)
+        with pytest.raises(JournalError):
+            journal.append_batch([frozenset({"b"})], None)
+        with pytest.raises(JournalError, match="closed"):
+            journal.append_batch([frozenset({"c"})], None)
 
     def test_fsync_toggle_and_stats(self, tmp_path):
         path = str(tmp_path / "w.journal")

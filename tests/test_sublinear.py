@@ -1,5 +1,5 @@
-"""Tests for the sub-linear set cover backends (sampled + streaming),
-the scale-tier lazy workloads, and their solver/engine integration."""
+"""Tests for the sampled sub-linear set cover backend, the scale-tier
+lazy workloads, and their solver/engine integration."""
 
 import math
 import os
@@ -22,7 +22,7 @@ from repro.datasets.scale import (
 from repro.datasets.synthetic import SyntheticQueryStream
 from repro.engine.resilience import FALLBACK_RUNGS, ResiliencePolicy, resolve_rung
 from repro.engine.routing import SAMPLED_WSC_ROUTE, sampled_wsc_route
-from repro.exceptions import DatasetError, SolverError
+from repro.exceptions import DatasetError
 from repro.setcover import (
     WSCInstance,
     derive_seed,
@@ -30,7 +30,6 @@ from repro.setcover import (
     greedy_wsc,
     sampled_greedy_wsc,
     solve_wsc,
-    streaming_greedy_wsc,
 )
 from repro.solvers import available_solvers, make_solver
 from repro.solvers.general import GeneralSolver
@@ -148,39 +147,6 @@ class TestSampledGreedy:
         assert derive_seed(5, q1) != derive_seed(5, q3)
 
 
-class TestStreamingGreedy:
-    def test_feasible_and_deterministic(self):
-        instance = pin_instance()
-        a = streaming_greedy_wsc(instance)
-        b = streaming_greedy_wsc(instance)
-        instance.verify_solution(a)
-        assert a.set_ids == b.set_ids
-
-    def test_prune_pass_only_lowers_cost(self):
-        instance = pin_instance()
-        one_pass = streaming_greedy_wsc(instance, passes=1)
-        two_pass = streaming_greedy_wsc(instance, passes=2)
-        instance.verify_solution(one_pass)
-        instance.verify_solution(two_pass)
-        assert two_pass.cost <= one_pass.cost
-
-    def test_invalid_passes_rejected(self):
-        with pytest.raises(SolverError):
-            streaming_greedy_wsc(pin_instance(), passes=3)
-
-    def test_lazy_workload_matches_materialized(self):
-        workload = ScaleTierWorkload(1500, seed=4)
-        lazy = streaming_greedy_wsc(workload)
-        eager = streaming_greedy_wsc(workload.wsc_instance())
-        assert lazy.set_ids == eager.set_ids
-        assert lazy.cost == eager.cost
-
-    def test_solve_wsc_method(self):
-        instance = pin_instance()
-        solution = solve_wsc(instance, method="streaming")
-        instance.verify_solution(solution)
-
-
 class TestScaleTierWorkload:
     def test_dual_access_consistency(self):
         workload = ScaleTierWorkload(3000, seed=11)
@@ -192,13 +158,6 @@ class TestScaleTierWorkload:
             assert members, f"set {set_id} empty"
             for element in members[:3]:
                 assert set_id in workload.sets_containing(element)
-
-    def test_iter_items_matches_sets_containing(self):
-        workload = ScaleTierWorkload(500, seed=1)
-        items = list(workload.iter_items())
-        assert len(items) == 500
-        for element, candidates in items[::71]:
-            assert candidates == workload.sets_containing(element)
 
     def test_materialized_twin_is_equivalent(self):
         workload = ScaleTierWorkload(800, seed=6)
@@ -297,6 +256,23 @@ class TestSampledSolverIntegration:
         )
         assert "approx_gap" not in result.details["engine"]
 
+    def test_gap_probe_off_after_probed_solve_with_shared_cache(self):
+        # A probed solve caches details that carry the "gap" entry; a
+        # later unprobed solve of the same components must not be
+        # served them.
+        from repro.engine.cache import MemorySolutionCache
+
+        cache = MemorySolutionCache()
+        instance = synthetic(300, seed=5)
+        probed = make_solver("mc3-sampled", seed=11, cache=cache).solve(instance)
+        assert "approx_gap" in probed.details["engine"]
+        plain = make_solver(
+            "mc3-sampled", seed=11, gap_probe=False, cache=cache
+        ).solve(instance)
+        assert "approx_gap" not in plain.details["engine"]
+        assert plain.solution.classifiers == probed.solution.classifiers
+        assert plain.cost == probed.cost
+
     def test_cache_token_names_sampling_knobs(self):
         base = make_solver("mc3-sampled", seed=1).cache_token()
         other_seed = make_solver("mc3-sampled", seed=2).cache_token()
@@ -305,8 +281,8 @@ class TestSampledSolverIntegration:
         ).cache_token()
         assert base != other_seed
         assert base != other_rates
-        # gap_probe is telemetry-only and must NOT split the cache key.
-        assert base == make_solver("mc3-sampled", seed=1, gap_probe=False).cache_token()
+        # gap_probe changes the cached details, so it splits the key.
+        assert base != make_solver("mc3-sampled", seed=1, gap_probe=False).cache_token()
 
     def test_sampled_rung_registered_and_solves(self):
         assert "sampled" in FALLBACK_RUNGS
