@@ -21,7 +21,6 @@ bench:
 # (bitmask) kernels, median timings written to BENCH_core.json.
 bench-save:
 	$(PYTHON) benchmarks/bench_bitspace.py --save BENCH_core.json
-	$(PYTHON) benchmarks/bench_resilience_overhead.py --save BENCH_resilience.json
 	$(PYTHON) benchmarks/bench_cache.py --save BENCH_cache.json
 	$(PYTHON) benchmarks/bench_setcover_sublinear.py --save BENCH_setcover.json
 	$(PYTHON) benchmarks/bench_service.py --save BENCH_service.json

@@ -85,9 +85,8 @@ def median(values):
 
 
 def paired_overhead(base_rounds, variant_rounds) -> float:
-    """Median of per-round variant/base ratios, minus one (same
-    rationale as ``bench_resilience_overhead.paired_overhead``: paired
-    ratios cancel load drift, the median discards hiccups)."""
+    """Median of per-round variant/base ratios, minus one: paired
+    ratios cancel load drift, the median discards hiccups."""
     return median(v / b for b, v in zip(base_rounds, variant_rounds)) - 1.0
 
 

@@ -22,7 +22,7 @@ Per-request p50/p99 latencies from the daemon's own stage rings
 legs run with ``fsync`` off so the comparison measures the daemon, not
 the disk.
 
-Standalone usage (mirrors ``bench_resilience_overhead.py``)::
+Standalone usage (mirrors ``bench_cache.py``)::
 
     python benchmarks/bench_service.py --save BENCH_service.json
     python benchmarks/bench_service.py --smoke   # CI-sized
@@ -92,9 +92,7 @@ def run_direct(workdir: str, batches: List[List[List[str]]]) -> str:
     called synchronously as a library.  A throwaway (never-started)
     service supplies the identical policy/breaker wiring, so the ratio
     isolates the daemon machinery — queue, coalescer, executor,
-    protocol — not the robustness work both legs must do.  (The
-    resilient wrapper's own no-fault cost is bounded separately by
-    ``bench_resilience_overhead.py``.)"""
+    protocol — not the robustness work both legs must do."""
     path = os.path.join(workdir, "direct.journal")
     template = PlannerService(drill_cost(SEED), config=service_config())
     planner = IncrementalPlanner(drill_cost(SEED))

@@ -20,27 +20,19 @@ from typing import List, Optional
 from repro.core.io import load_instance, materialize_cost, save_instance, save_solution
 from repro.core.stats import InstanceStats
 from repro.datasets import available_datasets, make_dataset
+from repro.engine.resilience import FALLBACK_RUNGS, ON_ERROR_POLICIES, ResiliencePolicy
 from repro.exceptions import ReproError
 from repro.solvers import available_solvers, make_solver
 
 
-def _resilience_policy(args: argparse.Namespace):
+def _resilience_policy(args: argparse.Namespace) -> ResiliencePolicy:
     """Build a :class:`~repro.engine.ResiliencePolicy` from the CLI
-    flags, or ``None`` when every resilience flag is at its default (the
-    zero-overhead plain dispatch path)."""
-    timeout = getattr(args, "timeout", None)
-    on_error = getattr(args, "on_error", "raise")
-    max_retries = getattr(args, "max_retries", 0)
-    fallback = getattr(args, "fallback", None)
-    if timeout is None and on_error == "raise" and not max_retries and not fallback:
-        return None
-    from repro.engine import ResiliencePolicy
-
+    flags; default flags give ``ResiliencePolicy()``."""
     return ResiliencePolicy(
-        timeout_seconds=timeout,
-        on_error=on_error,
-        max_retries=max_retries,
-        fallback=tuple(fallback or ()),
+        timeout_seconds=getattr(args, "timeout", None),
+        on_error=getattr(args, "on_error", "raise"),
+        max_retries=getattr(args, "max_retries", 0),
+        fallback=tuple(getattr(args, "fallback", None) or ()),
     )
 
 
@@ -79,7 +71,7 @@ def _solver_kwargs(args: argparse.Namespace) -> dict:
     if getattr(args, "sample_rate", None):
         kwargs["sample_rates"] = tuple(args.sample_rate)
     policy = _resilience_policy(args)
-    if policy is not None:
+    if policy != ResiliencePolicy():
         kwargs["resilience"] = policy
     spec = _cache_spec(args)
     if spec is not None:
@@ -175,8 +167,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="cache size budget in megabytes (default 64); least-recently"
         "-used (memory) / oldest (disk) entries are evicted beyond it",
     )
-    from repro.engine.resilience import FALLBACK_RUNGS, ON_ERROR_POLICIES
-
     parser.add_argument(
         "--timeout",
         type=float,

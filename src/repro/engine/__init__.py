@@ -6,9 +6,9 @@ pool), deterministic merging, and per-stage telemetry — so solvers
 implement only the narrow ``solve_component`` contract.  See
 :mod:`repro.engine.engine` for the pipeline,
 :mod:`repro.engine.routing` for engine-level rules like the exact
-k ≤ 2 dispatch, and :mod:`repro.engine.resilience` for the
-fault-tolerant execution layer (budgets, fallback chains, worker-crash
-recovery, partial solutions).
+k ≤ 2 dispatch, and :mod:`repro.engine.resilience` for the one
+component executor (budgets, fallback chains, worker-crash recovery,
+partial solutions).
 """
 
 from repro.engine.cache import (
@@ -23,15 +23,15 @@ from repro.engine.cache import (
 )
 from repro.engine.component import ComponentOutcome, SolvesComponents
 from repro.engine.engine import SolveEngine
-from repro.engine.executors import pool_context, run_components
 from repro.engine.resilience import (
     FALLBACK_RUNGS,
     ComponentFailure,
     PartialSolution,
     ResiliencePolicy,
     ResilienceReport,
+    pool_context,
     resolve_rung,
-    run_components_resilient,
+    run_components,
 )
 from repro.engine.routing import (
     EXACT_K2_ROUTE,
@@ -64,7 +64,6 @@ __all__ = [
     "resolve_cache",
     "resolve_rung",
     "run_components",
-    "run_components_resilient",
     "set_default_cache",
     "size_histogram",
     "solve_component_k2",

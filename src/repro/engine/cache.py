@@ -27,8 +27,8 @@ run's solver-level details verbatim — bit-identical output is the
 cache's contract, not merely its goal.  The engine only inserts
 fully-verified, non-degraded outcomes (never :class:`~repro.engine.resilience.PartialSolution`
 material, never fallback-rung answers — see
-:func:`repro.engine.engine.SolveEngine.run`), and every insert is
-re-checked by the independent coverage verifier first.
+:func:`repro.engine.engine.SolveEngine.run`), each already checked by
+the independent coverage verifier in the executor.
 
 Configuration mirrors the kernel-backend registry: a choice string
 (``"off"``/``"memory"``/``"disk"``), a process default seeded once at

@@ -45,11 +45,11 @@ class ComponentOutcome:
     routing rule that handled the component, or ``None`` when the
     default component solver did.
 
-    Under a resilience policy (see :mod:`repro.engine.resilience`)
     ``rung`` names the fallback-chain rung that finally produced the
-    answer (``"degraded"``/``"skipped"`` for the on_error outcomes) and
-    ``attempts`` counts every attempt spent, including failed ones.
-    Plain runs leave ``rung`` as ``None`` and ``attempts`` at 1.
+    answer — the dispatch target's own name on a clean run,
+    ``"degraded"``/``"skipped"`` for the on_error outcomes (see
+    :mod:`repro.engine.resilience`) — and ``attempts`` counts every
+    attempt spent, including failed ones.
     """
 
     __slots__ = (
@@ -70,8 +70,8 @@ class ComponentOutcome:
         details: Dict[str, object],
         seconds: float,
         size: int,
-        route: Optional[str] = None,
-        rung: Optional[str] = None,
+        route: Optional[str],
+        rung: str,
         attempts: int = 1,
     ):
         self.index = index
@@ -85,8 +85,7 @@ class ComponentOutcome:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         via = f" via {self.route}" if self.route else ""
-        if self.rung is not None:
-            via += f" rung={self.rung} attempts={self.attempts}"
+        via += f" rung={self.rung} attempts={self.attempts}"
         return (
             f"<ComponentOutcome #{self.index}: {len(self.classifiers)} classifiers, "
             f"{self.size} queries, {self.seconds:.3f}s{via}>"

@@ -9,7 +9,8 @@ composing per-component answers):
 2. **schedule** — assign each component to the default component solver
    or to the first matching :class:`~repro.engine.routing.Route`;
 3. **dispatch** — solve components sequentially or across a process
-   pool (``jobs``), Observation 3.2 guaranteeing independence;
+   pool (``jobs``), Observation 3.2 guaranteeing independence, through
+   the one executor :func:`~repro.engine.resilience.run_components`;
 4. **merge** — union the per-component selections in deterministic
    component order, so ``jobs=N`` output is bit-identical to ``jobs=1``;
 5. **finalize** — combine with the forced classifiers and price against
@@ -43,26 +44,18 @@ from repro.engine.cache import (
     resolve_cache,
 )
 from repro.engine.component import ComponentOutcome, SolvesComponents
-from repro.engine.executors import ComponentTask, run_components
 from repro.engine.resilience import (
+    ComponentTask,
     PartialSolution,
     ResiliencePolicy,
-    run_components_resilient,
+    run_components,
 )
 from repro.engine.routing import Route
 from repro.engine.telemetry import EngineTelemetry
 from repro.preprocess import ALL_STEPS, preprocess
 
-
-def _covers(queries, classifiers) -> bool:
-    """Exact coverage check, sized for one component: every query must
-    contain at least one selected classifier.  Semantically the check
-    :func:`repro.core.coverage.verify_cover` performs, without building
-    its per-query mutable-set machinery — this runs once per cache
-    insert inside the < 3 % cold-path overhead budget
-    (``BENCH_cache.json``)."""
-    selected = list(classifiers)
-    return all(any(clf <= q for clf in selected) for q in queries)
+# perfbench/spans.py times dispatch through this name as well.
+run_components_resilient = run_components
 
 
 class SolveEngine:
@@ -81,12 +74,13 @@ class SolveEngine:
         Engine-level routing rules tried in order before the default
         component solver (see :func:`repro.engine.routing.exact_k2_route`).
     resilience:
-        Optional :class:`~repro.engine.resilience.ResiliencePolicy`.
-        ``None`` (the default) keeps the zero-overhead plain dispatch
-        path; a policy activates per-component budgets, fallback
+        The :class:`~repro.engine.resilience.ResiliencePolicy` every
+        component solve runs under: per-component budgets, fallback
         chains, worker-crash recovery, and the ``on_error`` behavior —
         runs that degraded or skipped components return a
-        :class:`~repro.engine.resilience.PartialSolution`.
+        :class:`~repro.engine.resilience.PartialSolution`.  ``None``
+        (the default) means ``ResiliencePolicy()``: a failed component
+        re-raises its solver's own exception.
     backend:
         Kernel-backend choice for the mask kernels (a
         :mod:`repro.core.kernels.registry` choice string: a backend
@@ -101,7 +95,8 @@ class SolveEngine:
         process default (``REPRO_SOLUTION_CACHE``).  Lookups happen
         after preprocessing and routing, keyed by the canonical
         :func:`~repro.core.bitspace.component_fingerprint`; only
-        fully-verified, non-degraded outcomes are inserted, and runs
+        clean first-attempt outcomes (already checked for coverage by
+        the executor) are inserted, and runs
         with an active chaos injector bypass the cache entirely so
         injected faults always exercise the fallback machinery.
     """
@@ -118,7 +113,7 @@ class SolveEngine:
         self.preprocess_steps = tuple(preprocess_steps)
         self.jobs = max(1, int(jobs))
         self.routes = tuple(routes)
-        self.resilience = resilience
+        self.resilience = resilience or ResiliencePolicy()
         self.backend = backend
         self.cache = cache
 
@@ -141,41 +136,21 @@ class SolveEngine:
         # would skip the solve a planned fault was scheduled into, and
         # the injector's per-(rung, index, attempt) schedule must stay
         # exercised for the determinism tests to mean anything.
-        chaos_active = (
-            self.resilience is not None
-            and getattr(self.resilience, "chaos", None) is not None
-        )
         cache_stats: Optional[CacheRunStats] = None
         hits: List[ComponentOutcome] = []
         pending = tasks
         fingerprints: Dict[int, str] = {}
-        cached_components: Dict[int, MC3Instance] = {}
-        if cache is not None and not chaos_active:
+        if cache is not None and self.resilience.chaos is None:
             cache_stats = CacheRunStats(cache.kind)
-            hits, pending = self._cache_lookup(
-                tasks, cache, cache_stats, fingerprints, cached_components
-            )
+            hits, pending = self._cache_lookup(tasks, cache, cache_stats, fingerprints)
 
         dispatch_started = time.perf_counter()
-        if self.resilience is not None:
-            solved, resilience_report = run_components_resilient(
-                pending, jobs=self.jobs, policy=self.resilience
-            )
-            telemetry.resilience = resilience_report.as_dict()
-        else:
-            solved = run_components(pending, jobs=self.jobs)
-            resilience_report = None
+        solved, report = run_components(pending, self.jobs, self.resilience)
         telemetry.solve_seconds = time.perf_counter() - dispatch_started
+        telemetry.resilience = report.as_dict()
 
-        if cache is not None and cache_stats is not None and fingerprints:
-            self._cache_insert(
-                cache,
-                cache_stats,
-                solved,
-                fingerprints,
-                cached_components,
-                resilience_report,
-            )
+        if cache_stats is not None and fingerprints:
+            self._cache_insert(cache, cache_stats, solved, fingerprints)
 
         outcomes = sorted(hits + list(solved), key=lambda outcome: outcome.index)
         if cache_stats is not None:
@@ -194,19 +169,19 @@ class SolveEngine:
                 outcome.size,
                 outcome.seconds,
                 outcome.route,
+                outcome.rung,
                 bitspace if isinstance(bitspace, dict) else None,
-                rung=outcome.rung,
                 gap=gap if isinstance(gap, dict) else None,
             )
         solution = prep.finalize(selected)
-        if resilience_report is not None and not resilience_report.clean:
+        if not report.clean:
             solution = PartialSolution(
                 solution.classifiers,
                 solution.cost,
-                failures=resilience_report.failures,
-                uncovered_queries=resilience_report.uncovered_queries,
-                degraded_components=sorted(resilience_report.degraded),
-                skipped_components=sorted(resilience_report.skipped),
+                failures=report.failures,
+                uncovered_queries=report.uncovered_queries,
+                degraded_components=sorted(report.degraded),
+                skipped_components=sorted(report.skipped),
             )
         telemetry.merge_seconds = time.perf_counter() - merge_started
 
@@ -251,19 +226,16 @@ class SolveEngine:
         cache: SolutionCache,
         stats: CacheRunStats,
         fingerprints: Dict[int, str],
-        cached_components: Dict[int, MC3Instance],
     ) -> Tuple[List[ComponentOutcome], List[ComponentTask]]:
         """Split tasks into cache-hit outcomes and still-pending tasks.
 
         A task is cacheable only when its dispatch target exposes a
         cache token (every in-repo solver and route does; custom
         ``SolvesComponents`` objects do not and are never cached).  The
-        fingerprint pins the *primary* rung slot — under a resilience
-        policy a hit stands in for the primary solver's clean answer,
-        so the hit outcome carries the primary rung name exactly as an
-        uncached clean resilient run would.
+        fingerprint pins the *primary* rung slot — a hit stands in for
+        the primary solver's clean answer, so the hit outcome carries
+        the primary rung name exactly as an uncached clean run would.
         """
-        resilient = self.resilience is not None
         hit_outcomes: List[ComponentOutcome] = []
         pending: List[ComponentTask] = []
         for task in tasks:
@@ -295,7 +267,6 @@ class SolveEngine:
             if decoded is None:
                 stats.misses += 1
                 fingerprints[index] = fingerprint
-                cached_components[index] = component
                 pending.append(task)
                 continue
             stats.hits += 1
@@ -308,7 +279,7 @@ class SolveEngine:
                     elapsed,
                     component.n,
                     route_name,
-                    rung=getattr(target, "name", None) if resilient else None,
+                    rung=target.name,
                 )
             )
         return hit_outcomes, pending
@@ -319,35 +290,21 @@ class SolveEngine:
         stats: CacheRunStats,
         solved: List[ComponentOutcome],
         fingerprints: Dict[int, str],
-        cached_components: Dict[int, MC3Instance],
-        resilience_report,
     ) -> None:
-        """Insert fully-verified, non-degraded outcomes only.
+        """Insert clean first-attempt outcomes only.
 
-        Components with any recorded failure, degraded/skipped status,
-        or retried attempts are never inserted — a cached entry must be
-        indistinguishable from a clean first-attempt primary solve.
-        Every candidate is re-checked for exact coverage before it is
-        written, and outcomes whose details do not serialize are
+        An outcome that took more than one attempt — a retry, a
+        fallback rung, a degraded or skipped component — is never
+        inserted: a cached entry must be indistinguishable from a clean
+        first-attempt primary solve, whose coverage the executor has
+        already checked.  Outcomes whose details do not serialize are
         skipped rather than cached lossily.
         """
-        failed = set()
-        if resilience_report is not None:
-            failed.update(f.index for f in resilience_report.failures)
-            failed.update(resilience_report.degraded)
-            failed.update(resilience_report.skipped)
         for outcome in solved:
             fingerprint = fingerprints.get(outcome.index)
-            if fingerprint is None or outcome.index in failed:
-                continue
-            if outcome.attempts > 1:
+            if fingerprint is None or outcome.attempts > 1:
                 continue
             started = time.perf_counter()
-            component = cached_components[outcome.index]
-            if not _covers(component.queries, outcome.classifiers):
-                stats.insert_skips += 1
-                stats.insert_seconds += time.perf_counter() - started
-                continue
             blob = encode_entry(fingerprint, outcome.classifiers, outcome.details)
             if blob is not None and cache.put(fingerprint, blob):
                 stats.inserts += 1

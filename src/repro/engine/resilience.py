@@ -1,10 +1,14 @@
-"""Fault-tolerant component execution: budgets, fallback chains, policies.
+"""Component execution: the one executor, with budgets and fallback chains.
 
-One hung LP solve, one OOM-killed worker, or one ``SolverError`` in a
-single component used to abort the whole engine run.  This module makes
-the paper's implicit quality ladder (Algorithm 3 takes the better of
-greedy and LP rounding, with primal–dual as the large-instance
-fallback, Section 5) an explicit runtime mechanism:
+The paper solves each property-disjoint component independently
+(Observation 3.2); :func:`run_components` is the executor every engine
+run goes through.  It takes ``(index, solver, component, route,
+backend)`` tasks and returns :class:`ComponentOutcome` objects *in
+index order* regardless of completion order, which is what makes
+``jobs=N`` output bit-identical to ``jobs=1``.  Around each component
+solve it runs the paper's implicit quality ladder (Algorithm 3 takes
+the better of greedy and LP rounding, with primal–dual as the
+large-instance fallback, Section 5) as an explicit runtime mechanism:
 
 * **budgets** — a per-attempt wall-clock ``timeout_seconds`` plus an
   optional count of immediate retries of the same rung;
@@ -25,10 +29,27 @@ fallback, Section 5) an explicit runtime mechanism:
   query-oriented rung of last resort, which is always feasible), or
   ``"skip"`` (the component's queries are left uncovered and recorded).
 
-Every failed attempt becomes a :class:`ComponentFailure` carrying the
-failed rung's name, the attempt number, and the worker's formatted
-traceback; runs that degraded or skipped return a
+Every successful attempt is checked for coverage of its component; an
+infeasible answer counts as a failed attempt instead of poisoning the
+merge.  Every failed attempt becomes a :class:`ComponentFailure`
+carrying the failed rung's name, the attempt number, and the worker's
+formatted traceback; runs that degraded or skipped return a
 :class:`PartialSolution` so callers can see exactly what they got.
+
+The default :class:`ResiliencePolicy` — no budget, no retries, no
+fallback rungs, ``on_error="raise"`` — re-raises the solver's own
+exception with its original type, annotated with the failing
+component's index (``exc.component_index``) and the worker's formatted
+traceback (``exc.worker_traceback``; the remote traceback object does
+not survive pickling, so the worker captures it as a string).  An
+infeasible answer raises the coverage checker's
+:class:`~repro.exceptions.InfeasibleSolutionError`.
+
+:class:`~repro.exceptions.UncoverableQueryError` is *not* a fault: it
+is a property of the data that no fallback rung can repair.  Under
+``on_error="raise"`` it propagates unchanged, ``.query`` included;
+under ``"degrade"`` / ``"skip"`` the component is recorded as
+uncovered without burning the rest of the chain.
 
 Determinism contract: with a fixed chaos seed (see
 :mod:`repro.devtools.chaos`) the sequence of (rung, attempt, failure
@@ -38,17 +59,18 @@ worker-measured solve time in both modes; the pool's preemptive
 deadline only abandons attempts that overrun the budget plus a grace
 margin, which a scheduled stall does deliberately.
 
-:class:`~repro.exceptions.UncoverableQueryError` is *not* a fault: it
-is a property of the data that no fallback rung can repair.  Under
-``on_error="raise"`` it propagates unchanged; under ``"degrade"`` /
-``"skip"`` the component is recorded as uncovered without burning the
-rest of the chain.
+Process-pool notes: workers receive pickled ``(solver, component)``
+pairs.  Every shipped cost model in :mod:`repro.core.costs` pickles
+cleanly; ``CallableCost`` around a lambda does not (use a module-level
+function).  Pools are built on :func:`pool_context`.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
+import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -64,7 +86,6 @@ from repro.core.mincover import min_cover_from_model
 from repro.core.properties import Classifier, Query
 from repro.core.solution import Solution
 from repro.engine.component import ComponentOutcome, SolvesComponents
-from repro.engine.executors import ComponentTask, _solve_one, pool_context
 from repro.engine.routing import solve_component_k2
 from repro.exceptions import (
     FallbackExhaustedError,
@@ -75,6 +96,48 @@ from repro.exceptions import (
 )
 from repro.reductions import mc3_to_wsc
 from repro.setcover import derive_seed, greedy_wsc, primal_dual_wsc, sampled_greedy_wsc
+
+#: One unit of work: (component index, solver-like, component, route name,
+#: kernel backend name).  The backend is resolved by the scheduler, so a
+#: worker process activates the same concrete backend the parent chose.
+ComponentTask = Tuple[int, SolvesComponents, MC3Instance, Optional[str], Optional[str]]
+
+#: What a completed attempt returns: (classifiers, details, solve seconds).
+AttemptResult = Tuple[FrozenSet[Classifier], Dict[str, object], float]
+
+
+def pool_context():
+    """The multiprocessing context engine pools are built on.
+
+    Explicitly ``fork`` where available (POSIX): forked workers inherit
+    the parent's hash seed, so hash-order-sensitive iteration cannot
+    diverge between sequential and pooled runs (under ``spawn`` each
+    worker re-randomises ``PYTHONHASHSEED``).  Returns ``None`` (the
+    platform default) only where fork does not exist, e.g. Windows;
+    determinism then rests on the kernels being hash-order clean, which
+    reprolint RPL101/RPL102 enforce.
+    """
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
+
+
+def _solve_one(task: ComponentTask) -> AttemptResult:
+    """Worker: solve one component, timed.  Module-level for pickling."""
+    index, solver, component, _route, backend = task
+    started = time.perf_counter()
+    try:
+        with use_backend(backend):
+            classifiers, details = solver.solve_component(component)
+    except ReproError as exc:
+        # Annotate in the worker, where the real traceback still exists.
+        # Instance attributes survive pickling via the exception's state
+        # dict, so the parent sees which component failed and why.
+        exc.component_index = index
+        exc.worker_traceback = traceback.format_exc()
+        raise
+    return frozenset(classifiers), details, time.perf_counter() - started
+
 
 # ----------------------------------------------------------------------
 # Fallback rungs
@@ -333,6 +396,10 @@ POLL_INTERVAL_SECONDS = 0.02
 class ResiliencePolicy:
     """Budgets, fallback chain, and failure policy for one engine run.
 
+    The defaults — no budget, no retries, no fallback rungs,
+    ``on_error="raise"`` — are what every run without an explicit policy
+    uses: a failed component re-raises its solver's own exception.
+
     Parameters
     ----------
     timeout_seconds:
@@ -345,17 +412,14 @@ class ResiliencePolicy:
         that overran once will overrun again.
     on_error:
         What chain exhaustion means: ``"raise"`` (default) raises
-        :class:`~repro.exceptions.FallbackExhaustedError`; ``"degrade"``
+        :class:`~repro.exceptions.FallbackExhaustedError` (or, for a
+        chain of one rung, the failed attempt's own exception);
+        ``"degrade"``
         hands the component to the always-feasible query-oriented rung;
         ``"skip"`` records the component's queries as uncovered.
     fallback:
         Rungs tried, in order, after the primary solver fails — registry
         names (see :data:`FALLBACK_RUNGS`) or SolvesComponents objects.
-    validate_covers:
-        Independently check that each successful attempt actually covers
-        its component; an infeasible answer (a buggy rung, an injected
-        corruption) counts as a failed attempt instead of poisoning the
-        merge.
     chaos:
         Optional fault injector (see
         :class:`repro.devtools.chaos.ChaosInjector`): anything with a
@@ -378,7 +442,6 @@ class ResiliencePolicy:
     max_retries: int = 0
     on_error: str = "raise"
     fallback: Sequence[object] = ()
-    validate_covers: bool = True
     chaos: Optional[object] = None
     breakers: Optional[object] = None
 
@@ -404,7 +467,7 @@ class ResiliencePolicy:
 
 
 class ResilienceReport:
-    """Counters and records accumulated over one resilient dispatch."""
+    """Counters and records accumulated over one dispatch."""
 
     __slots__ = (
         "failures",
@@ -456,7 +519,7 @@ class ResilienceReport:
 
 
 # ----------------------------------------------------------------------
-# Chain state machine (shared by the sequential and pool paths)
+# Chain state machine (shared by the in-process and pool paths)
 # ----------------------------------------------------------------------
 
 
@@ -526,6 +589,8 @@ class _ChainState:
 def _kind_of(exc: BaseException) -> str:
     if isinstance(exc, UncoverableQueryError):
         return "uncoverable"
+    if isinstance(exc, InfeasibleSolutionError):
+        return "infeasible"
     if getattr(exc, "simulates_worker_crash", False):
         return "crash"
     return "error"
@@ -545,15 +610,16 @@ def _advance(
     failure: ComponentFailure,
     policy: ResiliencePolicy,
     report: ResilienceReport,
-) -> str:
-    """Record ``failure`` and move the chain; returns the next action:
-    ``"retry"`` | ``"fallback"`` | ``"exhausted"``."""
+) -> bool:
+    """Record ``failure`` and move the chain to its next attempt (a
+    retry of the same rung, else the next rung); ``False`` when the
+    chain is exhausted."""
     state.failures.append(failure)
     report.record(failure)
     if failure.kind == "uncoverable":
         # A data property, not a fault: no rung can repair it (and the
         # breaker board never hears about it — the rung is healthy).
-        return "exhausted"
+        return False
     if policy.breakers is not None and failure.kind != "breaker-open":
         policy.breakers.record(state.rung.name, False)
     # A skipped-by-breaker attempt never retries: no solve ran, so a
@@ -562,13 +628,13 @@ def _advance(
     if retryable and state.attempt < policy.max_retries:
         state.attempt += 1
         report.retries += 1
-        return "retry"
+        return True
     if state.pos + 1 < len(state.chain):
         state.pos += 1
         state.attempt = 0
         report.fallbacks += 1
-        return "fallback"
-    return "exhausted"
+        return True
+    return False
 
 
 def _resolution_details(state: _ChainState, rung_name: str) -> Dict[str, object]:
@@ -580,16 +646,20 @@ def _resolution_details(state: _ChainState, rung_name: str) -> Dict[str, object]
 
 
 def _exhausted_outcome(
-    state: _ChainState, policy: ResiliencePolicy, report: ResilienceReport
+    state: _ChainState,
+    policy: ResiliencePolicy,
+    report: ResilienceReport,
+    exc: Optional[BaseException],
 ) -> ComponentOutcome:
-    """Apply the on_error policy to a chain that ran dry."""
-    uncoverable = any(f.kind == "uncoverable" for f in state.failures)
+    """Apply the on_error policy to a chain that ran dry; ``exc`` is the
+    last attempt's exception, when it raised one."""
+    uncoverable = isinstance(exc, UncoverableQueryError)
     if policy.on_error == "raise":
-        if uncoverable:
-            raise UncoverableQueryError(
-                next(iter(state.component.queries)),
-                f"component {state.index}: {state.failures[-1].message}",
-            )
+        # A one-rung chain has no history worth wrapping: the caller
+        # gets the solver's own exception, as if no executor stood
+        # between them.  Uncoverable data is never a chain failure.
+        if exc is not None and (uncoverable or len(state.chain) == 1):
+            raise exc
         raise FallbackExhaustedError(state.index, state.failures)
     if policy.on_error == "degrade" and not uncoverable:
         # The safety net runs unwrapped (no chaos) and untimed: it is
@@ -648,8 +718,9 @@ def _breaker_gate(
             error_type="CircuitBreakerOpen",
             message=f"rung {state.rung.name!r} skipped: circuit breaker is open",
         )
-        if _advance(state, failure, policy, report) == "exhausted":
-            return _exhausted_outcome(state, policy, report)
+        outcome = _settle(state, policy, report, failure)
+        if outcome is not None:
+            return outcome
     return None
 
 
@@ -677,18 +748,18 @@ def _success_outcome(
     )
 
 
-def _adjudicate(
+def _rejection(
     state: _ChainState,
     classifiers: FrozenSet[Classifier],
-    details: Dict[str, object],
     seconds: float,
     policy: ResiliencePolicy,
-) -> Optional[ComponentFailure]:
-    """Post-hoc checks on a completed attempt: budget, then feasibility.
+) -> object:
+    """Why a completed attempt must be rejected, or ``None``.
 
-    Returns a failure record when the attempt must be rejected, else
-    ``None``.  Uses the worker-measured solve time so sequential and
-    pool runs adjudicate identically.
+    Budget first — a timeout record, adjudicated on the worker-measured
+    solve time so sequential and pool runs agree — then feasibility:
+    the coverage checker's error when a query is left uncovered (a
+    buggy rung, an injected corruption).
     """
     if policy.timeout_seconds is not None and seconds > policy.timeout_seconds:
         return state.failure(
@@ -699,20 +770,52 @@ def _adjudicate(
                 f"{policy.timeout_seconds:.3f}s"
             ),
         )
-    if policy.validate_covers:
-        try:
-            verify_cover(state.component.queries, classifiers)
-        except InfeasibleSolutionError as exc:
-            return state.failure(
-                kind="infeasible",
-                error_type=type(exc).__name__,
-                message=str(exc),
-            )
+    try:
+        verify_cover(state.component.queries, classifiers)
+    except InfeasibleSolutionError as exc:
+        return exc
     return None
 
 
+def _settle(
+    state: _ChainState,
+    policy: ResiliencePolicy,
+    report: ResilienceReport,
+    attempt: object,
+) -> Optional[ComponentOutcome]:
+    """Settle one finished attempt: accept it, retry the rung, move to
+    the next rung, or apply ``on_error`` to the exhausted chain.
+
+    ``attempt`` is what the attempt produced: an :data:`AttemptResult`,
+    the exception it raised, or a synthesized :class:`ComponentFailure`
+    (timeout, worker death, open breaker).  Returns the component's
+    final outcome, or ``None`` when it must be attempted again —
+    ``state`` then already names the rung and attempt to run.
+    """
+    if isinstance(attempt, tuple):
+        classifiers, details, seconds = attempt
+        rejection = _rejection(state, classifiers, seconds, policy)
+        if rejection is None:
+            return _success_outcome(state, classifiers, details, seconds, policy)
+        attempt = rejection
+    exc = attempt if isinstance(attempt, BaseException) else None
+    failure = attempt if exc is None else _failure_from_exception(state, exc)
+    if _advance(state, failure, policy, report):
+        return None
+    return _exhausted_outcome(state, policy, report, exc)
+
+
+def _attempt(call, *args) -> object:
+    """``call(*args)``, returning a solver failure instead of raising it
+    so :func:`_settle` can classify it."""
+    try:
+        return call(*args)
+    except (ReproError, MemoryError, RecursionError) as exc:
+        return exc
+
+
 # ----------------------------------------------------------------------
-# Sequential resilient execution
+# In-process execution
 # ----------------------------------------------------------------------
 
 
@@ -724,35 +827,14 @@ def _solve_chain_inprocess(
         gated = _breaker_gate(state, policy, report)
         if gated is not None:
             return gated
-        try:
-            _, classifiers, details, seconds, _, _ = _solve_one(
-                state.attempt_task(policy)
-            )
-        except (ReproError, MemoryError, RecursionError) as exc:
-            failure = _failure_from_exception(state, exc)
-            action = _advance(state, failure, policy, report)
-            if action == "exhausted":
-                return _exhausted_outcome(state, policy, report)
-            continue
-        rejected = _adjudicate(state, classifiers, details, seconds, policy)
-        if rejected is None:
-            return _success_outcome(state, classifiers, details, seconds, policy)
-        action = _advance(state, rejected, policy, report)
-        if action == "exhausted":
-            return _exhausted_outcome(state, policy, report)
-
-
-def _run_sequential_resilient(
-    tasks: List[ComponentTask], policy: ResiliencePolicy, report: ResilienceReport
-) -> List[ComponentOutcome]:
-    return [
-        _solve_chain_inprocess(_ChainState(task, policy), policy, report)
-        for task in tasks
-    ]
+        attempt = _attempt(_solve_one, state.attempt_task(policy))
+        outcome = _settle(state, policy, report, attempt)
+        if outcome is not None:
+            return outcome
 
 
 # ----------------------------------------------------------------------
-# Pool resilient execution
+# Pool execution
 # ----------------------------------------------------------------------
 
 
@@ -771,84 +853,53 @@ def _crash_failure(state: _ChainState) -> ComponentFailure:
     )
 
 
-def _rerun_isolated(
-    state: _ChainState,
-    policy: ResiliencePolicy,
-    report: ResilienceReport,
-    outcomes: Dict[int, ComponentOutcome],
-    requeue: deque,
-) -> None:
+def _abandoned_failure(
+    state: _ChainState, limit: float, where: str
+) -> ComponentFailure:
+    return state.failure(
+        kind="timeout",
+        error_type="TimeoutError",
+        message=f"attempt abandoned after {limit:.3f}s ({where} still running)",
+    )
+
+
+def _isolated_attempt(
+    state: _ChainState, policy: ResiliencePolicy, report: ResilienceReport
+) -> object:
     """Re-run one interrupted attempt in its own single-worker pool.
 
     The attempt keeps its (rung, attempt) key, so a deterministic fault
     recurs here and is now unambiguously attributable to this component;
     an innocent bystander of someone else's crash simply completes.  A
-    recurring death quarantines the component: every later rung of its
-    chain runs on the in-process sequential path, where it cannot take
-    workers down with it.
+    recurring death quarantines the component: the rest of its chain
+    runs on the in-process path, where it cannot take workers down with
+    it.  Returns the attempt for :func:`_settle`.
     """
     deadline = None
     if policy.timeout_seconds is not None:
         deadline = policy.timeout_seconds + TIMEOUT_GRACE_SECONDS
-    # No ``with`` block: context exit would wait for the worker, and the
-    # abandonment path must *not* wait for a stalled attempt.
-    mini = ProcessPoolExecutor(max_workers=1, mp_context=pool_context())
+    abandoned = False
+    mini = _new_pool(1)
     try:
         future = mini.submit(_solve_one, state.attempt_task(policy))
         try:
-            _, classifiers, details, seconds, _, _ = future.result(timeout=deadline)
+            return _attempt(future.result, deadline)
         except BrokenProcessPool:
-            # The lone worker is dead, so waiting is safe — and joining
-            # the manager thread here keeps its wakeup pipe from being
-            # poked by CPython's atexit hook after it is closed.
-            mini.shutdown(wait=True)
             report.quarantined.append(state.index)
             state.quarantined = True
-            action = _advance(state, _crash_failure(state), policy, report)
-            if action == "exhausted":
-                outcomes[state.index] = _exhausted_outcome(state, policy, report)
-            else:
-                outcomes[state.index] = _solve_chain_inprocess(state, policy, report)
-            return
+            return _crash_failure(state)
         except FuturesTimeoutError:
+            abandoned = True
             report.abandoned_attempts += 1
-            failure = state.failure(
-                kind="timeout",
-                error_type="TimeoutError",
-                message=(
-                    f"attempt abandoned after {deadline:.3f}s "
-                    "(isolated worker still running)"
-                ),
-            )
-            action = _advance(state, failure, policy, report)
-            if action == "exhausted":
-                outcomes[state.index] = _exhausted_outcome(state, policy, report)
-            else:
-                requeue.append(state)
-            return
-        except (ReproError, MemoryError, RecursionError) as exc:
-            action = _advance(state, _failure_from_exception(state, exc), policy, report)
-            if action == "exhausted":
-                outcomes[state.index] = _exhausted_outcome(state, policy, report)
-            else:
-                requeue.append(state)
-            return
+            return _abandoned_failure(state, deadline, "isolated worker")
     finally:
-        mini.shutdown(wait=False)
-    rejected = _adjudicate(state, classifiers, details, seconds, policy)
-    if rejected is None:
-        outcomes[state.index] = _success_outcome(
-            state, classifiers, details, seconds, policy
-        )
-        return
-    action = _advance(state, rejected, policy, report)
-    if action == "exhausted":
-        outcomes[state.index] = _exhausted_outcome(state, policy, report)
-    else:
-        requeue.append(state)
+        # Join the pool's threads and worker unless the worker is still
+        # running an abandoned attempt, so no pool thread outlives the
+        # call into later forks or CPython's atexit hook.
+        mini.shutdown(wait=not abandoned)
 
 
-def _run_pool_resilient(
+def _run_pool(
     tasks: List[ComponentTask],
     jobs: int,
     policy: ResiliencePolicy,
@@ -862,11 +913,14 @@ def _run_pool_resilient(
     submit_times: Dict[object, float] = {}
     abandoned: Set[object] = set()
 
-    def handle_action(state: _ChainState, action: str) -> None:
-        if action == "exhausted":
-            outcomes[state.index] = _exhausted_outcome(state, policy, report)
-        else:
+    def settle(state: _ChainState, attempt: object) -> None:
+        outcome = _settle(state, policy, report, attempt)
+        if outcome is None and state.quarantined:
+            outcome = _solve_chain_inprocess(state, policy, report)
+        if outcome is None:
             queue.append(state)
+        else:
+            outcomes[state.index] = outcome
 
     try:
         while queue or active:
@@ -879,21 +933,14 @@ def _run_pool_resilient(
                 if len(active) + len(abandoned) >= workers:
                     break
                 state = queue.popleft()
-                if state.quarantined:
-                    outcomes[state.index] = _solve_chain_inprocess(
-                        state, policy, report
-                    )
-                    progressed = True
-                    continue
+                progressed = True
                 gated = _breaker_gate(state, policy, report)
                 if gated is not None:
                     outcomes[state.index] = gated
-                    progressed = True
                     continue
                 future = pool.submit(_solve_one, state.attempt_task(policy))
                 active[future] = state
                 submit_times[future] = time.monotonic()
-                progressed = True
             if not active:
                 if queue and not progressed and abandoned:
                     # Every slot is held by an abandoned attempt:
@@ -910,23 +957,11 @@ def _run_pool_resilient(
                 state = active.pop(future)
                 submit_times.pop(future, None)
                 try:
-                    _, classifiers, details, seconds, _, _ = future.result()
+                    attempt = _attempt(future.result)
                 except BrokenProcessPool:
                     survivors.append(state)
                     continue
-                except (ReproError, MemoryError, RecursionError) as exc:
-                    handle_action(
-                        state, _advance(state, _failure_from_exception(state, exc),
-                                        policy, report)
-                    )
-                    continue
-                rejected = _adjudicate(state, classifiers, details, seconds, policy)
-                if rejected is None:
-                    outcomes[state.index] = _success_outcome(
-                        state, classifiers, details, seconds, policy
-                    )
-                else:
-                    handle_action(state, _advance(state, rejected, policy, report))
+                settle(state, attempt)
             if survivors:
                 # The pool is broken: every in-flight attempt died with
                 # it.  Re-run each survivor in isolation (attributable),
@@ -942,7 +977,7 @@ def _run_pool_resilient(
                 pool = _new_pool(workers)
                 report.pool_rebuilds += 1
                 for state in sorted(survivors, key=lambda s: s.index):
-                    _rerun_isolated(state, policy, report, outcomes, queue)
+                    settle(state, _isolated_attempt(state, policy, report))
                 continue
             if policy.timeout_seconds is not None:
                 limit = policy.timeout_seconds + TIMEOUT_GRACE_SECONDS
@@ -957,17 +992,13 @@ def _run_pool_resilient(
                     submit_times.pop(future, None)
                     abandoned.add(future)
                     report.abandoned_attempts += 1
-                    failure = state.failure(
-                        kind="timeout",
-                        error_type="TimeoutError",
-                        message=(
-                            f"attempt abandoned after {limit:.3f}s "
-                            "(worker still running)"
-                        ),
-                    )
-                    handle_action(state, _advance(state, failure, policy, report))
+                    settle(state, _abandoned_failure(state, limit, "worker"))
     finally:
-        pool.shutdown(wait=False)
+        # As in _isolated_attempt: wait, unless a worker may still be
+        # running an abandoned attempt or (leaving by an exception) a
+        # budgeted one.
+        budgeted = policy.timeout_seconds is not None
+        pool.shutdown(wait=not abandoned and not (budgeted and active))
     return [outcomes[index] for index in sorted(outcomes)]
 
 
@@ -976,7 +1007,7 @@ def _run_pool_resilient(
 # ----------------------------------------------------------------------
 
 
-def run_components_resilient(
+def run_components(
     tasks: List[ComponentTask],
     jobs: int,
     policy: ResiliencePolicy,
@@ -984,12 +1015,15 @@ def run_components_resilient(
     """Dispatch ``tasks`` under ``policy``; returns outcomes in index
     order plus the accumulated :class:`ResilienceReport`.
 
-    Mirrors :func:`repro.engine.executors.run_components`' strategy
-    choice: fewer than two tasks, or ``jobs <= 1``, run in-process.
+    ``jobs <= 1`` (or fewer than two tasks) runs in-process — a pool of
+    one worker would pay pickling and fork overhead for nothing.
     """
     report = ResilienceReport()
     if jobs <= 1 or len(tasks) < 2:
-        outcomes = _run_sequential_resilient(tasks, policy, report)
+        outcomes = [
+            _solve_chain_inprocess(_ChainState(task, policy), policy, report)
+            for task in tasks
+        ]
     else:
-        outcomes = _run_pool_resilient(tasks, jobs, policy, report)
+        outcomes = _run_pool(tasks, jobs, policy, report)
     return outcomes, report

@@ -68,11 +68,10 @@ class EngineTelemetry:
         self.component_sizes: List[int] = []
         self.component_seconds: List[float] = []
         self.routed: Dict[str, int] = {}
-        # Fallback-chain resolution counts per rung name (resilient runs
-        # only; plain runs leave this empty) and the resilience report
-        # rendered by the engine when a policy was active.
+        # Fallback-chain resolution counts per rung name, and the
+        # executor's resilience report as rendered by the engine.
         self.rungs: Dict[str, int] = {}
-        self.resilience: Optional[Dict[str, object]] = None
+        self.resilience: Dict[str, object] = {}
         # Component-solution cache counters for this run (hits, misses,
         # inserts, lookup/insert seconds + the backing store's lifetime
         # stats); None when the run had no cache configured.
@@ -94,16 +93,15 @@ class EngineTelemetry:
         size: int,
         seconds: float,
         route: Optional[str],
+        rung: str,
         bitspace: Optional[Dict[str, int]] = None,
-        rung: Optional[str] = None,
         gap: Optional[Dict[str, float]] = None,
     ) -> None:
         self.component_sizes.append(size)
         self.component_seconds.append(seconds)
         if route is not None:
             self.routed[route] = self.routed.get(route, 0) + 1
-        if rung is not None:
-            self.rungs[rung] = self.rungs.get(rung, 0) + 1
+        self.rungs[rung] = self.rungs.get(rung, 0) + 1
         if bitspace is not None:
             self.bitspace_properties.append(int(bitspace.get("properties", 0)))
             self.bitspace_elements.append(int(bitspace.get("elements", 0)))
@@ -168,15 +166,13 @@ class EngineTelemetry:
             "component_seconds": list(self.component_seconds),
             "component_size_histogram": size_histogram(self.component_sizes),
             "routed": dict(self.routed),
+            "rungs": dict(self.rungs),
+            "resilience": self.resilience,
             "bitspace": self.bitspace_summary(),
         }
         approx_gap = self.approx_gap_summary()
         if approx_gap is not None:
             rendered["approx_gap"] = approx_gap
-        if self.rungs:
-            rendered["rungs"] = dict(self.rungs)
-        if self.resilience is not None:
-            rendered["resilience"] = self.resilience
         if self.cache is not None:
             rendered["cache"] = self.cache
         return rendered

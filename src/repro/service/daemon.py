@@ -279,16 +279,30 @@ class PlannerService:
         if self.journal is None or self.recovered_batches:
             return 0
         records = self.journal.recovered.records
-        for record in records:
-            self.planner.add_batch(
-                list(record.queries),
-                solver_overrides={
-                    "resilience": self.policy_for(record.budget_seconds)
-                },
-            )
+        self._replay(records)
         self.recovered_batches = len(records)
         self._seq = self.journal.next_seq
         return self.recovered_batches
+
+    def _replay(self, records: Sequence[JournalRecord]) -> None:
+        """Apply journaled batches to the planner as the live daemon did.
+
+        The journal entry is written before the batch is applied, so it
+        also holds batches whose apply raised.  The live daemon replied
+        with an error for those and kept serving, and ``add_batch`` is
+        transactional, so the planner was left unchanged; replay skips
+        them to match.
+        """
+        for record in records:
+            try:
+                self.planner.add_batch(
+                    list(record.queries),
+                    solver_overrides={
+                        "resilience": self.policy_for(record.budget_seconds)
+                    },
+                )
+            except Exception:  # _apply_group replied an error and kept serving
+                continue
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -761,11 +775,5 @@ def replay_reference(
     equals this planner's.
     """
     reference = PlannerService(cost, config=replace(config, journal_path=None))
-    for record in records:
-        reference.planner.add_batch(
-            list(record.queries),
-            solver_overrides={
-                "resilience": reference.policy_for(record.budget_seconds)
-            },
-        )
+    reference._replay(records)
     return reference.planner

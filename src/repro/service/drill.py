@@ -37,7 +37,7 @@ import signal
 import subprocess
 import sys
 import time  # reprolint: ignore[RPL102] drill driver: subprocess polling clock, never touches planner state
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.costs import HashCost
 from repro.service.client import SocketPlannerClient
@@ -123,7 +123,8 @@ def _require(condition: bool, message: str) -> None:
 
 def _spawn_daemon(
     socket_path: str, journal_path: str, seed: int, kill_seq: int
-) -> "subprocess.Popen[bytes]":
+) -> "Tuple[subprocess.Popen[bytes], SocketPlannerClient]":
+    """Start a daemon subprocess; returns it with a connected client."""
     process = subprocess.Popen(
         [
             sys.executable,
@@ -141,16 +142,21 @@ def _spawn_daemon(
         ]
     )
     deadline = time.monotonic() + 30.0  # reprolint: ignore[RPL102] drill driver: startup-poll deadline
-    while not os.path.exists(socket_path):
+    while True:
         if process.poll() is not None:
             raise DrillFailure(
                 f"daemon exited during startup (rc={process.returncode})"
             )
+        try:
+            return process, SocketPlannerClient(socket_path=socket_path)
+        except (FileNotFoundError, ConnectionRefusedError):
+            # The socket file appears at bind(), before the daemon
+            # listens: until then a connect is refused.
+            pass
         if time.monotonic() > deadline:  # reprolint: ignore[RPL102] drill driver: startup-poll deadline
             process.kill()
-            raise DrillFailure("daemon never bound its socket")
+            raise DrillFailure("daemon never started listening")
         time.sleep(0.02)  # reprolint: ignore[RPL102] drill driver: startup-poll sleep
-    return process
 
 
 def run_drill(seed: int, workdir: str, kill_seq: int = 2, batches: int = 6) -> dict:
@@ -159,10 +165,9 @@ def run_drill(seed: int, workdir: str, kill_seq: int = 2, batches: int = 6) -> d
     journal_path = os.path.join(workdir, f"drill-{seed}.journal")
 
     # Phase 1: daemon with a scheduled SIGKILL at post-journal of kill_seq.
-    process = _spawn_daemon(socket_path, journal_path, seed, kill_seq)
+    process, client = _spawn_daemon(socket_path, journal_path, seed, kill_seq)
     died_at: Optional[int] = None
     applied = 0
-    client = SocketPlannerClient(socket_path=socket_path)
     try:
         for index in range(batches):
             try:
@@ -205,9 +210,9 @@ def run_drill(seed: int, workdir: str, kill_seq: int = 2, batches: int = 6) -> d
     reference_digest = reference.state_digest()
 
     # Phase 3: clean restart on the damaged journal; recovery must match.
-    process = _spawn_daemon(socket_path, journal_path, seed, kill_seq=-1)
+    process, client = _spawn_daemon(socket_path, journal_path, seed, kill_seq=-1)
     try:
-        with SocketPlannerClient(socket_path=socket_path) as client:
+        with client:
             stats = client.stats()
             _require(
                 stats["recovered_batches"] == len(recovered.records),

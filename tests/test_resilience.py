@@ -9,11 +9,13 @@ Structure:
   ``os._exit`` → ``BrokenProcessPool``) still yields a feasible,
   independently verified full solution;
 * the determinism contract: a fixed chaos seed produces bit-identical
-  output across ``jobs=1`` and ``jobs=4``, and (hypothesis) a resilient
-  run with zero injected faults is bit-identical to the plain engine;
+  output across ``jobs=1`` and ``jobs=4``, and (hypothesis) a run with
+  fallbacks and zero injected faults is bit-identical to the default
+  policy;
 * exception transport: ``UncoverableQueryError``/``FallbackExhaustedError``
-  survive pickling intact, and worker tracebacks cross the process
-  boundary annotated with the component index.
+  survive pickling intact, and under the default policy a failed
+  component re-raises the solver's own exception annotated with the
+  component index and the worker traceback, at ``jobs`` 1 and 2.
 
 The CI chaos job re-runs this module under different seeds via the
 ``REPRO_CHAOS_SEEDS`` environment variable (comma-separated ints).
@@ -47,7 +49,6 @@ from repro.engine import (
     SolveEngine,
     resolve_rung,
     run_components,
-    run_components_resilient,
 )
 from repro.exceptions import (
     FallbackExhaustedError,
@@ -395,7 +396,7 @@ class TestFallbackChain:
         components = tiny_components(1)
         tasks = [(0, AlwaysFails(), components[0], None, None)]
         policy = ResiliencePolicy(fallback=(resolve_rung("greedy"),))
-        outcomes, report = run_components_resilient(tasks, jobs=1, policy=policy)
+        outcomes, report = run_components(tasks, jobs=1, policy=policy)
         assert outcomes[0].rung == "greedy"
         assert report.failures[0].rung == "always-fails"
 
@@ -433,7 +434,7 @@ class TestBreakerIntegration:
             (i, resolve_rung("greedy"), component, None, None)
             for i, component in enumerate(components)
         ]
-        outcomes, report = run_components_resilient(tasks, jobs=1, policy=policy)
+        outcomes, report = run_components(tasks, jobs=1, policy=policy)
         # Every component still got a real answer from the fallback.
         assert [o.rung for o in outcomes] == ["primal-dual"] * 8
         # Admitted primary attempts: comps 0, 1, and the probe (comp 5).
@@ -465,7 +466,7 @@ class TestBreakerIntegration:
             (i, resolve_rung("greedy"), component, None, None)
             for i, component in enumerate(components)
         ]
-        outcomes, report = run_components_resilient(tasks, jobs=1, policy=policy)
+        outcomes, report = run_components(tasks, jobs=1, policy=policy)
         assert [o.rung for o in outcomes] == [
             "primal-dual",
             "primal-dual",
@@ -493,7 +494,7 @@ class TestBreakerIntegration:
             (i, resolve_rung("greedy"), component, None, None)
             for i, component in enumerate(components)
         ]
-        outcomes, report = run_components_resilient(tasks, jobs=1, policy=policy)
+        outcomes, report = run_components(tasks, jobs=1, policy=policy)
         # Component 0 tripped the breaker; 1 and 2 were skipped outright.
         assert [o.rung for o in outcomes] == ["degraded"] * 3
         assert report.degraded == [0, 1, 2]
@@ -576,7 +577,7 @@ class TestCrashRecovery:
         policy = ResiliencePolicy(
             fallback=("primal-dual",), on_error="degrade", chaos=chaos
         )
-        outcomes, report = run_components_resilient(tasks, jobs=2, policy=policy)
+        outcomes, report = run_components(tasks, jobs=2, policy=policy)
         assert [o.rung for o in outcomes] == ["degraded", "greedy", "greedy"]
         assert report.kind_counts["crash"] == 2
         assert report.degraded == [0]
@@ -667,6 +668,14 @@ class TestDeterminism:
         assert resilient.cost == plain.cost
         assert not isinstance(resilient.solution, PartialSolution)
         assert resilient.details["engine"]["resilience"]["failures"] == 0
+        # No policy means the default policy, sequential and pooled.
+        for jobs in (1, 2):
+            default, _ = SolveEngine(jobs=jobs).run(instance, GeneralSolver())
+            explicit, _ = SolveEngine(
+                jobs=jobs, resilience=ResiliencePolicy()
+            ).run(instance, GeneralSolver())
+            assert default.classifiers == explicit.classifiers
+            assert default.cost.hex() == explicit.cost.hex()
 
 
 # ----------------------------------------------------------------------
@@ -701,28 +710,32 @@ class TestExceptionTransport:
         assert clone.failures == (failure,)
         assert "greedy#1:error" in str(clone)
 
-    def test_query_attribute_survives_a_real_pool(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_query_attribute_survives_a_real_pool(self, jobs):
         components = tiny_components(2)
         tasks = [
             (i, RaisesUncoverable(), component, None, None)
             for i, component in enumerate(components)
         ]
         with pytest.raises(UncoverableQueryError) as excinfo:
-            run_components(tasks, jobs=2)
+            run_components(tasks, jobs, ResiliencePolicy())
         exc = excinfo.value
         # The query is a real frozenset, not a scrambled message string.
         assert isinstance(exc.query, frozenset)
         assert exc.query in {q for c in components for q in c.queries}
 
-    def test_worker_traceback_and_index_annotated_in_pool(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_traceback_and_index_annotated_in_pool(self, jobs):
         components = tiny_components(2)
         tasks = [
             (i, AlwaysFails(), component, None, None)
             for i, component in enumerate(components)
         ]
         with pytest.raises(SolverError) as excinfo:
-            run_components(tasks, jobs=2)
+            run_components(tasks, jobs, ResiliencePolicy())
         exc = excinfo.value
+        # The solver's own exception, not a FallbackExhaustedError.
+        assert type(exc) is SolverError
         assert exc.component_index in (0, 1)
         assert "AlwaysFails" in exc.worker_traceback or "solve_component" in (
             exc.worker_traceback
@@ -736,7 +749,7 @@ class TestExceptionTransport:
             for i, component in enumerate(components)
         ]
         policy = ResiliencePolicy(on_error="skip")
-        _, report = run_components_resilient(tasks, jobs=2, policy=policy)
+        _, report = run_components(tasks, jobs=2, policy=policy)
         assert len(report.failures) == 2
         for failure in report.failures:
             assert failure.rung == "always-fails"
@@ -798,15 +811,18 @@ class TestSurface:
         solver = make_solver("short-first", resilience=policy)
         assert solver.resilience is policy
 
-    def test_cli_builds_policy_only_when_flagged(self):
+    def test_cli_default_flags_build_the_default_policy(self):
         import argparse
 
-        from repro.cli import _resilience_policy
+        from repro.cli import _resilience_policy, _solver_kwargs
 
         plain = argparse.Namespace(
             timeout=None, on_error="raise", max_retries=0, fallback=None
         )
-        assert _resilience_policy(plain) is None
+        assert _resilience_policy(plain) == ResiliencePolicy()
+        # The default is not forwarded, so baselines without a
+        # ``resilience`` parameter still accept the default flags.
+        assert "resilience" not in _solver_kwargs(plain)
         flagged = argparse.Namespace(
             timeout=1.5, on_error="degrade", max_retries=2,
             fallback=["greedy", "query-oriented"],
@@ -817,11 +833,17 @@ class TestSurface:
         assert policy.max_retries == 2
         assert policy.fallback == ("greedy", "query-oriented")
 
-    def test_engine_without_policy_has_no_resilience_telemetry(self):
+    def test_engine_without_policy_reports_clean_resilience_telemetry(self):
         instance = multi_component_instance(9)
-        _, details = SolveEngine().run(instance, GeneralSolver())
-        assert "resilience" not in details["engine"]
-        assert "rungs" not in details["engine"]
+        solution, details = SolveEngine().run(instance, GeneralSolver())
+        assert not isinstance(solution, PartialSolution)
+        engine = details["engine"]
+        assert engine["rungs"] == {PRIMARY: details["components"]}
+        resilience = engine["resilience"]
+        assert resilience["failures"] == 0
+        assert resilience["retries"] == resilience["fallbacks"] == 0
+        assert resilience["degraded_components"] == []
+        assert resilience["skipped_components"] == []
 
     def test_chaos_error_is_repro_error(self):
         assert issubclass(ChaosError, ReproError)

@@ -570,6 +570,37 @@ class TestRecovery:
         assert restarted.planner.state_digest() == reference.state_digest()
         restarted.journal.close()
 
+    def test_restart_skips_a_batch_whose_apply_raised(self, tmp_path):
+        # mc3-k2 rejects a length-3 query after the batch is journaled.
+        # The live daemon replies an error and keeps serving; a restart
+        # must replay past that record instead of raising on it.
+        path = str(tmp_path / "w.journal")
+        config = ServiceConfig(
+            solver_name="mc3-k2", journal_path=path, journal_fsync=False
+        )
+
+        async def scenario():
+            service = PlannerService(UniformCost(1.0), config)
+            await service.start()
+            client = PlannerClient(service)
+            await client.plan([["a", "b"]])
+            with pytest.raises(protocol.InternalServiceError, match="ReductionError"):
+                await client.plan([["a", "b", "c"]])
+            await client.plan([["d"]])
+            digest = service.planner.state_digest()
+            await service.stop()
+            return digest
+
+        live_digest = run(scenario())
+        records = read_journal(path).records
+        assert len(records) == 3
+        reference = replay_reference(UniformCost(1.0), config, records)
+        restarted = PlannerService(UniformCost(1.0), config)
+        assert restarted.recover() == 3
+        assert restarted.planner.state_digest() == live_digest
+        assert restarted.planner.state_digest() == reference.state_digest()
+        restarted.journal.close()
+
     def test_recovered_daemon_keeps_planning(self, tmp_path):
         self.drive(tmp_path, [["a b"], ["c"]])
 
