@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.costs import HashCost
-from repro.core.properties import Classifier, Query
+from repro.core.properties import Classifier, Query, classifier_sort_key
 from repro.datasets.synthetic import (
     COST_HIGH,
     COST_LOW,
@@ -214,8 +214,12 @@ class LazyQueryLoad:
             return math.inf
         return self._cost.cost(clf)
 
-    def total_weight(self, classifiers) -> float:
-        return sum(self.weight(clf) for clf in classifiers)
+    def total_weight(self, classifiers: Iterable[Classifier]) -> float:
+        """``W(S)``, summed in canonical order (same contract as
+        :meth:`MC3Instance.total_weight`)."""
+        return sum(
+            self.weight(clf) for clf in sorted(classifiers, key=classifier_sort_key)
+        )
 
     def candidates(self, q: Query) -> Iterator[Classifier]:
         """Finite-weight classifiers usable for ``q`` (the paper's

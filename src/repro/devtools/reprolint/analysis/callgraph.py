@@ -75,8 +75,11 @@ class FunctionInfo:
         )
         if arguments.vararg is not None:
             positional.append(arguments.vararg)
-        self.param_names: Tuple[str, ...] = tuple(
-            arg.arg for arg in positional + list(arguments.kwonlyargs)
+        params = positional + list(arguments.kwonlyargs)
+        self.param_names: Tuple[str, ...] = tuple(arg.arg for arg in params)
+        #: Index-aligned with ``param_names``; ``None`` when unannotated.
+        self.param_annotations: Tuple[Optional[ast.expr], ...] = tuple(
+            arg.annotation for arg in params
         )
 
     @property

@@ -34,6 +34,15 @@ Order also flows by control: an order-sensitive mutation (``append``,
 receiver with the loop's order facts, even when the argument itself was
 sanitized — the list grows in hash order all the same.
 
+Float addition is not associative, so ``sum`` is a sink of its own
+(``float-sum``): a ``sum`` that iterates an unordered value, or a
+parameter not annotated as an ordered sequence (a caller may pass a
+set through an ``Iterable``), is a finding wherever it sits.  Sums whose
+terms are evidently integers (``len``, ``bit_count``, ``int``,
+comparisons, integer literals) are exact in any order and exempt.  The
+result of ``sum`` itself carries no order facts: the finding is made at
+the sum.
+
 Joins are set unions (plus boolean or), so the lattice is finite per
 program and the worklist fixpoint terminates.  Sanitizers —
 ``sorted(...)``, ``classifier_sort_key``, bare order-neutral
@@ -126,7 +135,7 @@ class TaintFinding(NamedTuple):
     """One sink reached by tainted data, for the RPL5xx rules."""
 
     kind: str  # solve-return | solution-ctor | fingerprint-arg | content-token
-    #          | journal-append | planner-state
+    #          | journal-append | planner-state | float-sum
     function_key: str
     module: SourceModule
     node: ast.AST
@@ -165,6 +174,51 @@ _MUTATORS = {
 _ORDERED_MUTATORS = {"append", "extend", "insert", "appendleft", "update"}
 
 _SOLUTION_CTORS = {"Solution", "PartialSolution"}
+
+#: Parameter annotations that promise an ordered container: iterating
+#: one follows the caller's order, which the caller owns.
+_ORDERED_ANNOTATIONS = {
+    "Sequence",
+    "MutableSequence",
+    "List",
+    "list",
+    "Tuple",
+    "tuple",
+    "Deque",
+    "deque",
+    "ndarray",
+}
+#: Calls whose value is an integer: summing them is exact in any order.
+_INTEGER_CALLS = {"len", "int", "bit_count"}
+
+
+def _ordered_annotation(annotation: Optional[ast.expr]) -> bool:
+    target = annotation
+    if isinstance(target, ast.Subscript):
+        target = target.value
+    if isinstance(target, ast.Attribute):
+        return target.attr in _ORDERED_ANNOTATIONS
+    if isinstance(target, ast.Name):
+        return target.id in _ORDERED_ANNOTATIONS
+    return False
+
+
+def _integer_terms(argument: ast.expr) -> bool:
+    """Whether a ``sum`` argument is a comprehension of evident integers."""
+    if not isinstance(argument, (ast.GeneratorExp, ast.ListComp)):
+        return False
+    term = argument.elt
+    if isinstance(term, ast.Constant):
+        return isinstance(term.value, int)
+    if isinstance(term, ast.Compare):
+        return True
+    if isinstance(term, ast.Call):
+        func = term.func
+        if isinstance(func, ast.Attribute):
+            return func.attr in _INTEGER_CALLS
+        if isinstance(func, ast.Name):
+            return func.id in _INTEGER_CALLS
+    return False
 
 
 def _is_seeded_rng(call: ast.Call) -> bool:
@@ -247,6 +301,15 @@ class _FunctionPass:
         self.findings: List[TaintFinding] = []
         #: Order facts of the enclosing ``for`` loops' iterables.
         self.loop_order = BOTTOM
+        #: Names assigned in the body (a rebound parameter is local).
+        self._rebound = {
+            node.id
+            for node in ast.walk(info.node)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        #: ``sum`` calls already judged: a return value can be evaluated
+        #: twice in the report pass, a finding is made once.
+        self._judged_sums: set = set()
 
     # -- summary -------------------------------------------------------
 
@@ -502,10 +565,11 @@ class _FunctionPass:
                 self.eval_expr(condition)
         result = self.eval_expr(element).join(penalty)
         if unordered_result:
-            result = result.sanitized_order()._replace(
+            return result.sanitized_order()._replace(
                 unordered=True, params=result.params
             )
-        return result
+        # A list or generator is ordered, whatever its elements are.
+        return result._replace(unordered=False)
 
     # -- sources -------------------------------------------------------
 
@@ -593,6 +657,8 @@ class _FunctionPass:
                 or name in self.extra_aliases
             )
             if not shadowed:
+                if name == "sum":
+                    self._check_float_sum(call)
                 if name in _ORDER_NEUTRAL and not (
                     name in _KEYWORD_SENSITIVE and call.keywords
                 ):
@@ -743,6 +809,48 @@ class _FunctionPass:
         self.sink_params[kind] = current | {index}
 
     # -- sinks ---------------------------------------------------------
+
+    def _check_float_sum(self, call: ast.Call) -> None:
+        """``sum`` that iterates a set, or a parameter that may arrive as
+        one, adds its floats in hash order."""
+        if (
+            not self.report
+            or not call.args
+            or isinstance(call.args[0], ast.Starred)
+            or id(call) in self._judged_sums
+        ):
+            return
+        self._judged_sums.add(id(call))
+        argument = call.args[0]
+        if _integer_terms(argument) or self._sanitized_line(call):
+            return
+        if isinstance(argument, (ast.GeneratorExp, ast.ListComp)):
+            iterables = [generator.iter for generator in argument.generators]
+        else:
+            iterables = [argument]
+        labels = set()
+        for iterable in iterables:
+            if self.eval_expr(iterable).unordered:
+                labels.add(self._site(call, "unsorted-iteration"))
+            elif isinstance(iterable, ast.Name) and self._may_arrive_unordered(
+                iterable.id
+            ):
+                labels.add(self._site(call, f"unordered-param:{iterable.id}"))
+        if labels:
+            self._emit("float-sum", call, Taint(order_labels=frozenset(labels)))
+
+    def _may_arrive_unordered(self, name: str) -> bool:
+        """A parameter, never rebound, not ``*args`` and not annotated as
+        an ordered sequence: its caller may pass a set."""
+        info = self.info
+        if name not in info.param_names or name in ("self", "cls"):
+            return False
+        index = info.param_names.index(name)
+        if index == info.vararg_index or _ordered_annotation(
+            info.param_annotations[index]
+        ):
+            return False
+        return name not in self._rebound
 
     def _check_sinks(
         self,

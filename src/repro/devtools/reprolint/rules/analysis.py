@@ -167,6 +167,31 @@ class ServiceStateTaintRule(_TaintSinkRule):
 
 
 @register
+class UnorderedFloatSumRule(_TaintSinkRule):
+    rule_id = "RPL506"
+    name = "unordered-float-sum"
+    summary = (
+        "no float sum() over a set, or over a parameter that may arrive "
+        "as one"
+    )
+    rationale = (
+        "Float addition is not associative: the same numbers summed in "
+        "another order can differ in the last bit, and a set iterates in "
+        "hash order.  A sum over a set, or over an Iterable parameter a "
+        "caller may fill with a set, therefore gives a cost that depends "
+        "on PYTHONHASHSEED, and the greedy certificate's integer rule "
+        "and every float.hex pin assume it does not.  RPL101 sees only "
+        "sets built in the same function; this rule follows parameters. "
+        "Sum over sorted(...) (classifier_sort_key for classifiers), "
+        "annotate the parameter as a Sequence when its order is the "
+        "caller's, or sum integers."
+    )
+    kinds = {
+        "float-sum": "float sum() over an unordered iterable in {fn}",
+    }
+
+
+@register
 class KernelPurityRule(AnalysisRule):
     rule_id = "RPL503"
     name = "kernel-backend-purity"

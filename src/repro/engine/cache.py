@@ -57,6 +57,12 @@ from repro.exceptions import SolverError
 #: any other version as a miss, so stale stores degrade to re-solves.
 ENTRY_VERSION = 1
 
+#: Part of every solver's and route's cache token; bumped whenever the
+#: component details that solvers cache change shape, so a persistent
+#: cache written by an older version is never served to a newer one.
+#: 2: details gained ``lower_bound`` (and best-of's ``certified``).
+DETAILS_VERSION = 2
+
 #: Environment variables consulted once, at import, for the process-wide
 #: default cache configuration (mirrors ``REPRO_KERNEL_BACKEND``).
 CACHE_ENV_VAR = "REPRO_SOLUTION_CACHE"

@@ -172,8 +172,12 @@ class SolveEngine:
                 outcome.rung,
                 bitspace if isinstance(bitspace, dict) else None,
                 gap=gap if isinstance(gap, dict) else None,
+                lower_bound=outcome.details.get("lower_bound"),
+                certified=outcome.details.get("certified") is True,
             )
         solution = prep.finalize(selected)
+        telemetry.forced_cost = prep.base_cost
+        telemetry.solution_cost = solution.cost
         if not report.clean:
             solution = PartialSolution(
                 solution.classifiers,

@@ -26,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.costs import OverlayCost
 from repro.core.instance import MC3Instance
-from repro.core.properties import Classifier, Query
+from repro.core.properties import Classifier, Query, classifier_sort_key
+from repro.engine.cache import DETAILS_VERSION
 from repro.exceptions import UncoverableQueryError
 from repro.reductions import mc3_to_bipartite_wvc, solve_bipartite_wvc
 
@@ -40,7 +41,8 @@ def solve_component_k2(
     translation back to classifiers.  Singleton queries may be present
     when preprocessing step 1 was disabled; their classifiers are forced
     here so the WVC reduction receives only length-2 queries, keeping
-    the no-preprocessing mode correct.
+    the no-preprocessing mode correct.  The answer is optimal, so its
+    cost is reported as the component's ``lower_bound``.
     """
     forced: Set[Classifier] = set()
     length_two: List[Query] = []
@@ -52,7 +54,7 @@ def solve_component_k2(
         else:
             length_two.append(q)
     if not length_two:
-        return forced, {"flow_value": 0.0}
+        return forced, {"flow_value": 0.0, "lower_bound": _cost(component, forced)}
     cost = component.cost
     if forced:
         # Forced singletons are already paid for; the WVC must see them
@@ -65,7 +67,15 @@ def solve_component_k2(
         cost = overlay
     graph = mc3_to_bipartite_wvc(length_two, cost)
     cover, flow_value = solve_bipartite_wvc(graph, algorithm=flow_algorithm)
-    return forced | cover, {"flow_value": flow_value}
+    chosen = forced | cover
+    return chosen, {"flow_value": flow_value, "lower_bound": _cost(component, chosen)}
+
+
+def _cost(component: MC3Instance, classifiers: Set[Classifier]) -> float:
+    """The component's price of ``classifiers``, summed in canonical order."""
+    return sum(
+        component.weight(clf) for clf in sorted(classifiers, key=classifier_sort_key)
+    )
 
 
 class Route:
@@ -240,5 +250,5 @@ def exact_k2_route(flow_algorithm: str = "dinic") -> Route:
         EXACT_K2_ROUTE,
         _IsK2Component(),
         _SolveK2Component(flow_algorithm),
-        cache_token=("route", EXACT_K2_ROUTE, flow_algorithm),
+        cache_token=("route", EXACT_K2_ROUTE, DETAILS_VERSION, flow_algorithm),
     )

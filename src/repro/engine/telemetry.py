@@ -28,6 +28,11 @@ def size_histogram(sizes: List[int]) -> Dict[str, int]:
     return histogram
 
 
+def cost_ratio(cost: float, lower_bound: float) -> Optional[float]:
+    """``cost / lower_bound``, or ``None`` when the bound is 0."""
+    return cost / lower_bound if lower_bound > 0 else None
+
+
 class EngineTelemetry:
     """Structured timings for one engine run.
 
@@ -55,6 +60,11 @@ class EngineTelemetry:
         "bitspace_sets",
         "gap_ratios_vs_greedy",
         "gap_ratios_vs_exact",
+        "forced_cost",
+        "solution_cost",
+        "component_bound_sum",
+        "components_bounded",
+        "components_certified",
     )
 
     def __init__(self, jobs: int, mode: str, backend: Optional[str] = None):
@@ -87,6 +97,14 @@ class EngineTelemetry:
         # reported cost ratios in a "gap" details entry.
         self.gap_ratios_vs_greedy: List[float] = []
         self.gap_ratios_vs_exact: List[float] = []
+        # Lower bound on the run's optimum: preprocessing's forced cost
+        # plus the bounds that components reported ("lower_bound" in
+        # their details; a component without one contributes 0).
+        self.forced_cost = 0.0
+        self.solution_cost = 0.0
+        self.component_bound_sum = 0.0
+        self.components_bounded = 0
+        self.components_certified = 0
 
     def record_component(
         self,
@@ -96,12 +114,19 @@ class EngineTelemetry:
         rung: str,
         bitspace: Optional[Dict[str, int]] = None,
         gap: Optional[Dict[str, float]] = None,
+        lower_bound: Optional[float] = None,
+        certified: bool = False,
     ) -> None:
         self.component_sizes.append(size)
         self.component_seconds.append(seconds)
         if route is not None:
             self.routed[route] = self.routed.get(route, 0) + 1
         self.rungs[rung] = self.rungs.get(rung, 0) + 1
+        if lower_bound is not None:
+            self.component_bound_sum += lower_bound
+            self.components_bounded += 1
+        if certified:
+            self.components_certified += 1
         if bitspace is not None:
             self.bitspace_properties.append(int(bitspace.get("properties", 0)))
             self.bitspace_elements.append(int(bitspace.get("elements", 0)))
@@ -138,6 +163,21 @@ class EngineTelemetry:
             summary["max_ratio_vs_exact"] = max(ratios)
         return summary
 
+    def lower_bound_summary(self) -> Dict[str, object]:
+        """The run's lower bound on OPT and its solution's ratio to it.
+
+        ``certified`` counts components whose greedy cover was proven
+        optimal (so the ``f``-approximation arm was skipped).
+        """
+        value = self.forced_cost + self.component_bound_sum
+        return {
+            "value": value,
+            "cost_ratio": cost_ratio(self.solution_cost, value),
+            "components": len(self.component_sizes),
+            "bounded": self.components_bounded,
+            "certified": self.components_certified,
+        }
+
     def bitspace_summary(self) -> Dict[str, int]:
         """Aggregate interning footprint across mask-path components.
 
@@ -169,6 +209,7 @@ class EngineTelemetry:
             "rungs": dict(self.rungs),
             "resilience": self.resilience,
             "bitspace": self.bitspace_summary(),
+            "lower_bound": self.lower_bound_summary(),
         }
         approx_gap = self.approx_gap_summary()
         if approx_gap is not None:

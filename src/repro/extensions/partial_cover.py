@@ -118,7 +118,8 @@ def _finish(
         selected,
         instance.total_weight(selected),
         covered,
-        sum(_weight_of(weights, q) for q in covered),
+        # In query order, as verify() adds it: ``covered`` is a set.
+        sum(_weight_of(weights, q) for q in instance.queries if q in covered),
         budget,
     )
 

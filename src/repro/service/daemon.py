@@ -62,8 +62,10 @@ from repro.core.bitspace import component_fingerprint
 from repro.core.costs import CostModel
 from repro.core.instance import MC3Instance
 from repro.core.properties import Query, classifier_sort_key, query as make_query
+from repro.core.solution import SolverResult
 from repro.engine.cache import resolve_cache
 from repro.engine.resilience import PartialSolution, ResiliencePolicy
+from repro.engine.telemetry import cost_ratio
 from repro.exceptions import ReproError
 from repro.extensions.incremental import IncrementalPlanner
 from repro.preprocess.decompose import partition_queries
@@ -166,6 +168,34 @@ class ServiceStats:
         self.rings: Dict[str, _LatencyRing] = {
             stage: _LatencyRing() for stage in self.STAGES
         }
+        # Running sums over applied batches of each solve's cost and of
+        # its engine lower-bound summary (details["engine"]["lower_bound"]).
+        self.bound_totals: Dict[str, float] = {
+            "value": 0.0,
+            "cost": 0.0,
+            "components": 0,
+            "bounded": 0,
+            "certified": 0,
+        }
+
+    def record_bound(self, result: SolverResult) -> None:
+        engine = result.details.get("engine")
+        summary = engine.get("lower_bound") if isinstance(engine, dict) else None
+        if not isinstance(summary, dict):
+            return
+        totals = dict(self.bound_totals)
+        totals["cost"] += result.cost
+        for key in ("value", "components", "bounded", "certified"):
+            totals[key] += summary[key]
+        # One reference swap: a stats read on the event loop sees whole
+        # batches, never a cost without its bound.
+        self.bound_totals = totals
+
+    def bound_summary(self) -> Dict[str, object]:
+        """Lower bound on the optimum of every batch solve so far, the
+        solves' summed cost, and the ratio of the two."""
+        totals = self.bound_totals
+        return {**totals, "cost_ratio": cost_ratio(totals["cost"], totals["value"])}
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -465,7 +495,8 @@ class PlannerService:
             )
 
     def snapshot(self) -> Dict[str, object]:
-        """The ``stats`` reply: health, depth, breakers, cache, latency."""
+        """The ``stats`` reply: health, depth, breakers, cache, latency,
+        and the lower bound on the applied batches' optimum."""
         queue_depth = self._queue.qsize() if self._queue is not None else 0
         cache_stats: Optional[Dict[str, object]] = None
         if self.cache is not None:
@@ -484,6 +515,7 @@ class PlannerService:
             "cache": cache_stats,
             "journal": self.journal.stats() if self.journal is not None else None,
             "recovered_batches": self.recovered_batches,
+            "lower_bound": self.stats.bound_summary(),
             "workload": {
                 "batches": len(self.planner.batches),
                 "queries": len(self.planner.queries),
@@ -651,6 +683,8 @@ class PlannerService:
         )
         self.stats.rings["solve"].record(_now() - solve_started)
         self.stats.batches_applied += 1
+        if outcome.solver_result is not None:
+            self.stats.record_bound(outcome.solver_result)
         self._strike("post-apply", seq)
         solution = (
             outcome.solver_result.solution

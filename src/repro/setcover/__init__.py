@@ -1,12 +1,14 @@
 """Weighted Set Cover substrate: instance model, greedy (ln Δ + 1),
-LP-rounding and primal–dual (both f-approximations), and an exact
-branch-and-bound oracle."""
+LP-rounding and primal–dual (both f-approximations), Algorithm 3's
+best-of strategy, and an exact branch-and-bound oracle with the greedy
+optimality certificate built on it."""
 
 from typing import Optional
 
 from repro.exceptions import SolverError
+from repro.setcover.best_of import BestOf, best_of_wsc, f_approximation_wsc
 from repro.setcover.bucket_greedy import bucket_greedy_wsc
-from repro.setcover.exact import DEFAULT_NODE_LIMIT, exact_wsc
+from repro.setcover.exact import DEFAULT_NODE_LIMIT, certify_optimal, exact_wsc
 from repro.setcover.exact_lp import exact_wsc_lp
 from repro.setcover.greedy import greedy_wsc
 from repro.setcover.instance import WSCInstance, WSCSolution
@@ -53,9 +55,11 @@ def solve_wsc(
     ``primal_dual``
         Primal–dual, ``f`` guarantee, no LP solve.
     ``best_of``
-        Algorithm 3's inner strategy: run greedy and an ``f``-approximation
-        (LP rounding when the constraint matrix fits in ``lp_size_limit``
-        nonzeros, primal–dual otherwise) and keep the cheaper output.
+        Algorithm 3's inner strategy, :func:`best_of_wsc`: run greedy and
+        an ``f``-approximation (LP rounding when the constraint matrix
+        fits in ``lp_size_limit`` nonzeros, primal–dual otherwise) and
+        keep the cheaper output; the ``f`` arm is skipped when greedy is
+        proven optimal.
     ``exact``
         Combinatorial branch-and-bound optimum (small instances only).
     ``exact_lp``
@@ -83,28 +87,27 @@ def solve_wsc(
     if method == "exact_lp":
         return exact_wsc_lp(instance)
     if method == "best_of":
-        greedy_solution = greedy_wsc(instance)
-        if lp_size_limit is not None and lp_nonzeros(instance) > lp_size_limit:
-            f_solution = primal_dual_wsc(instance, prune=prune)
-        else:
-            f_solution = lp_rounding_wsc(instance, prune=prune)
-        return greedy_solution if greedy_solution.cost <= f_solution.cost else f_solution
+        return best_of_wsc(instance, lp_size_limit, prune).solution
     raise SolverError(f"unknown WSC method {method!r}")
 
 
 __all__ = [
+    "BestOf",
     "DEFAULT_EXACT_THRESHOLD",
     "DEFAULT_NODE_LIMIT",
     "DEFAULT_SAMPLE_RATES",
     "DEFAULT_SIZE_LIMIT",
     "WSCInstance",
     "WSCSolution",
+    "best_of_wsc",
     "bucket_greedy_wsc",
+    "certify_optimal",
     "derive_seed",
     "sampled_greedy_wsc",
     "exact_multicover",
     "exact_wsc",
     "exact_wsc_lp",
+    "f_approximation_wsc",
     "greedy_multicover",
     "greedy_wsc",
     "lagrangian_lower_bound",

@@ -19,13 +19,25 @@ from repro.exceptions import InvalidInstanceError, UncoverableQueryError
 
 
 class WSCSolution:
-    """A selection of sets with its total cost."""
+    """A selection of sets with its total cost.
 
-    __slots__ = ("set_ids", "cost")
+    ``lower_bound`` is a bound on the optimum that the algorithm proved
+    on the way, when it has one: the LP value for LP rounding, the dual
+    sum for primal–dual, the optimum itself for branch-and-bound.
+    ``None`` means the algorithm proves nothing (greedy).
+    """
 
-    def __init__(self, set_ids: Iterable[int], cost: float):
+    __slots__ = ("set_ids", "cost", "lower_bound")
+
+    def __init__(
+        self,
+        set_ids: Iterable[int],
+        cost: float,
+        lower_bound: Optional[float] = None,
+    ):
         self.set_ids: Tuple[int, ...] = tuple(set_ids)
         self.cost = float(cost)
+        self.lower_bound = lower_bound
 
     def __len__(self) -> int:
         return len(self.set_ids)

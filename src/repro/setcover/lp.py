@@ -89,17 +89,21 @@ def lp_rounding_wsc(instance: WSCInstance, prune: bool = False) -> WSCSolution:
     if prune:
         selected = instance.prune_redundant(selected)
     cost = sum(instance.set_cost(set_id) for set_id in selected)
-    solution = WSCSolution(selected, cost)
+    solution = WSCSolution(selected, cost, lower_bound=_lp_value(instance, x))
     instance.verify_solution(solution)
     return solution
 
 
-def lp_lower_bound(instance: WSCInstance) -> float:
-    """Optimal value of the relaxation — a valid lower bound on OPT.
+def _lp_value(instance: WSCInstance, x: np.ndarray) -> float:
+    """``c·x``: the relaxation's optimum, up to HiGHS round-off."""
+    return float(np.dot(np.array(instance.set_costs()), x))
 
-    Used by the exact branch-and-bound and by EXPERIMENTS.md to report
+
+def lp_lower_bound(instance: WSCInstance) -> float:
+    """Optimal value of the relaxation — a valid lower bound on OPT, up
+    to the solver's round-off.
+
+    Used by :mod:`repro.analysis` and by EXPERIMENTS.md to report
     optimality gaps on instances too large to solve exactly.
     """
-    x = lp_relaxation(instance)
-    costs = np.array([instance.set_cost(set_id) for set_id in range(instance.num_sets)])
-    return float(np.dot(costs, x))
+    return _lp_value(instance, lp_relaxation(instance))

@@ -8,7 +8,10 @@ cheaper output.  Combined guarantee:
 
 The ``f``-approximation is LP rounding when the constraint matrix is
 small enough for SciPy's HiGHS backend, and the primal–dual scheme
-(identical guarantee, linear time) beyond that threshold.
+(identical guarantee, linear time) beyond that threshold.  It is skipped
+on components where greedy's cover is proven optimal, since it could
+only tie (:mod:`repro.setcover.best_of`).  Every best-of component
+reports a lower bound on its optimum.
 
 Preprocessing, per-component dispatch (optionally across a process
 pool), merging, and the exact k ≤ 2 component routing all live in the
@@ -23,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.bitspace import PropertySpace
 from repro.core.instance import MC3Instance
 from repro.core.properties import Classifier
+from repro.engine.cache import DETAILS_VERSION
 from repro.engine.component import ComponentOutcome
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.routing import EXACT_K2_ROUTE, Route, exact_k2_route
@@ -30,8 +34,9 @@ from repro.preprocess import ALL_STEPS
 from repro.reductions import mc3_to_wsc
 from repro.setcover import (
     DEFAULT_SIZE_LIMIT,
+    best_of_wsc,
+    f_approximation_wsc,
     greedy_wsc,
-    lp_nonzeros,
     lp_rounding_wsc,
     primal_dual_wsc,
 )
@@ -102,7 +107,13 @@ class GeneralSolver(ComponentSolver):
         # ``dispatch_k2`` is deliberately absent: routed components carry
         # the route's own token, and unrouted ones solve identically
         # whether the route was offered or not.
-        return (self.name, self.wsc_method, self.lp_size_limit, self.prune)
+        return (
+            self.name,
+            DETAILS_VERSION,
+            self.wsc_method,
+            self.lp_size_limit,
+            self.prune,
+        )
 
     def routes(self) -> Tuple[Route, ...]:
         return (exact_k2_route(),) if self.dispatch_k2 else ()
@@ -116,13 +127,12 @@ class GeneralSolver(ComponentSolver):
         space = PropertySpace.from_queries(component.queries)
         wsc = mc3_to_wsc(component, space=space)
 
-        def f_approx() -> Tuple[object, str]:
-            if self.lp_size_limit is not None and lp_nonzeros(wsc) > self.lp_size_limit:
-                return primal_dual_wsc(wsc, prune=self.prune), "primal_dual"
-            return lp_rounding_wsc(wsc, prune=self.prune), "lp"
-
+        # The arms are passed by this module's names so that
+        # perfbench/spans.py, which wraps those names, times each arm.
+        arms = {"lp": lp_rounding_wsc, "primal_dual": primal_dual_wsc}
         winner: Optional[str] = None
         f_mode: Optional[str] = None
+        certified = False
         if self.wsc_method == "greedy":
             wsc_solution = greedy_wsc(wsc)
         elif self.wsc_method == "bucket_greedy":
@@ -130,22 +140,24 @@ class GeneralSolver(ComponentSolver):
 
             wsc_solution = bucket_greedy_wsc(wsc)
         elif self.wsc_method == "lp":
-            wsc_solution, f_mode = f_approx()
+            wsc_solution, f_mode = f_approximation_wsc(
+                wsc, self.lp_size_limit, self.prune, **arms
+            )
         elif self.wsc_method == "primal_dual":
             wsc_solution = primal_dual_wsc(wsc, prune=self.prune)
             f_mode = "primal_dual"
         else:  # "best_of" — Algorithm 3 lines 3-5
-            greedy_solution = greedy_wsc(wsc)
-            f_solution, f_mode = f_approx()
-            if greedy_solution.cost <= f_solution.cost:
-                wsc_solution, winner = greedy_solution, "greedy"
-            else:
-                wsc_solution, winner = f_solution, "f_approx"
+            best = best_of_wsc(
+                wsc, self.lp_size_limit, self.prune, greedy=greedy_wsc, **arms
+            )
+            wsc_solution, winner, f_mode, certified = best
 
         classifiers = {wsc.set_label(set_id) for set_id in wsc_solution.set_ids}
         details: Dict[str, object] = {
             "winner": winner,
             "f_mode": f_mode,
+            "lower_bound": wsc_solution.lower_bound,
+            "certified": certified,
             "bitspace": {
                 "properties": space.size,
                 "elements": wsc.universe_size,

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import MC3Instance
 from repro.core.properties import Classifier
+from repro.engine.cache import DETAILS_VERSION
 from repro.engine.component import ComponentOutcome
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.routing import solve_component_k2
@@ -66,7 +67,7 @@ class K2Solver(ComponentSolver):
         self.flow_algorithm = flow_algorithm
 
     def cache_token(self) -> Optional[Tuple[object, ...]]:
-        return (self.name, self.flow_algorithm)
+        return (self.name, DETAILS_VERSION, self.flow_algorithm)
 
     def validate_instance(self, instance: MC3Instance) -> None:
         if instance.max_query_length > 2:

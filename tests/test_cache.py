@@ -42,6 +42,7 @@ from repro.engine.cache import (
 )
 from repro.extensions.incremental import IncrementalPlanner
 from repro.solvers import make_solver
+from repro.engine.cache import DETAILS_VERSION
 
 from tests.strategies import PROPERTY_NAMES, mc3_instances
 from tests.strategies import queries as query_strategy
@@ -424,6 +425,43 @@ class TestDiskStore:
         assert store.stats()["entries"] == 0
 
 
+class TestDetailsVersion:
+    def test_entries_without_lower_bounds_are_never_served(self, tmp_path):
+        """A disk cache written before components reported lower bounds
+        holds details without them.  The version element of the
+        solver's cache token keeps those entries from serving a new
+        solve (compare the sampled solver's gap-probe split)."""
+        from repro.solvers import GeneralSolver
+
+        class Unversioned(GeneralSolver):
+            """The cache token and details as they were before the
+            version element."""
+
+            def cache_token(self):
+                return (self.name, self.wsc_method, self.lp_size_limit, self.prune)
+
+            def solve_component(self, component):
+                classifiers, details = super().solve_component(component)
+                del details["lower_bound"], details["certified"]
+                return classifiers, details
+
+        store = DiskSolutionCache(str(tmp_path / "cache"))
+        instance = bestbuy_like(200, seed=3)
+        old = Unversioned(cache=store).solve(instance)
+        assert old.details["engine"]["cache"]["inserts"] > 0
+        assert old.details["engine"]["lower_bound"]["bounded"] == 0
+        new = GeneralSolver(cache=store).solve(instance)
+        assert new.details["engine"]["cache"]["hits"] == 0
+        summary = new.details["engine"]["lower_bound"]
+        assert summary["bounded"] == summary["components"] > 0
+        assert new.solution.classifiers == old.solution.classifiers
+        assert new.cost == old.cost
+        # A second new solve is served from the new entries.
+        again = GeneralSolver(cache=store).solve(instance)
+        assert again.details["engine"]["cache"]["misses"] == 0
+        assert again.details["engine"]["lower_bound"] == summary
+
+
 class TestEntryCodec:
     def test_roundtrip(self):
         classifiers = frozenset({frozenset({"a"}), frozenset({"b", "c"})})
@@ -493,6 +531,7 @@ class TestPlumbing:
         solver = make_solver("mc3-general")
         assert cache_token_of(solver) == (
             "mc3-general",
+            DETAILS_VERSION,
             solver.wsc_method,
             solver.lp_size_limit,
             solver.prune,

@@ -7,6 +7,10 @@ and all reducers iterate deterministic structures — these tests catch
 in-process regressions, the sample-data tests catch cross-process ones.)
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.datasets import bestbuy_like, private_like, synthetic
@@ -51,6 +55,56 @@ class TestSolverDeterminism:
         pooled = make_solver("mc3-sampled", seed=11, jobs=4).solve(instance)
         assert sequential.solution.classifiers == pooled.solution.classifiers
         assert sequential.cost == pooled.cost
+
+
+class TestCertificateDeterminism:
+    """Which components the greedy certificate proves optimal (and so
+    which skip the LP arm) is a pure function of the component: a node
+    cap, never a clock, bounds the search."""
+
+    @staticmethod
+    def signature(result):
+        return (
+            result.cost.hex(),
+            result.details["wins"],
+            result.details["f_approximation_modes"],
+            result.details["engine"]["lower_bound"],
+        )
+
+    def test_identical_across_jobs(self):
+        instance = private_like(300, seed=5)
+        sequential = make_solver("mc3-general", jobs=1, cache="off").solve(instance)
+        pooled = make_solver("mc3-general", jobs=2, cache="off").solve(instance)
+        assert sequential.details["engine"]["lower_bound"]["certified"] > 0
+        assert self.signature(sequential) == self.signature(pooled)
+        assert sequential.solution.classifiers == pooled.solution.classifiers
+
+    def test_identical_across_hash_seeds(self):
+        script = (
+            "from repro.datasets import private_like\n"
+            "from repro.solvers import make_solver\n"
+            "r = make_solver('mc3-general', cache='off').solve(private_like(300, seed=5))\n"
+            "print(repr((r.cost.hex(), r.details['wins'],"
+            " r.details['engine']['lower_bound'])))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src")]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        outputs = []
+        for hash_seed in ("0", "1", "424242"):
+            env["PYTHONHASHSEED"] = hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                check=True,
+            )
+            outputs.append(proc.stdout.strip())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "'certified': 0" not in outputs[0]
 
 
 class TestPreprocessDeterminism:

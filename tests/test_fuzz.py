@@ -26,6 +26,20 @@ class TestFuzzSolvers:
         assert general.cost >= exact.cost - 1e-9
         assert general.cost <= instance_guarantee(instance) * exact.cost + 1e-6
 
+    @given(mc3_instances(max_queries=5))
+    @settings(max_examples=40, deadline=None)
+    def test_lower_bound_sandwich(self, instance):
+        """lower bound ≤ OPT ≤ cost, per run, with and without the exact
+        k ≤ 2 route; the 1e-6 relative slack is for the LP optimum."""
+        exact = ExactSolver().solve(instance).cost
+        for dispatch_k2 in (False, True):
+            result = GeneralSolver(dispatch_k2=dispatch_k2, cache="off").solve(instance)
+            summary = result.details["engine"]["lower_bound"]
+            assert summary["bounded"] == summary["components"]
+            assert summary["certified"] <= summary["bounded"]
+            assert summary["value"] <= exact * (1 + 1e-6) + 1e-9
+            assert summary["value"] <= result.cost * (1 + 1e-6) + 1e-9
+
     @given(k2_instances(max_queries=6))
     @settings(max_examples=40, deadline=None)
     def test_k2_exactness(self, instance):

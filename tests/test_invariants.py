@@ -12,13 +12,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CoverageChecker, MC3Instance, UniformCost
+from repro.core.properties import classifier_sort_key
 from repro.extensions import instance_guarantee
 from repro.preprocess import preprocess
 from repro.reductions import mc3_to_wsc
-from repro.solvers import make_solver
-from tests.conftest import random_instance
+from repro.setcover import exact_wsc
+from repro.solvers import GeneralSolver, make_solver
+from tests.conftest import brute_force_optimum, random_instance
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
+
+#: Relative tolerance for any check involving the LP optimum LP*, which
+#: HiGHS returns up to round-off.  Certified bounds are checked exactly.
+LP_TOLERANCE = 1e-6
+
+
+def solved_components(instance, **solver_kwargs):
+    """``(component, details, cost)`` for each residual component, solved
+    by Algorithm 3 the way the engine dispatches it."""
+    solver = GeneralSolver(cache="off", **solver_kwargs)
+    for component in preprocess(instance).components:
+        classifiers, details = solver.solve_component(component)
+        cost = sum(
+            component.weight(clf)
+            for clf in sorted(classifiers, key=classifier_sort_key)
+        )
+        yield component, details, cost
+
+
+def assert_bound_below(details, value):
+    """A component's bound never exceeds ``value`` (its cost, or OPT)."""
+    if details["certified"]:
+        assert details["lower_bound"] == value
+    else:
+        assert details["lower_bound"] <= value * (1 + LP_TOLERANCE)
 
 
 class TestSolverRelations:
@@ -61,6 +88,49 @@ class TestSolverRelations:
         for name in ("mc3-general", "short-first", "local-greedy", "exact"):
             solution = make_solver(name).solve(instance).solution
             assert checker.all_covered(solution.classifiers)
+
+
+class TestLowerBoundInvariants:
+    @given(SEEDS)
+    @settings(max_examples=25, deadline=None)
+    def test_bound_below_cost(self, seed):
+        instance = random_instance(seed, num_properties=7, num_queries=6, max_length=4)
+        for _, details, cost in solved_components(instance):
+            assert_bound_below(details, cost)
+        result = GeneralSolver(cache="off").solve(instance)
+        summary = result.details["engine"]["lower_bound"]
+        assert summary["bounded"] == summary["components"]
+        assert summary["value"] <= result.cost * (1 + LP_TOLERANCE)
+
+    @given(SEEDS)
+    @settings(max_examples=20, deadline=None)
+    def test_bound_below_optimum(self, seed):
+        instance = random_instance(seed, num_properties=5, num_queries=3, max_length=3)
+        for component, details, _ in solved_components(instance):
+            optimum = exact_wsc(mc3_to_wsc(component)).cost
+            if details["certified"]:
+                assert details["lower_bound"] == optimum
+            else:
+                assert details["lower_bound"] <= optimum * (1 + LP_TOLERANCE)
+        summary = GeneralSolver(cache="off").solve(instance).details["engine"]
+        opt = brute_force_optimum(instance)
+        assert summary["lower_bound"]["value"] <= opt * (1 + LP_TOLERANCE)
+
+    @given(SEEDS)
+    @settings(max_examples=25, deadline=None)
+    def test_lp_arm_within_guarantee_of_lp_optimum(self, seed):
+        """Where the LP ran, the bound is LP* and the kept cover is within
+        min(H_Δ, f) of it: greedy is within H_Δ, rounding within f."""
+        instance = random_instance(
+            seed, num_properties=7, num_queries=6, max_length=4, cost_range=(1, 9)
+        )
+        for component, details, cost in solved_components(instance):
+            if details["f_mode"] != "lp":
+                continue
+            wsc = mc3_to_wsc(component)
+            harmonic = sum(1.0 / i for i in range(1, wsc.degree() + 1))
+            factor = min(harmonic, wsc.frequency())
+            assert cost <= factor * details["lower_bound"] * (1 + LP_TOLERANCE)
 
 
 class TestPreprocessingInvariants:

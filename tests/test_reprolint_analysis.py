@@ -657,6 +657,88 @@ def test_rpl505_sanitize_annotation_is_honoured(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# RPL506: float sum over a set, or over a parameter that may be one
+# ----------------------------------------------------------------------
+
+FLOAT_SUM_BAD = """
+    from typing import Iterable
+
+    class Load:
+        def total_weight(self, classifiers):
+            return sum(self.weight(clf) for clf in classifiers)
+
+        def total_annotated(self, classifiers: Iterable[frozenset]):
+            return sum(self.weight(clf) for clf in classifiers)
+
+    def _covered(queries):
+        return {q for q in queries if q}
+
+    def covered_weight(weights, queries):
+        covered = _covered(queries)
+        return sum(weights[q] for q in covered)
+
+    class Token:
+        def content_token(self, scope):
+            return sum(self.cost(prop) for prop in scope)
+    """
+
+FLOAT_SUM_GOOD = """
+    from typing import Iterable, Sequence
+
+    from repro.core.properties import classifier_sort_key
+
+    class Load:
+        def __iter__(self):
+            return iter(self._items)
+
+        def total_weight(self, classifiers: Iterable[frozenset]):
+            return sum(
+                self.weight(clf)
+                for clf in sorted(classifiers, key=classifier_sort_key)
+            )
+
+        def total_in_order(self, classifiers: Sequence[frozenset]):
+            return sum(self.weight(clf) for clf in classifiers)
+
+        def total_of_self(self):
+            return sum(item.cost for item in self)
+
+    def sizes(groups: Iterable[set]):
+        return sum(len(group) for group in groups)
+
+    def covered_weight(weights, queries: Sequence[frozenset]):
+        covered = {q for q in queries if q}
+        return sum(weights[q] for q in queries if q in covered)
+
+    def pairs_total(cost, queries: Sequence[frozenset]):
+        for q in queries:
+            pair = frozenset(q)
+        neighbourhood = [pair for pair in queries]
+        return sum(cost(pair) for pair in neighbourhood)
+    """
+
+
+def test_rpl506_flags_float_sums_in_hash_order(tmp_path):
+    """An unannotated or Iterable parameter may arrive as a set, and a
+    helper may return one: all four sums add floats in hash order.  The
+    content token's sum sits in a return the report pass evaluates
+    twice, and is still one finding."""
+    write_module(tmp_path, "src/repro/datasets/load.py", FLOAT_SUM_BAD)
+    result = lint_paths([tmp_path], select=["RPL506"], analyze=True)
+    assert rule_ids(result) == {"RPL506"}
+    messages = sorted(v.message for v in result.violations)
+    assert len(messages) == 4
+    assert sum("unordered-param:classifiers@" in m for m in messages) == 2
+    assert sum("unsorted-iteration@" in m for m in messages) == 2
+
+
+def test_rpl506_sorted_sequence_self_and_integer_sums_are_clean(tmp_path):
+    write_module(tmp_path, "src/repro/datasets/load.py", FLOAT_SUM_GOOD)
+    result = lint_paths([tmp_path], select=["RPL506"], analyze=True)
+    assert result.ok, "\n".join(v.render() for v in result.violations)
+
+
+# ----------------------------------------------------------------------
 # RPL102 service-scope leg
 # ----------------------------------------------------------------------
 

@@ -386,6 +386,12 @@ class TestDaemon:
         assert stats["journal"]["appended"] == 2
         assert stats["requests"]["latency"]["total"]["count"] == 2
         assert len(first["state_digest"]) == 32
+        bound = stats["lower_bound"]
+        assert bound["components"] >= bound["bounded"] >= bound["certified"]
+        assert bound["bounded"] > 0
+        assert bound["cost"] == stats["workload"]["total_cost"]
+        assert 0 < bound["value"] <= bound["cost"] * (1 + 1e-6)
+        assert bound["cost_ratio"] == bound["cost"] / bound["value"]
 
     def test_queue_full_sheds_with_typed_error(self):
         async def scenario():

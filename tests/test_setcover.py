@@ -168,6 +168,9 @@ class TestLP:
         instance.verify_solution(solution)
         optimum = exact_wsc(instance).cost
         assert solution.cost <= instance.frequency() * optimum + 1e-6
+        # The carried bound is LP*: below OPT, and within f of the cover.
+        assert solution.lower_bound <= optimum * (1 + 1e-6)
+        assert solution.cost <= instance.frequency() * solution.lower_bound * (1 + 1e-6)
 
     def test_prune_only_improves(self):
         instance = random_wsc(11)
@@ -185,6 +188,10 @@ class TestPrimalDual:
         instance.verify_solution(solution)
         optimum = exact_wsc(instance).cost
         assert solution.cost <= instance.frequency() * optimum + 1e-6
+        # The carried bound is the dual sum: below OPT (weak duality),
+        # and within f of the cover (each set is paid for by its duals).
+        assert solution.lower_bound <= optimum + 1e-9
+        assert solution.cost <= instance.frequency() * solution.lower_bound + 1e-9
 
     def test_element_order_changes_output_not_feasibility(self):
         instance = random_wsc(4)
@@ -198,7 +205,9 @@ class TestExact:
     @settings(max_examples=20, deadline=None)
     def test_matches_brute_force(self, seed):
         instance = random_wsc(seed, num_elements=5, num_sets=5)
-        assert exact_wsc(instance).cost == pytest.approx(brute_force_wsc(instance))
+        solution = exact_wsc(instance)
+        assert solution.cost == pytest.approx(brute_force_wsc(instance))
+        assert solution.lower_bound == solution.cost
 
     def test_node_limit_raises(self):
         instance = random_wsc(0, num_elements=7, num_sets=10)
