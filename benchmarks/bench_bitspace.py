@@ -27,18 +27,13 @@ import random
 import statistics
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
 from repro.core import MC3Instance, OverlayCost, TableCost  # noqa: E402
-from repro.core.kernels import (  # noqa: E402
-    available_backends,
-    resolve_backend_name,
-    use_backend,
-)
 from repro.core.mincover import min_cover  # noqa: E402
 from repro.core.properties import iter_nonempty_subsets  # noqa: E402
 from repro.core.reference import (  # noqa: E402
@@ -128,25 +123,6 @@ def median_seconds(fn: Callable[[], object], repeats: int) -> float:
     return statistics.median(samples)
 
 
-def timed_backends(
-    run_new: Callable[[], object],
-    repeats: int,
-    identical: Callable[[object], bool],
-) -> Dict[str, Dict]:
-    """Run the kernel path under every *available* backend — equivalence
-    check first, then timing — selected through ``use_backend`` so the
-    benchmarked code is exactly what callers get.  An absent numpy simply
-    drops the array entry from the report."""
-    entries: Dict[str, Dict] = {}
-    for name in available_backends():
-        with use_backend(name):
-            entries[name] = {
-                "identical": identical(run_new()),
-                "median_s": median_seconds(run_new, repeats),
-            }
-    return entries
-
-
 def workload_entry(
     params: Dict,
     run_new: Callable[[], object],
@@ -155,12 +131,12 @@ def workload_entry(
     identical: Callable[[object], bool],
     outputs: Dict,
 ) -> Dict:
-    backends = timed_backends(run_new, repeats, identical)
+    """Equivalence check of the kernel path first, then its timing."""
     return {
         "params": params,
-        "identical": all(entry["identical"] for entry in backends.values()),
+        "identical": identical(run_new()),
         "reference_median_s": reference_median,
-        "backends": backends,
+        "median_s": median_seconds(run_new, repeats),
         "outputs": outputs,
     }
 
@@ -265,12 +241,10 @@ def bench_bucket_greedy(repeats: int, num_elements: int, num_sets: int) -> Dict:
 
 
 def check_solver_equivalence() -> Dict:
-    """Every registered solver, under every available backend: identical
-    solution on the bench instance whether it runs on the mask kernels
-    or the patched-in references."""
+    """Every registered solver: identical solution on the bench instance
+    whether it runs on the mask kernels or the patched-in references."""
     instance = solver_check_instance()
     kwargs = {"mc3-robust": {"redundancy": 1}}
-    checked: List[str] = []
     with patch_reference_kernels():
         patched_results = {}
         for name in available_solvers():
@@ -281,20 +255,15 @@ def check_solver_equivalence() -> Dict:
                 # k <= 2 specialists reject the general bench instance
                 # the same way on both code paths; nothing to compare.
                 continue
-    for backend_name in available_backends():
-        for name, patched in patched_results.items():
-            solver = make_solver(name, backend=backend_name, **kwargs.get(name, {}))
-            current = solver.solve(instance)
-            if (
-                current.solution.classifiers != patched.solution.classifiers
-                or current.cost != patched.cost
-            ):
-                raise AssertionError(
-                    f"solver {name!r} on backend {backend_name!r} diverged "
-                    "from reference kernels"
-                )
-        checked.extend(f"{name}@{backend_name}" for name in sorted(patched_results))
-    return {"checked": checked, "identical": True}
+    for name, patched in patched_results.items():
+        solver = make_solver(name, **kwargs.get(name, {}))
+        current = solver.solve(instance)
+        if (
+            current.solution.classifiers != patched.solution.classifiers
+            or current.cost != patched.cost
+        ):
+            raise AssertionError(f"solver {name!r} diverged from reference kernels")
+    return {"checked": sorted(patched_results), "identical": True}
 
 
 def run_all(smoke: bool = False, repeats: int = 5) -> Dict:
@@ -320,21 +289,18 @@ def run_all(smoke: bool = False, repeats: int = 5) -> Dict:
         "bucket_greedy_wsc": bench_bucket_greedy(repeats, *sizes["bucket_greedy"]),
     }
     for name, entry in workloads.items():
-        reference = entry["reference_median_s"]
-        for backend_entry in entry["backends"].values():
-            median = backend_entry["median_s"]
-            backend_entry["speedup"] = (
-                round(reference / median, 2) if median > 0 else math.inf
-            )
+        median = entry["median_s"]
+        entry["speedup"] = (
+            round(entry["reference_median_s"] / median, 2) if median > 0 else math.inf
+        )
         if not entry["identical"]:
             raise AssertionError(f"workload {name!r} outputs diverged")
     return {
         "benchmark": "bitspace",
-        "schema": 2,
+        "schema": 3,
         "python": sys.version.split()[0],
         "mode": "smoke" if smoke else "full",
         "repeats": repeats,
-        "default_backend": resolve_backend_name(None),
         "workloads": workloads,
         "solver_equivalence": check_solver_equivalence(),
     }
@@ -352,19 +318,13 @@ def main(argv=None) -> int:
     for name, entry in results["workloads"].items():
         print(
             f"{name:20s} reference {entry['reference_median_s'] * 1e3:9.2f} ms"
+            f"  kernel {entry['median_s'] * 1e3:9.2f} ms"
+            f"  speedup {entry['speedup']:6.2f}x"
             f"  identical={entry['identical']}"
         )
-        for backend_name, backend_entry in sorted(entry["backends"].items()):
-            print(
-                f"  {backend_name:18s} {backend_entry['median_s'] * 1e3:9.2f} ms"
-                f"  speedup {backend_entry['speedup']:6.2f}x"
-                f"  identical={backend_entry['identical']}"
-            )
-    print(f"default backend: {results['default_backend']}")
     print(
         "solver equivalence: "
-        f"{len(results['solver_equivalence']['checked'])} "
-        "solver/backend pairs identical"
+        f"{len(results['solver_equivalence']['checked'])} solvers identical"
     )
     if options.save:
         with open(options.save, "w") as handle:

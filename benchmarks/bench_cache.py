@@ -39,7 +39,6 @@ sys.path.insert(
 )
 
 from repro.core import MC3Instance, TableCost  # noqa: E402
-from repro.core.kernels.registry import resolve_backend_name  # noqa: E402
 from repro.core.properties import iter_nonempty_subsets  # noqa: E402
 from repro.engine.cache import MemorySolutionCache  # noqa: E402
 from repro.solvers import make_solver  # noqa: E402
@@ -177,7 +176,6 @@ def run_all(blocks: int = BLOCKS, repeats: int = REPEATS) -> Dict[str, object]:
         "python": sys.version.split()[0],
         "mode": "smoke" if blocks < BLOCKS else "full",
         "repeats": repeats,
-        "default_backend": resolve_backend_name(None),
         "workload": {
             "blocks": blocks,
             "queries_per_block": QUERIES_PER_BLOCK,

@@ -64,8 +64,6 @@ def _solver_kwargs(args: argparse.Namespace) -> dict:
         kwargs["jobs"] = args.jobs
     if getattr(args, "dispatch_k2", False):
         kwargs["dispatch_k2"] = True
-    if getattr(args, "backend", None) is not None:
-        kwargs["backend"] = args.backend
     if getattr(args, "solver_seed", None) is not None:
         kwargs["seed"] = args.solver_seed
     if getattr(args, "sample_rate", None):
@@ -101,18 +99,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="solve components whose queries all have length <= 2 exactly "
         "via max-flow instead of the WSC approximation",
-    )
-    from repro.core.kernels.registry import backend_choices
-
-    parser.add_argument(
-        "--backend",
-        choices=backend_choices(),
-        default=None,
-        help="kernel backend for the mask hot paths: pyjit (pure python), "
-        "array (numpy column-packed; requires numpy >= 2), or auto "
-        "(array when available). Default: the REPRO_KERNEL_BACKEND "
-        "environment variable, else pyjit. Output is bit-identical "
-        "across backends",
     )
     parser.add_argument(
         "--seed",

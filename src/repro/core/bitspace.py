@@ -163,7 +163,8 @@ class PropertySpace:
             yield mask ^ sub, sub
             sub = (sub - 1) & rest
 
-    def iter_two_cover_masks(self, mask: int) -> Iterator[Tuple[int, int]]:
+    @staticmethod
+    def iter_two_cover_masks(mask: int) -> Iterator[Tuple[int, int]]:
         """Unordered pairs of non-empty *proper* submasks with union
         ``mask``, including overlapping pairs — the family of
         :func:`~repro.core.properties.iter_two_covers` (``O(3^len)``
@@ -242,7 +243,8 @@ class MaskCost:
 #: v2: cost content is fed as either a model content-token or the
 #: enumerated per-candidate prices (domain-separated).
 #: v3: the content token is scoped to the component's properties.
-FINGERPRINT_VERSION = 3
+#: v4: no kernel-backend knob (there is one kernel implementation).
+FINGERPRINT_VERSION = 4
 
 #: The rung slot cache lookups pin: cached entries always hold the
 #: *primary* solver's answer (fallback/degraded outputs are never
@@ -291,7 +293,6 @@ def component_fingerprint(
     component,
     solver_token: Sequence[object] = (),
     route: Optional[str] = None,
-    backend: Optional[str] = None,
     rung: str = PRIMARY_RUNG,
 ) -> str:
     """Canonical content hash of one property-disjoint component.
@@ -302,7 +303,7 @@ def component_fingerprint(
     :class:`PropertySpace` invariant makes this canonical), the query
     masks (sorted, so input order cannot leak in), the pricing content,
     and every output-affecting knob: the solver's cache token, the
-    engine route, the kernel backend, and the resilience rung slot.
+    engine route, and the resilience rung slot.
 
     Pricing is captured one of two domain-separated ways.  When the
     component's cost chain advertises a
@@ -370,7 +371,6 @@ def component_fingerprint(
     for part in tuple(solver_token):
         _feed_knob(digest, part)
     _feed_knob(digest, route)
-    _feed_knob(digest, backend)
     _feed_knob(digest, rung)
     return digest.hexdigest()
 

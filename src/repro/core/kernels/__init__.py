@@ -1,53 +1,8 @@
-"""Pluggable backends for the four batch mask kernels.
+"""The batch mask kernels.
 
-Public surface: the contracts in :mod:`repro.core.kernels.api` and the
-registry in :mod:`repro.core.kernels.registry`.  Implementation modules
-(``pyjit``, ``array``) are internal — import them only through the
-registry (reprolint RPL203).
+Everything lives in :mod:`repro.core.kernels.pyjit`: the one
+implementation of dominated pruning, both greedy set covers, the
+single-query min-cover DP and the sampled greedy's gain counts.  This
+package imports nothing eagerly, so ``core/mincover`` and ``setcover``
+can import the kernel module while it is itself importing them.
 """
-
-from repro.core.kernels.api import (
-    FORCED_COVER_MAX_CANDIDATES,
-    FORCED_COVER_MAX_LENGTH,
-    FORCED_COVER_NODE_BUDGET,
-    FULL_ENUMERATION_MAX_LENGTH,
-    KernelBackend,
-    MinCoverOutcome,
-    PrunesDominated,
-    describe,
-)
-from repro.core.kernels.registry import (
-    AUTO,
-    BACKEND_ENV_VAR,
-    available_backends,
-    backend_available,
-    backend_choices,
-    current_backend_name,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-    set_default_backend,
-    use_backend,
-)
-
-__all__ = [
-    "AUTO",
-    "BACKEND_ENV_VAR",
-    "FORCED_COVER_MAX_CANDIDATES",
-    "FORCED_COVER_MAX_LENGTH",
-    "FORCED_COVER_NODE_BUDGET",
-    "FULL_ENUMERATION_MAX_LENGTH",
-    "KernelBackend",
-    "MinCoverOutcome",
-    "PrunesDominated",
-    "available_backends",
-    "backend_available",
-    "backend_choices",
-    "current_backend_name",
-    "describe",
-    "get_backend",
-    "register_backend",
-    "resolve_backend_name",
-    "set_default_backend",
-    "use_backend",
-]

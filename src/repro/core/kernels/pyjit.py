@@ -1,18 +1,32 @@
-"""Pure-python kernel backend: interned-bitmask implementations.
+"""The mask kernels: every bitmask hot path of the solvers, in one module.
 
-This is the bitset rewrite's code, moved here verbatim from
-``preprocess/dominated.py``, ``setcover/greedy.py``, and
-``setcover/bucket_greedy.py`` (which remain as delegating shims), plus
-the bound-pruned rewrite of the min-cover subset DP that previously
-lived in ``core/mincover.py``.
+Five kernels take interned integer bitmasks in and hand deterministic
+decisions back: dominated-classifier pruning (Algorithm 1 step 3,
+:class:`DominatedPruner`), Chvátal greedy WSC (:func:`greedy_wsc`), the
+bucketed greedy of [CKW'10] (:func:`bucket_greedy_wsc`), the
+single-query min-cover subset DP (:func:`min_cover_dp`) and the
+sampled greedy's gain counts (:func:`sampled_gains`).  Each is
+bit-identical to its frozenset original in :mod:`repro.core.reference`
+— same selections, same tie-breaks, same costs — which the equivalence
+suite and ``benchmarks/bench_bitspace.py`` keep executable.
 
-min-cover DP bound, in brief (docs/algorithms.md §11 has the full
-derivation): with ``cheapest[b]`` the lightest candidate covering bit
-``b``, the heuristic ``h(mask) = max over missing bits b of
-cheapest[b]`` is an admissible *and consistent* lower bound on the cost
-of finishing a partial cover ``mask`` — any completion must cover every
-missing bit ``b`` with some candidate weighing at least ``cheapest[b]``,
-and for a transition adding candidate ``(s, w)``, every bit of ``s`` has
+Two-cover tables, in brief (docs/algorithms.md §11 has the full
+derivation): the decompositions step 3 prices for a classifier of
+length ``L`` are the unordered pairs of proper non-empty submasks whose
+union is the classifier.  Which pairs those are depends only on ``L``,
+so :data:`TWO_COVER_TABLES` enumerates them once per length, as local
+bit indices into the classifier's own submask lattice.  A classifier
+gathers its ``2^L - 2`` effective weights once and takes the minimum
+pair sum over the table — the same float sums the per-pair walk
+formed, so the same minimum.
+
+min-cover DP bound, in brief (docs/algorithms.md §11): with
+``cheapest[b]`` the lightest candidate covering bit ``b``, the
+heuristic ``h(mask) = max over missing bits b of cheapest[b]`` is an
+admissible *and consistent* lower bound on the cost of finishing a
+partial cover ``mask`` — any completion must cover every missing bit
+``b`` with some candidate weighing at least ``cheapest[b]``, and for a
+transition adding candidate ``(s, w)``, every bit of ``s`` has
 ``cheapest ≤ w``, so ``h(mask) ≤ max(h(mask|s), w) ≤ w + h(mask|s)``.
 Expansions with ``dp_cost[mask] + h(mask) > incumbent`` are skipped.
 Consistency makes the skip *bit-identical*, not merely cost-identical:
@@ -27,21 +41,63 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import add, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+# A module import, not ``from … import enumerate_covers_local``:
+# ``core/mincover`` imports this module for its DP, so either of the two
+# may be the one still initialising.
+from repro.core import mincover
 from repro.core.bitspace import MaskCost, PropertySpace, mask_union, popcount
 from repro.core.costs import OverlayCost
-from repro.core.kernels.api import (
-    FORCED_COVER_MAX_CANDIDATES,
-    FORCED_COVER_MAX_LENGTH,
-    FORCED_COVER_NODE_BUDGET,
-    FULL_ENUMERATION_MAX_LENGTH,
-    MinCoverOutcome,
-)
-from repro.core.mincover import enumerate_covers_local
 from repro.core.properties import Classifier, Query
 from repro.exceptions import InvalidInstanceError, SolverError
 from repro.setcover.instance import WSCInstance, WSCSolution
+
+# ----------------------------------------------------------------------
+# Dominated-pruning tuning constants
+# ----------------------------------------------------------------------
+
+#: Beyond this classifier length the ``O(3^len)`` full decomposition
+#: enumeration switches to the ``O(2^len)`` disjoint-only family (still a
+#: sound pruning rule, merely less aggressive).
+FULL_ENUMERATION_MAX_LENGTH = 7
+
+#: Forced-cover detection enumerates irredundant covers, which is
+#: exponential in the query length; skip it for longer queries.
+FORCED_COVER_MAX_LENGTH = 5
+
+#: Per-query budget for the uniqueness search; exhausting it means the
+#: query conservatively counts as having multiple covers.
+FORCED_COVER_NODE_BUDGET = 3000
+
+#: Queries with more available candidates than this skip the uniqueness
+#: test outright — a unique cover among that many candidates is
+#: vanishingly rare and the search is the expensive part.
+FORCED_COVER_MAX_CANDIDATES = 24
+
+#: ``min_cover_dp`` outcome: ``(cost, chosen candidate indices in
+#: selection order)``, or ``None`` when the target mask is unreachable.
+MinCoverOutcome = Optional[Tuple[float, List[int]]]
+
+
+def _two_cover_table(length: int) -> Tuple[itemgetter, itemgetter]:
+    """Getters for the two sides of every two-cover of the full
+    ``length``-bit mask, as local indices (``a < b`` orientation)."""
+    full = (1 << length) - 1
+    pairs = list(PropertySpace.iter_two_cover_masks(full))
+    return itemgetter(*(a for a, _ in pairs)), itemgetter(*(b for _, b in pairs))
+
+
+#: ``TWO_COVER_TABLES[L]`` for ``3 <= L <= FULL_ENUMERATION_MAX_LENGTH``:
+#: applied to a classifier's local weight list (index ``i`` = the
+#: submask whose ``j``-th bit is the classifier's ``j``-th lowest bit
+#: iff bit ``j`` of ``i`` is set), the two getters return the weights of
+#: each pair's sides.  Built once at import; read-only afterwards.
+TWO_COVER_TABLES: Dict[int, Tuple[itemgetter, itemgetter]] = {
+    length: _two_cover_table(length)
+    for length in range(3, FULL_ENUMERATION_MAX_LENGTH + 1)
+}
 
 
 class DominatedPruner:
@@ -58,11 +114,9 @@ class DominatedPruner:
     (line 10) and the pass repeats for classifiers intersecting the
     selections (line 11).
 
-    State mutations that the effective-weight sweep depends on go
-    through the ``_set_effective`` / ``_drop_effective`` /
-    ``_apply_remove`` / ``_apply_select`` hooks so array-oriented
-    subclasses can mirror them into vectorized storage without touching
-    the control flow (which is what makes the decisions bit-identical).
+    Lengths 3 to :data:`FULL_ENUMERATION_MAX_LENGTH` price every
+    two-cover through :data:`TWO_COVER_TABLES`; longer classifiers price
+    their two-partitions, materialised once per mask.
     """
 
     def __init__(
@@ -86,26 +140,10 @@ class DominatedPruner:
         self._removed_masks: Set[int] = set()
         self.forced: List[Classifier] = []
         self._universe_cache: Optional[List[int]] = None
-        # Decomposition pairs per classifier never change (only their
-        # costs do), so they are materialised once and reused across the
-        # fixpoint re-passes.
-        self._decomposition_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-
-    # -- mutation hooks (overridden by array subclasses) ---------------
-
-    def _set_effective(self, mask: int, value: float) -> None:
-        self._effective[mask] = value
-
-    def _drop_effective(self, mask: int) -> None:
-        self._effective.pop(mask, None)
-
-    def _apply_remove(self, mask: int) -> None:
-        self._cost.remove(mask)
-
-    def _apply_select(self, mask: int) -> None:
-        self._cost.select(mask)
-
-    # ------------------------------------------------------------------
+        # Two-partitions of classifiers longer than the tables reach:
+        # they never change (only their costs do), so they are
+        # materialised once and reused across the fixpoint re-passes.
+        self._partition_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
     def _universe(self) -> List[int]:
         """All candidate classifier masks of the component, by increasing
@@ -136,27 +174,41 @@ class DominatedPruner:
             return direct
         return min(memo, direct)
 
-    def _decompositions(self, mask: int) -> Tuple[Tuple[int, int], ...]:
-        cached = self._decomposition_cache.get(mask)
-        if cached is not None:
-            return cached
-        length = popcount(mask)
-        if length == 2:
-            # The only pair of proper submasks with union XY is (X, Y).
-            low = mask & -mask
-            pairs: Tuple[Tuple[int, int], ...] = ((low, mask ^ low),)
-        elif length <= FULL_ENUMERATION_MAX_LENGTH:
-            pairs = tuple(self.space.iter_two_cover_masks(mask))
-        else:
-            pairs = tuple(self.space.iter_two_partition_masks(mask))
-        self._decomposition_cache[mask] = pairs
-        return pairs
+    def _cheapest_decomposition(self, mask: int, length: int) -> float:
+        """Cheapest ``effective(a) + effective(b)`` over the
+        decompositions of a classifier of ``length >= 3`` bits."""
+        table = TWO_COVER_TABLES.get(length)
+        if table is None:
+            return self._cheapest_partition(mask)
+        memo = self._effective.get
+        cost = self._cost.cost
+        # weights[i] = effective weight of the submask with local index
+        # i.  Descending submask enumeration visits local indices in
+        # descending order too, because the local relabelling keeps the
+        # bits' order and so the submasks' numeric order.
+        weights = [0.0] * (1 << length)
+        index = len(weights) - 2
+        sub = (mask - 1) & mask
+        while sub:
+            weight = cost(sub)
+            cached = memo(sub)
+            if cached is not None and cached < weight:
+                weight = cached
+            weights[index] = weight
+            index -= 1
+            sub = (sub - 1) & mask
+        first, second = table
+        return min(map(add, first(weights), second(weights)))
 
-    def _cheapest_decomposition(self, mask: int) -> float:
+    def _cheapest_partition(self, mask: int) -> float:
+        pairs = self._partition_cache.get(mask)
+        if pairs is None:
+            pairs = tuple(self.space.iter_two_partition_masks(mask))
+            self._partition_cache[mask] = pairs
         best = math.inf
         memo = self._effective
         cost = self._cost.cost
-        for part_a, part_b in self._decompositions(mask):
+        for part_a, part_b in pairs:
             # Inlined effective_weight: min(memoised decomposition, direct).
             weight = cost(part_a)
             cached = memo.get(part_a)
@@ -187,6 +239,8 @@ class DominatedPruner:
             universe = sorted(set(targets), key=popcount)
         removed_count = 0
         cost = self._cost.cost
+        remove = self._cost.remove
+        effective = self._effective
         removed_masks = self._removed_masks
         for mask in universe:
             length = popcount(mask)
@@ -199,11 +253,11 @@ class DominatedPruner:
                 low = mask & -mask
                 decomposition_cost = cost(low) + cost(mask ^ low)
             else:
-                decomposition_cost = self._cheapest_decomposition(mask)
+                decomposition_cost = self._cheapest_decomposition(mask, length)
             direct = cost(mask)
-            self._set_effective(mask, min(direct, decomposition_cost))
+            effective[mask] = min(direct, decomposition_cost)
             if math.isfinite(direct) and decomposition_cost <= direct:
-                self._apply_remove(mask)
+                remove(mask)
                 removed_masks.add(mask)
                 self.removed.add(self.space.set_of(mask))
                 removed_count += 1
@@ -236,7 +290,7 @@ class DominatedPruner:
             if unique is not None:
                 for mask in unique:
                     if self._cost.cost(mask) > 0:
-                        self._apply_select(mask)
+                        self._cost.select(mask)
                         newly_forced.append(mask)
         return newly_forced
 
@@ -262,7 +316,7 @@ class DominatedPruner:
                 local |= 1 << local_of[low.bit_length() - 1]
                 sub ^= low
             usable.append((local, weight))
-        covers, exhausted = enumerate_covers_local(
+        covers, exhausted = mincover.enumerate_covers_local(
             full, usable, limit=2, node_budget=FORCED_COVER_NODE_BUDGET
         )
         if exhausted or len(covers) != 1:
@@ -298,6 +352,7 @@ class DominatedPruner:
         cannot have changed.
         """
         space = self.space
+        effective = self._effective
         uncovered_masks = [space.mask_of(q) for q in uncovered]
         queries_by_bit: Dict[int, List[int]] = {}
         for qmask in uncovered_masks:
@@ -340,7 +395,7 @@ class DominatedPruner:
                     if mask & affected_mask and mask not in self._removed_masks:
                         touched.add(mask)
                         # Invalidate memo so the zeroed selections are seen.
-                        self._drop_effective(mask)
+                        effective.pop(mask, None)
             total_removed += self._pass_remove(touched)
             pending = still_uncovered
         return total_removed, self.forced
@@ -559,8 +614,8 @@ def sampled_gains(member_masks: Sequence[int], covered: int) -> List[int]:
 
     ``gains[i] = popcount(member_masks[i] & ~covered)`` — the seeding
     step of the sampling-based greedy's restricted sub-instance solve.
-    Counts are exact integers, so every backend is bit-identical by
-    construction.
+    Counts are exact integers, so the result is bit-identical to the
+    per-element count by construction.
     """
     if covered == 0:
         return [mask.bit_count() for mask in member_masks]
@@ -590,6 +645,10 @@ def min_cover_dp(full: int, usable: Sequence[Tuple[int, float]]) -> MinCoverOutc
     h, incumbent = tables
 
     INF = math.inf
+    # Negative weights leave the incumbent infinite and pruning off —
+    # tightening it to dp_cost[full] would be unsound too, since a
+    # costlier state can still finish cheaper.
+    prune = incumbent < INF
     size = full + 1
     dp_cost = [INF] * size
     dp_count = [0] * size
@@ -602,13 +661,15 @@ def min_cover_dp(full: int, usable: Sequence[Tuple[int, float]]) -> MinCoverOutc
         cost_here = dp_cost[mask]
         if cost_here is INF:
             continue
-        full_cost = dp_cost[full]
-        if full_cost < incumbent:
-            incumbent = full_cost
-        if cost_here + h[mask] > incumbent:
-            # No completion from here can beat or tie the incumbent, so
-            # skipping the expansion cannot change any surviving entry.
-            continue
+        if prune:
+            full_cost = dp_cost[full]
+            if full_cost < incumbent:
+                incumbent = full_cost
+            if cost_here + h[mask] > incumbent:
+                # No completion from here can beat or tie the incumbent,
+                # so skipping the expansion cannot change any surviving
+                # entry.
+                continue
         count_here = dp_count[mask]
         for idx, (clf_mask, weight) in enumerate(usable):
             nxt = mask | clf_mask
@@ -639,33 +700,3 @@ def min_cover_dp(full: int, usable: Sequence[Tuple[int, float]]) -> MinCoverOutc
         mask = prev_mask
     chosen.reverse()
     return dp_cost[full], chosen
-
-
-class PyJitBackend:
-    """The always-available pure-python backend."""
-
-    name = "pyjit"
-
-    def make_dominated_pruner(
-        self,
-        queries: Sequence[Query],
-        overlay: OverlayCost,
-        max_classifier_length: Optional[int] = None,
-    ) -> DominatedPruner:
-        return DominatedPruner(queries, overlay, max_classifier_length)
-
-    def greedy_wsc(self, instance: WSCInstance) -> WSCSolution:
-        return greedy_wsc(instance)
-
-    def bucket_greedy_wsc(
-        self, instance: WSCInstance, epsilon: float = 0.1
-    ) -> WSCSolution:
-        return bucket_greedy_wsc(instance, epsilon)
-
-    def min_cover_dp(
-        self, full: int, usable: Sequence[Tuple[int, float]]
-    ) -> MinCoverOutcome:
-        return min_cover_dp(full, usable)
-
-    def sampled_gains(self, member_masks: Sequence[int], covered: int) -> List[int]:
-        return sampled_gains(member_masks, covered)

@@ -1,189 +1,21 @@
-"""Kernel backend registry: names → lazily constructed backends.
+"""The name of the kernel implementation, for run headers.
 
-The registry is the only sanctioned path to a kernel implementation
-(reprolint RPL203 enforces this outside ``core/kernels/``).  It owns:
-
-* **registration** — ``pyjit`` (always available) and ``array``
-  (available when numpy ≥ 2 with ``bitwise_count`` is importable) are
-  registered at import; future backends plug in the same way;
-* **resolution** — a choice string (``"pyjit"``, ``"array"``, or
-  ``"auto"``) resolves to a concrete backend name; ``auto`` picks
-  ``array`` when numpy is present and falls back to ``pyjit``;
-* **the active default** — ``None`` choices resolve to the innermost
-  :func:`use_backend` context, else to the process default, which is
-  seeded from the ``REPRO_KERNEL_BACKEND`` environment variable (read
-  once at import) and falls back to ``pyjit``.  The conservative
-  pure-python default keeps tiny components free of per-call numpy
-  overhead; opt into ``array`` per solver, per route, or process-wide.
-
-Backends are memoized: repeated :func:`get_backend` calls return the
-same instance, so per-pruner caches and the like amortize naturally.
+There is one kernel implementation, :mod:`repro.core.kernels.pyjit`.
+Benchmark harnesses that record which implementation a run used (the
+``kernel_backend`` field of the ``perfbench`` run header) still ask for
+it by this name, so the name stays answerable.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-from repro.core.kernels.api import KernelBackend
-from repro.exceptions import SolverError
-
-#: Environment variable consulted once, at import, for the process-wide
-#: default backend choice.
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: The adaptive choice: ``array`` when available, else ``pyjit``.
-AUTO = "auto"
-
-_FALLBACK_CHOICE = "pyjit"
-
-_LOADERS: Dict[str, Callable[[], KernelBackend]] = {}
-_AVAILABILITY: Dict[str, Callable[[], bool]] = {}
-_INSTANCES: Dict[str, KernelBackend] = {}
-
-#: Choices pushed by :func:`use_backend`, innermost last.  Fork-based
-#: worker pools inherit the stack as of the fork, so tasks dispatched
-#: inside a ``use_backend`` block keep the choice in child processes.
-_STACK: List[str] = []
-
-
-def register_backend(
-    name: str,
-    loader: Callable[[], KernelBackend],
-    available: Optional[Callable[[], bool]] = None,
-) -> None:
-    """Register a backend factory.
-
-    ``loader`` builds the backend on first use; ``available`` (default:
-    always true) gates it on optional dependencies without importing
-    them eagerly.
-    """
-    if name == AUTO:
-        raise SolverError(f"backend name {AUTO!r} is reserved")
-    _LOADERS[name] = loader
-    if available is not None:
-        _AVAILABILITY[name] = available
-    _INSTANCES.pop(name, None)
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` is registered and its dependencies import."""
-    if name not in _LOADERS:
-        return False
-    probe = _AVAILABILITY.get(name)
-    return True if probe is None else bool(probe())
-
-
-def available_backends() -> List[str]:
-    """Names of registered backends whose dependencies are present."""
-    return [name for name in sorted(_LOADERS) if backend_available(name)]
-
-
-def backend_choices() -> Tuple[str, ...]:
-    """Every accepted choice string (registered names plus ``auto``)."""
-    return tuple(sorted(_LOADERS)) + (AUTO,)
+from typing import Optional
 
 
 def resolve_backend_name(choice: Optional[str] = None) -> str:
-    """Resolve a choice to a concrete backend name.
+    """Always ``"pyjit"``, the one kernel implementation.
 
-    ``None`` means "the active default": the innermost
-    :func:`use_backend` context if any, else the process default.
+    ``choice`` is accepted and ignored so that callers written against
+    the earlier multi-backend registry, which passed ``None`` for "the
+    active default", keep working.
     """
-    if choice is None:
-        choice = _STACK[-1] if _STACK else _default_choice()
-    if choice == AUTO:
-        return "array" if backend_available("array") else "pyjit"
-    if choice not in _LOADERS:
-        known = ", ".join(backend_choices())
-        raise SolverError(f"unknown kernel backend {choice!r} (known: {known})")
-    return choice
-
-
-def get_backend(choice: Optional[str] = None) -> KernelBackend:
-    """The memoized backend instance for ``choice`` (see
-    :func:`resolve_backend_name` for ``None`` / ``auto`` semantics)."""
-    name = resolve_backend_name(choice)
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        if not backend_available(name):
-            raise SolverError(
-                f"kernel backend {name!r} is not available on this host "
-                "(missing optional dependency); available: "
-                + ", ".join(available_backends())
-            )
-        instance = _LOADERS[name]()
-        _INSTANCES[name] = instance
-    return instance
-
-
-@contextmanager
-def use_backend(choice: Optional[str]) -> Iterator[None]:
-    """Scope the active default backend to a ``with`` block.
-
-    ``None`` is a no-op (keep whatever is active), so call sites can
-    thread an optional override without branching.  ``auto`` resolves on
-    entry, so the whole block sees one concrete backend.
-    """
-    if choice is None:
-        yield
-        return
-    _STACK.append(resolve_backend_name(choice))
-    try:
-        yield
-    finally:
-        _STACK.pop()
-
-
-def set_default_backend(choice: Optional[str]) -> None:
-    """Set the process-wide default (e.g. from a CLI flag).
-
-    ``None`` restores the import-time default.  ``auto`` is resolved
-    eagerly so later availability changes cannot flip the meaning of an
-    explicit request mid-run.
-    """
-    global _PROCESS_CHOICE
-    _PROCESS_CHOICE = None if choice is None else resolve_backend_name(choice)
-
-
-def current_backend_name() -> str:
-    """The concrete name a ``None`` choice resolves to right now."""
-    return resolve_backend_name(None)
-
-
-def _default_choice() -> str:
-    if _PROCESS_CHOICE is not None:
-        return _PROCESS_CHOICE
-    return _ENV_CHOICE or _FALLBACK_CHOICE
-
-
-# One-time configuration read, not per-solve nondeterminism: the value
-# is sampled at import, so a single process can never observe two
-# different environment-derived defaults.
-_ENV_CHOICE = os.environ.get(BACKEND_ENV_VAR)  # reprolint: ignore[RPL102] import-time config read, sampled once
-
-#: Explicit process-wide override installed by :func:`set_default_backend`.
-_PROCESS_CHOICE: Optional[str] = None
-
-
-def _load_pyjit() -> KernelBackend:
-    from repro.core.kernels import pyjit
-
-    return pyjit.PyJitBackend()
-
-
-def _load_array() -> KernelBackend:
-    from repro.core.kernels import array
-
-    return array.ArrayBackend()
-
-
-def _array_available() -> bool:
-    from repro.core.kernels import array
-
-    return array.NUMPY_AVAILABLE
-
-
-register_backend("pyjit", _load_pyjit)
-register_backend("array", _load_array, available=_array_available)
+    return "pyjit"

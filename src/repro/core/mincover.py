@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.kernels.registry import get_backend
+from repro.core.kernels import pyjit
 from repro.core.properties import Classifier, Query
 from repro.exceptions import UncoverableQueryError
 
@@ -48,7 +48,8 @@ def min_cover_local(
     full: int,
     usable: Sequence[Tuple[int, float]],
 ) -> Optional[Tuple[float, List[int]]]:
-    """Mask-native min-cover DP (shim over the kernel layer).
+    """Mask-native min-cover DP (the :mod:`~repro.core.kernels.pyjit`
+    kernel).
 
     ``usable`` holds ``(mask, weight)`` pairs over query-local bits
     (``full`` is the all-ones target mask); the caller guarantees masks
@@ -56,10 +57,10 @@ def min_cover_local(
     ``(cost, chosen indices)`` — indices into ``usable`` in selection
     order — or ``None`` when ``full`` is unreachable.  Ties break toward
     fewer sets, then earliest ``usable`` order, exactly as the public
-    wrapper always has; every backend's bound-pruned DP reproduces the
-    historical exhaustive sweep bit for bit.
+    wrapper always has; the bound-pruned DP reproduces the historical
+    exhaustive sweep bit for bit.
     """
-    return get_backend().min_cover_dp(full, usable)
+    return pyjit.min_cover_dp(full, usable)
 
 
 def min_cover(

@@ -14,10 +14,9 @@ resolution strategies, in decreasing precision:
   subclass subtree, which is what makes taint flow through the
   ``ComponentSolver`` template-method pattern sound;
 * **registry indirection** — method calls on *unknown* receivers
-  resolve through the dispatch tables the registries define: the
-  :class:`~repro.core.kernels.api.KernelBackend` protocol names (and
-  the pruner surface) map to every implementation in the kernel
-  package, ``solve_component`` on an unknown receiver maps to every
+  resolve through dispatch tables: the dominated pruner's surface
+  (``run``, ``effective_weight``) maps to every implementation in the
+  kernel package, ``solve_component`` on an unknown receiver maps to every
   ``solve_component`` in the program, and a ``make_solver(...)`` call
   maps to the constructor of every class registered in
   ``solvers/registry.py``'s ``_FACTORIES``.
@@ -35,14 +34,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.reprolint.analysis.modgraph import ModuleGraph, ModuleTable
 
-#: The KernelBackend protocol surface plus the pruner object it hands
-#: out — method calls on unknown receivers with these names dispatch to
-#: every implementation inside the kernel package.
+#: The dominated pruner's surface: the preprocessing pipeline calls it
+#: on an object it built, so method calls on unknown receivers with
+#: these names dispatch to every implementation inside the kernel
+#: package.
 KERNEL_DISPATCH_METHODS = (
-    "make_dominated_pruner",
-    "greedy_wsc",
-    "bucket_greedy_wsc",
-    "min_cover_dp",
     "run",
     "effective_weight",
 )
@@ -95,8 +91,8 @@ class FunctionInfo:
 
 
 def _local_aliases(node: ast.FunctionDef) -> Dict[str, str]:
-    """Function-level import aliases (the registry loaders import their
-    backend modules lazily inside the loader body)."""
+    """Function-level import aliases (modules imported lazily inside a
+    function body)."""
     aliases: Dict[str, str] = {}
     for inner in ast.walk(node):
         if isinstance(inner, ast.Import):

@@ -10,7 +10,7 @@ Rule id taxonomy:
 * ``RPL3xx`` — solver contract (engine bypass, registry coverage);
 * ``RPL4xx`` — hygiene (mutable defaults, bare except);
 * ``RPL5xx`` — whole-program analysis (interprocedural determinism
-  taint, kernel-backend purity, seeded-randomness discipline); these
+  taint, kernel purity, seeded-randomness discipline); these
   only run under ``--analyze``;
 * ``RPL0xx`` — meta (RPL000 syntax error, RPL001 unused suppression).
 """

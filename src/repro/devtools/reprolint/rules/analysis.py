@@ -1,5 +1,5 @@
 """Whole-program rules (RPL5xx): interprocedural determinism taint,
-kernel-backend purity, and the seeded-randomness discipline.
+kernel purity, and the seeded-randomness discipline.
 
 These rules only run under ``--analyze``: they consume the shared
 :class:`~repro.devtools.reprolint.analysis.WholeProgramAnalysis`
@@ -19,15 +19,7 @@ from repro.devtools.reprolint.analysis.callgraph import _local_aliases, iter_cal
 from repro.devtools.reprolint.analysis.taint import _is_seeded_rng
 from repro.devtools.reprolint.model import SourceModule, Violation
 from repro.devtools.reprolint.registry import AnalysisRule, register
-from repro.devtools.reprolint.scopes import in_kernels_package, repro_relative
-
-#: Kernel modules exempt from the purity contract: the registry *is*
-#: the sanctioned config surface, and api.py only declares protocols.
-_KERNEL_CONTRACT_EXEMPT = (
-    "core/kernels/__init__.py",
-    "core/kernels/registry.py",
-    "core/kernels/api.py",
-)
+from repro.devtools.reprolint.scopes import in_kernels_package
 
 #: Method calls that mutate their receiver in place.
 _MUTATING_METHODS = {
@@ -194,31 +186,29 @@ class UnorderedFloatSumRule(_TaintSinkRule):
 @register
 class KernelPurityRule(AnalysisRule):
     rule_id = "RPL503"
-    name = "kernel-backend-purity"
+    name = "kernel-purity"
     summary = (
-        "kernel backend implementations may not write globals, mutate "
-        "their instance/grid arguments, or read ambient config"
+        "kernel modules may not write globals, mutate their "
+        "instance/grid arguments, or read ambient config"
     )
     rationale = (
-        "use_backend() scoping and the pyjit ≡ array equivalence suite "
-        "are sound only if a kernel call is a pure function of its "
-        "explicit arguments: no global writes (state leaking across "
-        "calls), no mutation of the WSCInstance or mask grids the "
-        "caller still owns (the next backend would see different "
-        "input), and no os.environ reads outside the registry (the "
-        "registry is the single sanctioned config surface).  The "
-        "dominated pruner's caller-provided `overlay` parameter is the "
-        "one sanctioned write-through."
+        "The kernels' equivalence to the core/reference.py oracles, "
+        "and the bit-identity of jobs=1 and jobs=N runs, hold only if a "
+        "kernel call is a pure function of its explicit arguments: no "
+        "global writes (state leaking from one call, or one component, "
+        "into the next; lookup tables are module constants built at "
+        "import), no mutation of the WSCInstance or mask grids the "
+        "caller still owns (the caller's next step would see different "
+        "input), and no os.environ reads (a kernel's output may not "
+        "depend on the process it runs in).  The dominated pruner's "
+        "caller-provided `overlay` parameter is the one sanctioned "
+        "write-through."
     )
 
     def check_program(self, analysis) -> Iterable[Violation]:
         for module in analysis.modules:
-            rel = repro_relative(module.scope_key)
-            if rel is None or rel in _KERNEL_CONTRACT_EXEMPT:
-                continue
-            if not in_kernels_package(module.scope_key):
-                continue
-            yield from self._check_module(module)
+            if in_kernels_package(module.scope_key):
+                yield from self._check_module(module)
 
     def _check_module(self, module: SourceModule) -> Iterable[Violation]:
         yield from self._check_env_reads(module)
@@ -237,9 +227,9 @@ class KernelPurityRule(AnalysisRule):
                 yield module.violation(
                     self,
                     node,
-                    "kernel implementation reads ambient config "
-                    f"(os.{node.attr}); backend selection and tuning "
-                    "must flow through the registry",
+                    "kernel reads ambient config "
+                    f"(os.{node.attr}); kernels take every input "
+                    "as an explicit argument",
                 )
 
     def _check_function(

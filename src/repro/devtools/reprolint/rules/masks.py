@@ -16,7 +16,6 @@ from typing import Iterable
 from repro.devtools.reprolint.model import SourceModule, Violation
 from repro.devtools.reprolint.registry import Rule, register
 from repro.devtools.reprolint.scopes import (
-    in_kernels_package,
     in_mask_scope,
     in_src,
     in_tests_or_benchmarks,
@@ -168,85 +167,4 @@ class ReferenceImportRule(Rule):
             "package code imports the reference oracle "
             f"({_REFERENCE_DOTTED}); only patch_reference_kernels(), "
             "tests, and benchmarks may reach it",
-        )
-
-
-# ----------------------------------------------------------------------
-# RPL203 — importing kernel backend implementations directly
-# ----------------------------------------------------------------------
-
-_KERNEL_IMPL_MODULES = (
-    "repro.core.kernels.pyjit",
-    "repro.core.kernels.array",
-)
-
-_KERNEL_PACKAGE = "repro.core.kernels"
-
-_KERNEL_IMPL_NAMES = tuple(name.rsplit(".", 1)[1] for name in _KERNEL_IMPL_MODULES)
-
-
-@register
-class KernelImplImportRule(Rule):
-    rule_id = "RPL203"
-    name = "kernel-impl-import"
-    summary = (
-        "backend implementation modules (core/kernels/pyjit.py, "
-        "core/kernels/array.py) may only be imported inside "
-        "core/kernels/, tests, or benchmarks"
-    )
-    rationale = (
-        "The kernel layer's whole point is that callers pick a backend "
-        "through the registry (get_backend / use_backend), which "
-        "resolves availability, the environment default, and per-route "
-        "overrides.  Package code importing repro.core.kernels.pyjit or "
-        ".array directly hard-wires one implementation, bypasses the "
-        "availability guard (the array module imports numpy), and makes "
-        "the backend choice invisible to telemetry.  Go through "
-        "repro.core.kernels (the registry) instead."
-    )
-
-    def applies_to(self, module: SourceModule) -> bool:
-        return (
-            in_src(module.scope_key)
-            and not in_kernels_package(module.scope_key)
-            and not in_tests_or_benchmarks(module.path)
-        )
-
-    def check(self, module: SourceModule) -> Iterable[Violation]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.startswith(_KERNEL_IMPL_MODULES):
-                        yield self._flag(module, node, alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                if node.module in _KERNEL_IMPL_MODULES:
-                    yield self._flag(module, node, node.module)
-                elif node.module == _KERNEL_PACKAGE:
-                    for alias in node.names:
-                        if alias.name in _KERNEL_IMPL_NAMES:
-                            yield self._flag(
-                                module,
-                                node,
-                                f"{_KERNEL_PACKAGE}.{alias.name}",
-                            )
-            elif isinstance(node, ast.Call):
-                func = node.func
-                is_import_module = (
-                    isinstance(func, ast.Attribute) and func.attr == "import_module"
-                ) or (isinstance(func, ast.Name) and func.id == "import_module")
-                if is_import_module and any(
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and arg.value.startswith(_KERNEL_IMPL_MODULES)
-                    for arg in node.args
-                ):
-                    yield self._flag(module, node, "a kernel impl module")
-
-    def _flag(self, module: SourceModule, node: ast.AST, which: str) -> Violation:
-        return module.violation(
-            self,
-            node,
-            f"direct import of kernel backend implementation ({which}); "
-            "resolve backends through the repro.core.kernels registry "
-            "(get_backend / use_backend) instead",
         )

@@ -34,12 +34,11 @@ DETERMINISM_DIRS = (
 
 #: Modules rewritten onto interned bitmasks in PR 2; frozenset algebra
 #: inside them (outside the PropertySpace boundary) is a regression.
-#: The kernel backends (PR 6) host the moved hot paths and carry the
+#: The kernel module (PR 6) hosts the moved hot paths and carries the
 #: same contract.
 MASK_MODULES = (
     "core/mincover.py",
     "core/kernels/pyjit.py",
-    "core/kernels/array.py",
     "preprocess/dominated.py",
     "preprocess/decompose.py",
     "reductions/mc3_to_wsc.py",
@@ -85,8 +84,8 @@ def in_mask_scope(scope_key: str) -> bool:
 
 
 def in_kernels_package(scope_key: str) -> bool:
-    """The kernel-backend package itself (RPL203): the only package
-    code allowed to import the backend implementation modules."""
+    """The kernel package, whose modules RPL503 holds to the purity
+    contract."""
     rel = repro_relative(scope_key)
     return rel is not None and rel.startswith("core/kernels/")
 

@@ -4,7 +4,7 @@ The preprocessing step splits every workload into property-disjoint
 components, and :func:`repro.core.bitspace.component_fingerprint` hashes
 one component's *entire* solve-relevant content — interned property
 grid, query masks, candidate costs, and every output-affecting knob
-(solver token, route, kernel backend, resilience rung slot).  That makes
+(solver token, route, resilience rung slot).  That makes
 a component solution **content-addressed**: a fingerprint hit is
 provably the same answer a fresh solve would produce, so repeated
 traffic (sweep repetitions, nested subset prefixes, incremental batch
@@ -30,14 +30,14 @@ material, never fallback-rung answers — see
 :func:`repro.engine.engine.SolveEngine.run`), each already checked by
 the independent coverage verifier in the executor.
 
-Configuration mirrors the kernel-backend registry: a choice string
-(``"off"``/``"memory"``/``"disk"``), a process default seeded once at
-import from ``REPRO_SOLUTION_CACHE`` (directory and budget from
-``REPRO_SOLUTION_CACHE_DIR`` / ``REPRO_SOLUTION_CACHE_MB``), an
-explicit :func:`set_default_cache` override, and memoized shared
-instances per normalized :class:`CacheConfig`.  Configs are plain
-picklable dataclasses so experiment workers can carry the *spec* across
-process boundaries; cache objects themselves never cross it.
+Configuration is a choice string (``"off"``/``"memory"``/``"disk"``),
+a process default seeded once at import from ``REPRO_SOLUTION_CACHE``
+(directory and budget from ``REPRO_SOLUTION_CACHE_DIR`` /
+``REPRO_SOLUTION_CACHE_MB``), an explicit :func:`set_default_cache`
+override, and memoized shared instances per normalized
+:class:`CacheConfig`.  Configs are plain picklable dataclasses so
+experiment workers can carry the *spec* across process boundaries;
+cache objects themselves never cross it.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ ENTRY_VERSION = 1
 DETAILS_VERSION = 2
 
 #: Environment variables consulted once, at import, for the process-wide
-#: default cache configuration (mirrors ``REPRO_KERNEL_BACKEND``).
+#: default cache configuration.
 CACHE_ENV_VAR = "REPRO_SOLUTION_CACHE"
 CACHE_DIR_ENV_VAR = "REPRO_SOLUTION_CACHE_DIR"
 CACHE_MB_ENV_VAR = "REPRO_SOLUTION_CACHE_MB"
@@ -600,8 +600,7 @@ def _env_max_mb() -> float:
 
 # One-time configuration reads, not per-solve nondeterminism: sampled at
 # import, so a single process can never observe two different
-# environment-derived cache defaults (same pattern as the kernel
-# registry's REPRO_KERNEL_BACKEND).
+# environment-derived cache defaults.
 _ENV_CHOICE = os.environ.get(CACHE_ENV_VAR)
 _ENV_DIR = os.environ.get(CACHE_DIR_ENV_VAR)
 _ENV_MB = os.environ.get(CACHE_MB_ENV_VAR)

@@ -33,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bitspace import component_fingerprint
 from repro.core.instance import MC3Instance
-from repro.core.kernels.registry import resolve_backend_name
 from repro.core.solution import Solution
 from repro.engine.cache import (
     CacheRunStats,
@@ -81,12 +80,6 @@ class SolveEngine:
         :class:`~repro.engine.resilience.PartialSolution`.  ``None``
         (the default) means ``ResiliencePolicy()``: a failed component
         re-raises its solver's own exception.
-    backend:
-        Kernel-backend choice for the mask kernels (a
-        :mod:`repro.core.kernels.registry` choice string: a backend
-        name or ``"auto"``).  ``None`` (the default) uses the active
-        registry default.  Resolved once per run, so telemetry and
-        worker tasks always carry a concrete name.
     cache:
         Component-solution cache spec (see :mod:`repro.engine.cache`):
         a choice string (``"off"``/``"memory"``/``"disk"``), a
@@ -107,14 +100,12 @@ class SolveEngine:
         jobs: int = 1,
         routes: Sequence[Route] = (),
         resilience: Optional[ResiliencePolicy] = None,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
     ):
         self.preprocess_steps = tuple(preprocess_steps)
         self.jobs = max(1, int(jobs))
         self.routes = tuple(routes)
         self.resilience = resilience or ResiliencePolicy()
-        self.backend = backend
         self.cache = cache
 
     # ------------------------------------------------------------------
@@ -123,13 +114,12 @@ class SolveEngine:
         self, instance: MC3Instance, component_solver: SolvesComponents
     ) -> Tuple[Solution, Dict[str, object]]:
         """Execute the full pipeline; returns (solution, details)."""
-        backend_name = resolve_backend_name(self.backend)
         cache = resolve_cache(self.cache)
         prep = preprocess(instance, steps=self.preprocess_steps)
-        tasks = self._schedule(prep.components, component_solver, backend_name)
+        tasks = self._schedule(prep.components, component_solver)
 
         mode = "process-pool" if self.jobs > 1 and len(tasks) >= 2 else "sequential"
-        telemetry = EngineTelemetry(jobs=self.jobs, mode=mode, backend=backend_name)
+        telemetry = EngineTelemetry(jobs=self.jobs, mode=mode)
         telemetry.preprocess_seconds = prep.report.elapsed_seconds
 
         # An active chaos injector bypasses the cache entirely: a hit
@@ -203,11 +193,9 @@ class SolveEngine:
         self,
         components: Iterable[MC3Instance],
         component_solver: SolvesComponents,
-        backend_name: str,
     ) -> List[ComponentTask]:
         """Assign each component to the first matching route, else the
-        default solver; every task carries the run's resolved kernel
-        backend, so pool workers activate the one the parent chose."""
+        default solver."""
         tasks: List[ComponentTask] = []
         for index, component in enumerate(components):
             target: SolvesComponents = component_solver
@@ -217,7 +205,7 @@ class SolveEngine:
                     target = route
                     route_name = route.name
                     break
-            tasks.append((index, target, component, route_name, backend_name))
+            tasks.append((index, target, component, route_name))
         return tasks
 
     # ------------------------------------------------------------------
@@ -243,7 +231,7 @@ class SolveEngine:
         hit_outcomes: List[ComponentOutcome] = []
         pending: List[ComponentTask] = []
         for task in tasks:
-            index, target, component, route_name, task_backend = task
+            index, target, component, route_name = task
             token = cache_token_of(target)
             if token is None:
                 stats.uncacheable += 1
@@ -254,7 +242,6 @@ class SolveEngine:
                 component,
                 solver_token=token,
                 route=route_name,
-                backend=task_backend,
             )
             blob = cache.get(fingerprint)
             decoded = decode_entry(blob, fingerprint) if blob is not None else None

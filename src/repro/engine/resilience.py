@@ -2,8 +2,8 @@
 
 The paper solves each property-disjoint component independently
 (Observation 3.2); :func:`run_components` is the executor every engine
-run goes through.  It takes ``(index, solver, component, route,
-backend)`` tasks and returns :class:`ComponentOutcome` objects *in
+run goes through.  It takes ``(index, solver, component, route)``
+tasks and returns :class:`ComponentOutcome` objects *in
 index order* regardless of completion order, which is what makes
 ``jobs=N`` output bit-identical to ``jobs=1``.  Around each component
 solve it runs the paper's implicit quality ladder (Algorithm 3 takes
@@ -81,7 +81,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from repro.core.bitspace import PropertySpace
 from repro.core.coverage import verify_cover
 from repro.core.instance import MC3Instance
-from repro.core.kernels.registry import use_backend
 from repro.core.mincover import min_cover_from_model
 from repro.core.properties import Classifier, Query
 from repro.core.solution import Solution
@@ -97,10 +96,8 @@ from repro.exceptions import (
 from repro.reductions import mc3_to_wsc
 from repro.setcover import derive_seed, greedy_wsc, primal_dual_wsc, sampled_greedy_wsc
 
-#: One unit of work: (component index, solver-like, component, route name,
-#: kernel backend name).  The backend is resolved by the scheduler, so a
-#: worker process activates the same concrete backend the parent chose.
-ComponentTask = Tuple[int, SolvesComponents, MC3Instance, Optional[str], Optional[str]]
+#: One unit of work: (component index, solver-like, component, route name).
+ComponentTask = Tuple[int, SolvesComponents, MC3Instance, Optional[str]]
 
 #: What a completed attempt returns: (classifiers, details, solve seconds).
 AttemptResult = Tuple[FrozenSet[Classifier], Dict[str, object], float]
@@ -124,11 +121,10 @@ def pool_context():
 
 def _solve_one(task: ComponentTask) -> AttemptResult:
     """Worker: solve one component, timed.  Module-level for pickling."""
-    index, solver, component, _route, backend = task
+    index, solver, component, _route = task
     started = time.perf_counter()
     try:
-        with use_backend(backend):
-            classifiers, details = solver.solve_component(component)
+        classifiers, details = solver.solve_component(component)
     except ReproError as exc:
         # Annotate in the worker, where the real traceback still exists.
         # Instance attributes survive pickling via the exception's state
@@ -530,7 +526,6 @@ class _ChainState:
         "index",
         "component",
         "route",
-        "backend",
         "chain",
         "pos",
         "attempt",
@@ -539,7 +534,7 @@ class _ChainState:
     )
 
     def __init__(self, task: ComponentTask, policy: ResiliencePolicy):
-        self.index, primary, self.component, self.route, self.backend = task
+        self.index, primary, self.component, self.route = task
         self.chain = policy.chain_for(primary)
         self.pos = 0
         self.attempt = 0
@@ -565,7 +560,6 @@ class _ChainState:
             self.attempt_solver(policy),
             self.component,
             self.route,
-            self.backend,
         )
 
     def failure(
@@ -666,8 +660,7 @@ def _exhausted_outcome(
         # the deterministic floor the degrade contract promises.
         rung = QueryOrientedRung()
         started = time.perf_counter()
-        with use_backend(state.backend):
-            classifiers, details = rung.solve_component(state.component)
+        classifiers, details = rung.solve_component(state.component)
         seconds = time.perf_counter() - started
         report.degraded.append(state.index)
         details = dict(details)

@@ -45,7 +45,6 @@ class EngineTelemetry:
     __slots__ = (
         "jobs",
         "mode",
-        "backend",
         "preprocess_seconds",
         "solve_seconds",
         "merge_seconds",
@@ -67,11 +66,9 @@ class EngineTelemetry:
         "components_certified",
     )
 
-    def __init__(self, jobs: int, mode: str, backend: Optional[str] = None):
+    def __init__(self, jobs: int, mode: str):
         self.jobs = jobs
         self.mode = mode
-        # Resolved kernel backend every component of the run used.
-        self.backend = backend
         self.preprocess_seconds = 0.0
         self.solve_seconds = 0.0
         self.merge_seconds = 0.0
@@ -198,7 +195,6 @@ class EngineTelemetry:
         rendered: Dict[str, object] = {
             "jobs": self.jobs,
             "mode": self.mode,
-            "backend": self.backend,
             "preprocess_seconds": self.preprocess_seconds,
             "solve_seconds": self.solve_seconds,
             "merge_seconds": self.merge_seconds,

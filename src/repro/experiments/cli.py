@@ -16,7 +16,6 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional
 
-from repro.core.kernels.registry import backend_choices, set_default_backend
 from repro.engine.cache import (
     CACHE_ENV_VAR,
     CacheConfig,
@@ -104,14 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also append the rendered results to this file (markdown-friendly)",
     )
     parser.add_argument(
-        "--backend",
-        choices=backend_choices(),
-        default=None,
-        help="kernel backend for the mask hot paths (process-wide default "
-        "for every solver the experiments construct); output is "
-        "bit-identical across backends",
-    )
-    parser.add_argument(
         "--cache",
         choices=cache_choices(),
         default=None,
@@ -136,9 +127,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="cache size budget in megabytes (default 64)",
     )
     args = parser.parse_args(argv)
-
-    if args.backend is not None:
-        set_default_backend(args.backend)
 
     cache_enabled = (
         args.cache is not None

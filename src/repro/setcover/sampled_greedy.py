@@ -38,7 +38,7 @@ import random
 from hashlib import blake2b
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.kernels.registry import get_backend
+from repro.core.kernels import pyjit
 from repro.exceptions import SolverError, UncoverableQueryError
 from repro.setcover.greedy import greedy_wsc
 from repro.setcover.instance import WSCInstance, WSCSolution
@@ -130,7 +130,7 @@ def _greedy_restricted(
     set_ids = sorted(buffers)
     masks = [int.from_bytes(buffers[set_id], "little") for set_id in set_ids]
     costs = [system.set_cost(set_id) for set_id in set_ids]
-    gains = get_backend().sampled_gains(masks, 0)
+    gains = pyjit.sampled_gains(masks, 0)
 
     # Lazy-deletion heap, same discipline and tie-breaks as the full
     # greedy kernel: ties on ratio resolve by lowest (global) set id.

@@ -21,7 +21,6 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import MC3Instance
-from repro.core.kernels.registry import use_backend
 from repro.core.properties import Classifier
 from repro.core.solution import Solution, SolverResult
 from repro.engine.component import ComponentOutcome
@@ -43,12 +42,6 @@ class Solver(ABC):
         Solvers built on the shared engine honour it; solvers without a
         component decomposition (the baselines) accept and ignore it, so
         harnesses can pass ``jobs=`` uniformly to any registered solver.
-    backend:
-        Kernel-backend choice for the mask kernels (a
-        :mod:`repro.core.kernels.registry` choice string: a backend name
-        or ``"auto"``).  ``None`` (the default) uses the active registry
-        default.  The choice is installed around the whole ``_solve``
-        call, so baselines and engine-based solvers honour it alike.
     cache:
         Component-solution cache spec (see :mod:`repro.engine.cache`): a
         choice string (``"off"``/``"memory"``/``"disk"``), a
@@ -67,12 +60,10 @@ class Solver(ABC):
         self,
         verify: bool = True,
         jobs: int = 1,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
     ):
         self.verify = verify
         self.jobs = max(1, int(jobs))
-        self.backend = backend
         self.cache = cache
 
     def cache_token(self) -> Optional[Tuple[object, ...]]:
@@ -90,8 +81,7 @@ class Solver(ABC):
     def solve(self, instance: MC3Instance) -> SolverResult:
         """Solve the instance; timed and (optionally) verified."""
         started = time.perf_counter()
-        with use_backend(self.backend):
-            solution, details = self._solve(instance)
+        solution, details = self._solve(instance)
         elapsed = time.perf_counter() - started
         if self.verify:
             solution.verify(instance)
@@ -126,10 +116,9 @@ class ComponentSolver(Solver):
         jobs: int = 1,
         verify: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
     ):
-        super().__init__(verify=verify, jobs=jobs, backend=backend, cache=cache)
+        super().__init__(verify=verify, jobs=jobs, cache=cache)
         self.preprocess_steps = tuple(preprocess_steps)
         self.resilience = resilience
 
@@ -167,7 +156,6 @@ class ComponentSolver(Solver):
             jobs=self.jobs,
             routes=self.routes(),
             resilience=self.resilience,
-            backend=self.backend,
             cache=self.cache,
         )
         return engine.run(instance, self)

@@ -42,7 +42,6 @@ class ExactSolver(ComponentSolver):
         jobs: int = 1,
         verify: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
     ):
         super().__init__(
@@ -50,7 +49,6 @@ class ExactSolver(ComponentSolver):
             jobs=jobs,
             verify=verify,
             resilience=resilience,
-            backend=backend,
             cache=cache,
         )
         if engine not in ("combinatorial", "lp"):

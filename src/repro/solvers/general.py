@@ -87,7 +87,6 @@ class GeneralSolver(ComponentSolver):
         jobs: int = 1,
         verify: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
     ):
         super().__init__(
@@ -95,7 +94,6 @@ class GeneralSolver(ComponentSolver):
             jobs=jobs,
             verify=verify,
             resilience=resilience,
-            backend=backend,
             cache=cache,
         )
         self.wsc_method = wsc_method

@@ -53,7 +53,6 @@ class K2Solver(ComponentSolver):
         jobs: int = 1,
         verify: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
     ):
         super().__init__(
@@ -61,7 +60,6 @@ class K2Solver(ComponentSolver):
             jobs=jobs,
             verify=verify,
             resilience=resilience,
-            backend=backend,
             cache=cache,
         )
         self.flow_algorithm = flow_algorithm

@@ -135,11 +135,10 @@ class RefinedSolver(Solver):
         dispatch_k2: bool = False,
         jobs: int = 1,
         verify: bool = True,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
         **general_kwargs,
     ):
-        super().__init__(verify=verify, jobs=jobs, backend=backend, cache=cache)
+        super().__init__(verify=verify, jobs=jobs, cache=cache)
         self.max_rounds = max_rounds
         self.preprocess_steps = tuple(preprocess_steps)
         self.dispatch_k2 = dispatch_k2
@@ -150,7 +149,6 @@ class RefinedSolver(Solver):
             dispatch_k2=dispatch_k2,
             jobs=jobs,
             verify=False,
-            backend=backend,
             cache=cache,
             **general_kwargs,
         )

@@ -60,7 +60,6 @@ class RobustSolver(ComponentSolver):
         jobs: int = 1,
         verify: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
     ):
         super().__init__(
@@ -68,7 +67,6 @@ class RobustSolver(ComponentSolver):
             jobs=jobs,
             verify=verify,
             resilience=resilience,
-            backend=backend,
             cache=cache,
         )
         if redundancy < 1:

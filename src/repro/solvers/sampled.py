@@ -87,7 +87,6 @@ class SampledSolver(ComponentSolver):
         jobs: int = 1,
         verify: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
     ):
         super().__init__(
@@ -95,7 +94,6 @@ class SampledSolver(ComponentSolver):
             jobs=jobs,
             verify=verify,
             resilience=resilience,
-            backend=backend,
             cache=cache,
         )
         self.seed = int(seed)

@@ -46,10 +46,9 @@ class ShortFirstSolver(Solver):
         jobs: int = 1,
         verify: bool = True,
         resilience: Optional[ResiliencePolicy] = None,
-        backend: Optional[str] = None,
         cache: Optional[object] = None,
     ):
-        super().__init__(verify=verify, jobs=jobs, backend=backend, cache=cache)
+        super().__init__(verify=verify, jobs=jobs, cache=cache)
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
@@ -72,7 +71,6 @@ class ShortFirstSolver(Solver):
                 jobs=self.jobs,
                 verify=False,  # the combined solution is verified once
                 resilience=self.resilience,
-                backend=self.backend,
                 cache=self.cache,
             )
             short_result = k2.solve(short)
@@ -95,7 +93,6 @@ class ShortFirstSolver(Solver):
                 jobs=self.jobs,
                 verify=False,
                 resilience=self.resilience,
-                backend=self.backend,
                 cache=self.cache,
             )
             long_result = general.solve(residual)

@@ -34,18 +34,21 @@ def mc3_instances(
     max_queries: int = 6,
     price_all: bool = True,
     drop_rate: float = 0.3,
+    max_query_length: int = 4,
 ) -> MC3Instance:
     """A coverable random instance with an explicit cost table.
 
     ``price_all=False`` drops a share of non-singleton classifiers
     (infinite weight) while keeping singletons, so every query stays
-    coverable.
+    coverable.  Queries have at most ``max_query_length`` properties
+    (at most ``len(PROPERTY_NAMES)``).
     """
+    query_strategy = st.frozensets(properties, min_size=1, max_size=max_query_length)
     query_set = draw(
-        st.frozensets(queries, min_size=min_queries, max_size=max_queries)
+        st.frozensets(query_strategy, min_size=min_queries, max_size=max_queries)
     )
     if not query_set:
-        query_set = frozenset([draw(queries)])
+        query_set = frozenset([draw(query_strategy)])
     table: Dict[FrozenSet[str], float] = {}
     for q in sorted(query_set, key=sorted):
         for clf in iter_nonempty_subsets(q):

@@ -12,7 +12,7 @@ every registered solver.
 import math
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MC3Instance, OverlayCost, TableCost
@@ -164,23 +164,50 @@ class TestMinCoverEquivalence:
             ]
 
 
+#: A query of every length from 1 to 8 (lengths 3–7 price two-covers
+#: through the per-length tables, length 8 its two-partitions).  The
+#: concave, unevenly scaled prices make step 3 remove some classifiers
+#: of every length from 2 to 7 and keep others; the ``p1 p3`` hole
+#: makes a part with no direct price.
+LONG_QUERIES = [frozenset(f"p{i}" for i in range(length)) for length in range(1, 9)]
+LONG_TABLE = {
+    clf: len(clf) ** 0.5 * (1 + sum(int(p[1:]) for p in clf) % 4)
+    for q in LONG_QUERIES
+    for clf in iter_nonempty_subsets(q)
+    if clf != frozenset(("p1", "p3"))
+}
+
+
+def _assert_pruner_matches_reference(instance):
+    overlay_new = OverlayCost(instance.cost)
+    overlay_ref = OverlayCost(instance.cost)
+    pruner = DominatedPruner(instance.queries, overlay_new)
+    reference = ReferenceDominatedPruner(instance.queries, overlay_ref)
+    assert pruner.run(instance.queries) == reference.run(instance.queries)
+    assert pruner.forced == reference.forced
+    assert pruner.removed == reference.removed
+    assert overlay_new.overrides == overlay_ref.overrides
+    for q in instance.queries:
+        for clf in iter_nonempty_subsets(q):
+            assert pruner.effective_weight(clf) == reference.effective_weight(clf)
+
+
 class TestDominatedPrunerEquivalence:
     @given(mc3_instances())
     @settings(max_examples=25, deadline=None)
     def test_run_matches_reference(self, instance):
-        overlay_new = OverlayCost(instance.cost)
-        overlay_ref = OverlayCost(instance.cost)
-        pruner = DominatedPruner(instance.queries, overlay_new)
-        reference = ReferenceDominatedPruner(instance.queries, overlay_ref)
-        assert pruner.run(instance.queries) == reference.run(instance.queries)
-        assert pruner.forced == reference.forced
-        assert pruner.removed == reference.removed
-        assert overlay_new.overrides == overlay_ref.overrides
-        for q in instance.queries:
-            for clf in iter_nonempty_subsets(q):
-                assert pruner.effective_weight(clf) == reference.effective_weight(
-                    clf
-                )
+        _assert_pruner_matches_reference(instance)
+
+    @example(MC3Instance(LONG_QUERIES, TableCost(LONG_TABLE)))
+    @given(
+        st.one_of(
+            mc3_instances(max_queries=3, max_query_length=8),
+            mc3_instances(max_queries=3, max_query_length=8, price_all=False),
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_run_matches_reference_up_to_length_8(self, instance):
+        _assert_pruner_matches_reference(instance)
 
 
 class TestReductionEquivalence:

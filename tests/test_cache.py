@@ -4,10 +4,10 @@ Four contracts, roughly in order of importance:
 
 1. **Fingerprint canonicality** — ``component_fingerprint`` is invariant
    under query reordering and ``PYTHONHASHSEED``, and sensitive to every
-   output-affecting knob (costs, solver token, route, backend, rung).
+   output-affecting knob (costs, solver token, route, rung).
 2. **Bit-identity** — a warm solve equals a cold solve equals an
-   uncached solve, under resilience, parallel dispatch, and either
-   kernel backend; chaos runs bypass the cache entirely.
+   uncached solve, under resilience and parallel dispatch; chaos runs
+   bypass the cache entirely.
 3. **Store mechanics** — LRU/byte eviction, disk atomicity, corrupt
    entries decoding as misses, stats/clear.
 4. **Plumbing** — telemetry section, picklable specs, the incremental
@@ -20,7 +20,6 @@ import pickle
 import subprocess
 import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,7 +55,6 @@ OUTSIDE = ["x0", "x1", "x2"]
 
 def fingerprint(instance, **kwargs):
     kwargs.setdefault("solver_token", ("mc3-general", "best_of", 50_000, True))
-    kwargs.setdefault("backend", "pyjit")
     return component_fingerprint(instance, **kwargs)
 
 
@@ -129,7 +127,6 @@ class TestFingerprint:
         reference = fingerprint(instance)
         assert fingerprint(instance, solver_token=("other", 1)) != reference
         assert fingerprint(instance, route="exact-k2") != reference
-        assert fingerprint(instance, backend="array") != reference
         assert fingerprint(instance, rung="fallback:greedy") != reference
         capped = MC3Instance(
             ["a b"], TableCost({"a": 3, "b": 2, "a b": 4}), max_classifier_length=1
@@ -238,29 +235,6 @@ class TestBitIdentity:
         warm = make_solver("mc3-general", cache=store).solve(instance)
         parallel = make_solver("mc3-general", jobs=4).solve(instance)
         assert outcome_of(warm) == outcome_of(parallel)
-
-    @pytest.mark.skipif(
-        "array" not in __import__(
-            "repro.core.kernels.registry", fromlist=["available_backends"]
-        ).available_backends(),
-        reason="numpy backend unavailable",
-    )
-    @given(mc3_instances(max_queries=4))
-    @settings(max_examples=10, deadline=None)
-    def test_pyjit_entries_serve_array_identically(self, instance):
-        # Backends are bit-identical by contract, but their fingerprints
-        # differ (the backend is an output-affecting knob) — so an
-        # array-backend solve must never *hit* a pyjit entry, and both
-        # must produce the same answer from disjoint entries.
-        store = MemorySolutionCache()
-        pyjit_cold = make_solver("mc3-general", backend="pyjit", cache=store).solve(
-            instance
-        )
-        array_cold = make_solver("mc3-general", backend="array", cache=store).solve(
-            instance
-        )
-        assert array_cold.details["engine"]["cache"]["hits"] == 0
-        assert outcome_of(pyjit_cold) == outcome_of(array_cold)
 
     def test_resilient_non_chaos_runs_use_cache(self, example11):
         store = MemorySolutionCache()

@@ -1,163 +1,42 @@
-"""The pluggable kernel-backend layer (registry + cross-backend identity).
+"""The mask kernels against the frozenset references and exact oracles.
 
-Three contracts are under test:
-
-* **registry semantics** — choice resolution (explicit name / ``auto`` /
-  ``None``), the ``use_backend`` scoping stack, the process default, the
-  import-time environment default, memoization, and the availability
-  gate for the optional numpy backend;
-* **bit-identity across backends** — every registered backend must
-  return *exactly* the same selections, tie-breaks, and costs as every
-  other on all four batch kernels (the reference-kernel oracle is
-  exercised separately in ``test_bitspace.py``);
-* **threading** — the backend choice a caller makes (solver kwarg,
-  ``use_backend`` block, per-route override) must reach the kernels and
-  surface in engine telemetry.
+:mod:`repro.core.kernels.pyjit` is the one implementation of the batch
+mask kernels.  Each must return *exactly* the selections, tie-breaks
+and costs of its pre-bitset original in :mod:`repro.core.reference`
+(Chvátal greedy, the bucketed greedy, the single-query min-cover DP),
+or the exact count it promises (the sampled greedy's gains).  The
+dominated pruner and the MC³ → WSC reduction are held to the same
+references in ``test_bitspace.py``.
 """
 
 import math
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import (
-    AUTO,
-    available_backends,
-    backend_available,
-    backend_choices,
-    current_backend_name,
-    describe,
-    get_backend,
-    resolve_backend_name,
-    set_default_backend,
-    use_backend,
+from repro.core.kernels import pyjit
+from repro.core.kernels.registry import resolve_backend_name
+from repro.core.reference import (
+    patch_reference_kernels,
+    reference_bucket_greedy_wsc,
+    reference_greedy_wsc,
+    reference_min_cover,
 )
-from repro.core.kernels import registry as kernel_registry
 from repro.datasets import synthetic
-from repro.exceptions import SolverError
 from repro.solvers import make_solver
 from tests.test_setcover import random_wsc
 
-ARRAY_AVAILABLE = backend_available("array")
-
-needs_array = pytest.mark.skipif(
-    not ARRAY_AVAILABLE, reason="array backend needs numpy >= 2"
-)
-
-
-# ----------------------------------------------------------------------
-# Registry semantics
-# ----------------------------------------------------------------------
-
 
 class TestRegistry:
-    def test_choices_and_availability(self):
-        choices = backend_choices()
-        assert "pyjit" in choices
-        assert "array" in choices
-        assert AUTO in choices
-        assert backend_available("pyjit")
-        assert "pyjit" in available_backends()
-        assert not backend_available("no-such-backend")
-
-    def test_unknown_choice_raises(self):
-        with pytest.raises(SolverError, match="unknown kernel backend"):
-            resolve_backend_name("vulkan")
-        with pytest.raises(SolverError, match="unknown kernel backend"):
-            get_backend("vulkan")
-
     def test_default_is_pyjit(self):
-        # No env var, no process override, no active use_backend block
-        # in this suite's process: None resolves to the conservative
-        # pure-python backend.
-        if kernel_registry._ENV_CHOICE is None:
-            assert resolve_backend_name(None) == "pyjit"
-
-    def test_auto_tracks_availability(self):
-        expected = "array" if ARRAY_AVAILABLE else "pyjit"
-        assert resolve_backend_name(AUTO) == expected
-
-    def test_get_backend_is_memoized(self):
-        assert get_backend("pyjit") is get_backend("pyjit")
-
-    def test_describe_lists_all_kernels(self):
-        info = describe(get_backend("pyjit"))
-        assert info["name"] == "pyjit"
-        assert info["kernels"] == [
-            "dominated_pruning",
-            "greedy_wsc",
-            "bucket_greedy_wsc",
-            "min_cover_dp",
-            "sampled_gains",
-        ]
-
-    def test_use_backend_scopes_and_nests(self):
-        outer = current_backend_name()
-        with use_backend("pyjit"):
-            assert current_backend_name() == "pyjit"
-            if ARRAY_AVAILABLE:
-                with use_backend("array"):
-                    assert current_backend_name() == "array"
-                assert current_backend_name() == "pyjit"
-        assert current_backend_name() == outer
-
-    def test_use_backend_none_is_a_no_op(self):
-        before = current_backend_name()
-        with use_backend(None):
-            assert current_backend_name() == before
-
-    def test_use_backend_resolves_auto_on_entry(self):
-        with use_backend(AUTO):
-            assert current_backend_name() in ("pyjit", "array")
-            assert current_backend_name() != AUTO
-
-    def test_set_default_backend_round_trips(self):
-        before = current_backend_name()
-        try:
-            set_default_backend("pyjit")
-            assert current_backend_name() == "pyjit"
-            # An explicit scope still wins over the process default.
-            if ARRAY_AVAILABLE:
-                with use_backend("array"):
-                    assert current_backend_name() == "array"
-        finally:
-            set_default_backend(None)
-        assert current_backend_name() == before
-
-    def test_env_choice_feeds_the_default(self, monkeypatch):
-        # The env var is sampled once at import; the default chain reads
-        # the sampled value, so patching it models a process started
-        # with REPRO_KERNEL_BACKEND set.
-        monkeypatch.setattr(kernel_registry, "_ENV_CHOICE", "pyjit")
-        monkeypatch.setattr(kernel_registry, "_PROCESS_CHOICE", None)
+        # Run headers still name the one kernel implementation.
+        assert resolve_backend_name() == "pyjit"
         assert resolve_backend_name(None) == "pyjit"
-        # An explicit process default overrides the environment.
-        monkeypatch.setattr(kernel_registry, "_PROCESS_CHOICE", "pyjit")
-        assert resolve_backend_name(None) == "pyjit"
-
-    def test_unavailable_backend_is_hidden_and_raises(self, monkeypatch):
-        # Simulate a numpy-less host: the array module is importable but
-        # reports unavailability, and the registry holds no memoized
-        # instance that could bypass the probe.
-        from repro.core.kernels import array as array_module
-
-        monkeypatch.setattr(array_module, "NUMPY_AVAILABLE", False)
-        monkeypatch.setattr(kernel_registry, "_INSTANCES", {})
-        assert not backend_available("array")
-        assert "array" not in available_backends()
-        assert resolve_backend_name(AUTO) == "pyjit"
-        with pytest.raises(SolverError, match="not available"):
-            get_backend("array")
-
-    def test_reserved_auto_name(self):
-        with pytest.raises(SolverError, match="reserved"):
-            kernel_registry.register_backend(AUTO, lambda: None)
 
 
 # ----------------------------------------------------------------------
-# Cross-backend bit-identity
+# Bit-identity with the reference kernels
 # ----------------------------------------------------------------------
 
 
@@ -170,6 +49,12 @@ def _dp_case(seed: int, bits: int, num_candidates: int, negative: bool):
         mask = rng.randint(1, full)
         usable.append((mask, rng.uniform(low, 5.0)))
     return full, usable
+
+
+def _classifier(mask: int):
+    """Local bit ``i`` as property ``b<i>`` (``bits <= 7`` keeps the
+    names' sorted order equal to the bit order)."""
+    return frozenset(f"b{bit}" for bit in range(mask.bit_length()) if mask >> bit & 1)
 
 
 def _brute_force_cover(full, usable):
@@ -190,25 +75,24 @@ def _brute_force_cover(full, usable):
     return None if math.isinf(best) else (best, best_count)
 
 
-@needs_array
-class TestCrossBackendIdentity:
+class TestReferenceIdentity:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_greedy_wsc_identical(self, seed):
         instance = random_wsc(seed, num_elements=3 + seed % 9, num_sets=1 + seed % 12)
-        pure = get_backend("pyjit").greedy_wsc(instance)
-        arr = get_backend("array").greedy_wsc(instance)
-        assert list(pure.set_ids) == list(arr.set_ids)
-        assert pure.cost == arr.cost
+        new = pyjit.greedy_wsc(instance)
+        ref = reference_greedy_wsc(instance)
+        assert list(new.set_ids) == list(ref.set_ids)
+        assert new.cost == ref.cost
 
     @given(seed=st.integers(0, 10_000), epsilon=st.sampled_from([0.05, 0.1, 0.5]))
     @settings(max_examples=40, deadline=None)
     def test_bucket_greedy_wsc_identical(self, seed, epsilon):
         instance = random_wsc(seed, num_elements=3 + seed % 9, num_sets=1 + seed % 12)
-        pure = get_backend("pyjit").bucket_greedy_wsc(instance, epsilon=epsilon)
-        arr = get_backend("array").bucket_greedy_wsc(instance, epsilon=epsilon)
-        assert list(pure.set_ids) == list(arr.set_ids)
-        assert pure.cost == arr.cost
+        new = pyjit.bucket_greedy_wsc(instance, epsilon=epsilon)
+        ref = reference_bucket_greedy_wsc(instance, epsilon=epsilon)
+        assert list(new.set_ids) == list(ref.set_ids)
+        assert new.cost == ref.cost
 
     @given(
         seed=st.integers(0, 10_000),
@@ -219,29 +103,34 @@ class TestCrossBackendIdentity:
     @settings(max_examples=60, deadline=None)
     def test_min_cover_dp_identical(self, seed, bits, num_candidates, negative):
         full, usable = _dp_case(seed, bits, num_candidates, negative)
-        pure = get_backend("pyjit").min_cover_dp(full, usable)
-        arr = get_backend("array").min_cover_dp(full, usable)
-        assert pure == arr
+        new = pyjit.min_cover_dp(full, usable)
+        query = _classifier(full)
+        ref = reference_min_cover(
+            query, [(_classifier(mask), weight) for mask, weight in usable],
+            required=False,
+        )
+        if ref is None:
+            assert new is None
+            return
+        cost, chosen = new
+        # The reference is the exhaustive sweep the bound-pruned DP
+        # replaced: same cost bits, same classifiers in the same order.
+        assert cost == ref.cost
+        assert tuple(_classifier(usable[idx][0]) for idx in chosen) == ref.classifiers
         if not negative:
             # Against the brute-force oracle: optimal cost, and the DP's
             # fewer-sets tie-break can never use more sets than some
-            # optimum.
+            # optimum.  The DP accumulates along its path, the oracle in
+            # index order — same optimum, possibly different float
+            # association, so compare with tolerance here.
             brute = _brute_force_cover(full, usable)
-            if brute is None:
-                assert pure is None
-            else:
-                cost, chosen = pure
-                # The DP accumulates along its path, the oracle in index
-                # order — same optimum, possibly different float
-                # association, so compare with tolerance here (the
-                # backend-vs-backend check above stays exact).
-                assert math.isclose(cost, brute[0], rel_tol=1e-9, abs_tol=1e-9)
-                total = sum(usable[idx][1] for idx in chosen)
-                assert math.isclose(total, cost, rel_tol=1e-9, abs_tol=1e-9)
-                union = 0
-                for idx in chosen:
-                    union |= usable[idx][0]
-                assert union == full
+            assert math.isclose(cost, brute[0], rel_tol=1e-9, abs_tol=1e-9)
+            total = sum(usable[idx][1] for idx in chosen)
+            assert math.isclose(total, cost, rel_tol=1e-9, abs_tol=1e-9)
+            union = 0
+            for idx in chosen:
+                union |= usable[idx][0]
+            assert union == full
 
     @given(
         seed=st.integers(0, 10_000),
@@ -255,96 +144,26 @@ class TestCrossBackendIdentity:
         full = (1 << bits) - 1
         masks = [rng.randint(1, full) for _ in range(num_masks)]
         covered = 0 if covered_none else rng.randint(0, full)
-        pure = get_backend("pyjit").sampled_gains(masks, covered)
-        arr = get_backend("array").sampled_gains(masks, covered)
-        assert pure == arr
         # Exact-count oracle: fresh coverage is a popcount over ~covered.
-        assert pure == [bin(mask & ~covered & full).count("1") for mask in masks]
+        assert pyjit.sampled_gains(masks, covered) == [
+            bin(mask & ~covered & full).count("1") for mask in masks
+        ]
 
     def test_min_cover_dp_trivial_and_unreachable(self):
-        for name in available_backends():
-            backend = get_backend(name)
-            assert backend.min_cover_dp(0, [(1, 1.0)]) == (0.0, [])
-            assert backend.min_cover_dp(0b111, [(0b001, 1.0)]) is None
-            assert backend.min_cover_dp(0b11, []) is None
-
-    def test_wide_masks_delegate_to_pyjit(self, monkeypatch):
-        # Masks past the int64 guard must take the pure-python path
-        # inside the array backend (arbitrary-width ints).  The guard is
-        # dispatch-only — a 2^70 dense DP table is unbuildable — so
-        # assert the delegation itself.
-        from repro.core.kernels import array as array_module
-
-        calls = {}
-
-        def probe(full, usable):
-            calls["args"] = (full, tuple(usable))
-            return (0.0, [])
-
-        monkeypatch.setattr(array_module.pyjit, "min_cover_dp", probe)
-        full = (1 << 70) - 1
-        assert array_module.min_cover_dp(full, [(full, 1.0)]) == (0.0, [])
-        assert calls["args"][0] == full
+        assert pyjit.min_cover_dp(0, [(1, 1.0)]) == (0.0, [])
+        assert pyjit.min_cover_dp(0b111, [(0b001, 1.0)]) is None
+        assert pyjit.min_cover_dp(0b11, []) is None
 
     @given(seed=st.integers(0, 400))
     @settings(max_examples=12, deadline=None)
-    def test_solver_pipeline_identical_across_backends(self, seed):
+    def test_solver_pipeline_identical_to_reference(self, seed):
         # End-to-end: the full GeneralSolver pipeline (preprocessing with
-        # dominated pruning, reduction, WSC) under each backend.
+        # dominated pruning, reduction, WSC) on the kernels and with the
+        # reference kernels patched in.
         instance = synthetic(n=60, seed=seed)
-        results = {}
-        for name in available_backends():
-            solver = make_solver(
-                "mc3-general", backend=name, preprocess_steps=(1, 2, 3)
-            )
-            results[name] = solver.solve(instance)
-        baseline = results["pyjit"]
-        for name, result in results.items():
-            assert result.solution.classifiers == baseline.solution.classifiers, name
-            assert result.cost == baseline.cost, name
-
-
-# ----------------------------------------------------------------------
-# Threading the choice through solvers, scopes, and routes
-# ----------------------------------------------------------------------
-
-
-class TestBackendThreading:
-    def test_solver_kwarg_reaches_engine_telemetry(self):
-        instance = synthetic(n=40, seed=11)
-        result = make_solver("mc3-general", backend="pyjit").solve(instance)
-        engine = result.details["engine"]
-        assert engine["backend"] == "pyjit"
-
-    @needs_array
-    def test_solver_kwarg_array(self):
-        instance = synthetic(n=40, seed=11)
-        result = make_solver("mc3-general", backend="array").solve(instance)
-        assert result.details["engine"]["backend"] == "array"
-
-    @needs_array
-    def test_use_backend_scope_wraps_solve(self):
-        instance = synthetic(n=40, seed=13)
-        solver = make_solver("mc3-general")  # no explicit choice
-        with use_backend("array"):
-            scoped = solver.solve(instance)
-        plain = solver.solve(instance)
-        assert scoped.details["engine"]["backend"] == "array"
-        assert plain.details["engine"]["backend"] == current_backend_name()
-        assert scoped.solution.classifiers == plain.solution.classifiers
-        assert scoped.cost == plain.cost
-
-    def test_solver_registry_accepts_backend_for_all_solvers(self):
-        # k <= 2 keeps every registered solver applicable (mc3-k2
-        # rejects longer queries).
-        instance = synthetic(n=30, seed=5, max_length=2)
-        from repro.solvers import available_solvers
-
-        for name in available_solvers():
-            try:
-                plain = make_solver(name).solve(instance)
-            except SolverError:
-                continue  # not applicable to this instance shape
-            result = make_solver(name, backend="pyjit").solve(instance)
-            assert result.solution.classifiers == plain.solution.classifiers
-            assert result.cost == plain.cost
+        solver = make_solver("mc3-general", preprocess_steps=(1, 2, 3))
+        current = solver.solve(instance)
+        with patch_reference_kernels():
+            patched = solver.solve(instance)
+        assert current.solution.classifiers == patched.solution.classifiers
+        assert current.cost == patched.cost

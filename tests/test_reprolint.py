@@ -144,21 +144,6 @@ PAIRED_FIXTURES = {
             return greedy_wsc(instance)
         """,
     ),
-    "RPL203": (
-        "src/repro/solvers/fastpath.py",
-        """
-        from repro.core.kernels.pyjit import greedy_wsc
-
-        def solve(instance):
-            return greedy_wsc(instance)
-        """,
-        """
-        from repro.core.kernels import get_backend
-
-        def solve(instance):
-            return get_backend().greedy_wsc(instance)
-        """,
-    ),
     "RPL204": (
         "src/repro/engine/cache.py",
         """

@@ -185,19 +185,19 @@ def test_call_cycle_terminates_and_is_reachable(tmp_path):
 def test_kernel_dispatch_on_unknown_receiver(tmp_path):
     sources = dict(MINI_PACKAGE)
     sources["src/repro/core/kernels/mykern.py"] = """
-        class MyKernel:
-            def greedy_wsc(self, instance):
+        class MyPruner:
+            def run(self, uncovered):
                 return 0
         """
     sources["src/repro/engine/use_kernel.py"] = """
-        def run_kernel(backend, instance):
-            return backend.greedy_wsc(instance)
+        def run_kernel(pruner, uncovered):
+            return pruner.run(uncovered)
         """
     analysis = build_program(tmp_path, sources)
     callers = analysis.call_graph.callers
     assert (
         "repro.engine.use_kernel.run_kernel"
-        in callers["repro.core.kernels.mykern.MyKernel.greedy_wsc"]
+        in callers["repro.core.kernels.mykern.MyPruner.run"]
     )
 
 
@@ -479,7 +479,7 @@ def test_rpl502_scoped_token_clean_twin(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# RPL503: kernel-backend purity
+# RPL503: kernel purity
 # ----------------------------------------------------------------------
 
 

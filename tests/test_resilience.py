@@ -33,7 +33,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MC3Instance, TableCost, UniformCost
-from repro.core.kernels import backend_available
 from repro.core.properties import iter_nonempty_subsets
 from repro.devtools.chaos import (
     CHAOS_MODES,
@@ -394,7 +393,7 @@ class TestFallbackChain:
 
     def test_custom_object_rung_is_accepted(self):
         components = tiny_components(1)
-        tasks = [(0, AlwaysFails(), components[0], None, None)]
+        tasks = [(0, AlwaysFails(), components[0], None)]
         policy = ResiliencePolicy(fallback=(resolve_rung("greedy"),))
         outcomes, report = run_components(tasks, jobs=1, policy=policy)
         assert outcomes[0].rung == "greedy"
@@ -431,7 +430,7 @@ class TestBreakerIntegration:
             chaos=chaos,
         )
         tasks = [
-            (i, resolve_rung("greedy"), component, None, None)
+            (i, resolve_rung("greedy"), component, None)
             for i, component in enumerate(components)
         ]
         outcomes, report = run_components(tasks, jobs=1, policy=policy)
@@ -463,7 +462,7 @@ class TestBreakerIntegration:
             chaos=chaos,
         )
         tasks = [
-            (i, resolve_rung("greedy"), component, None, None)
+            (i, resolve_rung("greedy"), component, None)
             for i, component in enumerate(components)
         ]
         outcomes, report = run_components(tasks, jobs=1, policy=policy)
@@ -491,7 +490,7 @@ class TestBreakerIntegration:
             on_error="degrade", breakers=board, chaos=chaos
         )
         tasks = [
-            (i, resolve_rung("greedy"), component, None, None)
+            (i, resolve_rung("greedy"), component, None)
             for i, component in enumerate(components)
         ]
         outcomes, report = run_components(tasks, jobs=1, policy=policy)
@@ -571,7 +570,7 @@ class TestCrashRecovery:
             }
         )
         tasks = [
-            (i, resolve_rung("greedy"), component, None, None)
+            (i, resolve_rung("greedy"), component, None)
             for i, component in enumerate(components)
         ]
         policy = ResiliencePolicy(
@@ -617,42 +616,6 @@ class TestDeterminism:
             assert (
                 sequential.solution.uncovered_queries
                 == pooled.solution.uncovered_queries
-            )
-
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_fixed_seed_is_bit_identical_across_kernel_backends(self, seed):
-        # The fault-injection decisions key off (component, rung,
-        # attempt), never off the kernel implementation, so a chaos run
-        # under the array backend must replay the pyjit run exactly —
-        # same retries, same degradations, same merged solution.
-        if not backend_available("array"):
-            pytest.skip("array backend needs numpy >= 2")
-        instance = multi_component_instance(seed, blocks=4)
-
-        def run(backend):
-            chaos = ChaosInjector(seed=seed, fault_rate=0.5, infeasible_rate=0.2)
-            policy = ResiliencePolicy(
-                on_error="degrade",
-                max_retries=1,
-                fallback=("greedy", "query-oriented"),
-                chaos=chaos,
-            )
-            return GeneralSolver(resilience=policy, backend=backend).solve(instance)
-
-        pure, array = run("pyjit"), run("array")
-        assert pure.solution.classifiers == array.solution.classifiers
-        assert pure.cost == array.cost
-        pure_engine, array_engine = pure.details["engine"], array.details["engine"]
-        assert pure_engine.get("rungs") == array_engine.get("rungs")
-        assert pure_engine["backend"] == "pyjit"
-        assert array_engine["backend"] == "array"
-        for key in ("degraded_components", "skipped_components", "failure_kinds"):
-            assert (
-                pure_engine["resilience"][key] == array_engine["resilience"][key]
-            ), key
-        if isinstance(pure.solution, PartialSolution):
-            assert (
-                pure.solution.uncovered_queries == array.solution.uncovered_queries
             )
 
     @settings(max_examples=8, deadline=None)
@@ -714,7 +677,7 @@ class TestExceptionTransport:
     def test_query_attribute_survives_a_real_pool(self, jobs):
         components = tiny_components(2)
         tasks = [
-            (i, RaisesUncoverable(), component, None, None)
+            (i, RaisesUncoverable(), component, None)
             for i, component in enumerate(components)
         ]
         with pytest.raises(UncoverableQueryError) as excinfo:
@@ -728,7 +691,7 @@ class TestExceptionTransport:
     def test_worker_traceback_and_index_annotated_in_pool(self, jobs):
         components = tiny_components(2)
         tasks = [
-            (i, AlwaysFails(), component, None, None)
+            (i, AlwaysFails(), component, None)
             for i, component in enumerate(components)
         ]
         with pytest.raises(SolverError) as excinfo:
@@ -745,7 +708,7 @@ class TestExceptionTransport:
     def test_failure_records_carry_worker_traceback(self):
         components = tiny_components(2)
         tasks = [
-            (i, AlwaysFails(), component, None, None)
+            (i, AlwaysFails(), component, None)
             for i, component in enumerate(components)
         ]
         policy = ResiliencePolicy(on_error="skip")
