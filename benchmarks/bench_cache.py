@@ -10,6 +10,15 @@ things on the engine pipeline:
   cache skips its solve entirely, so a fully warm run must be at least
   10x faster than the cold solve on the 2000-query workload.
 
+A third pass re-plans a **sliding window** over a BestBuy-like log with
+the full Algorithm 1, the way a planner re-plans as queries drift: each
+re-plan must equal a cache-off solve of its window bit for bit, and
+every warm re-plan must replay some step-3 sub-groups from the store's
+step-3 memo (docs/algorithms.md §2).  Its cold pass (a fresh store, so
+every sub-group misses the memo) gets the same 3 % overhead gate,
+against the same store without a memo.  The pass in which every
+sub-group is keyed and misses, a load's second plan, is reported.
+
 Both claims are checked against the paper-scale shape: ~250
 property-disjoint blocks x 8 queries of 4-6 properties each (~2000
 queries, thousands of distinct candidate classifiers), solved by
@@ -40,6 +49,7 @@ sys.path.insert(
 
 from repro.core import MC3Instance, TableCost  # noqa: E402
 from repro.core.properties import iter_nonempty_subsets  # noqa: E402
+from repro.datasets import bestbuy_like  # noqa: E402
 from repro.engine.cache import MemorySolutionCache  # noqa: E402
 from repro.solvers import make_solver  # noqa: E402
 
@@ -48,6 +58,12 @@ QUERIES_PER_BLOCK = 8
 REPEATS = 7
 OVERHEAD_LIMIT = 0.03
 SPEEDUP_FLOOR = 10.0
+
+#: Sliding-window pass: window size, queries slid per re-plan, re-plans.
+WINDOW = 1000
+WINDOW_STEP = 20
+WINDOW_PLANS = 20
+SLIDING_ROUNDS = 15
 
 
 def cache_workload(
@@ -172,7 +188,7 @@ def run_all(blocks: int = BLOCKS, repeats: int = REPEATS) -> Dict[str, object]:
     )
     return {
         "benchmark": "solution_cache",
-        "schema": 2,
+        "schema": 3,
         "python": sys.version.split()[0],
         "mode": "smoke" if blocks < BLOCKS else "full",
         "repeats": repeats,
@@ -193,6 +209,133 @@ def run_all(blocks: int = BLOCKS, repeats: int = REPEATS) -> Dict[str, object]:
     }
 
 
+def plan_signature(result):
+    return (
+        sorted(sorted(clf) for clf in result.solution.classifiers),
+        result.cost.hex(),
+    )
+
+
+def sliding_windows(window: int, plans: int):
+    base = bestbuy_like(n=window + WINDOW_STEP * (plans - 1), seed=0)
+    log = list(base.queries)
+    return [
+        MC3Instance(
+            log[index * WINDOW_STEP : index * WINDOW_STEP + window],
+            base.cost,
+            name=f"window{index}",
+        )
+        for index in range(plans)
+    ]
+
+
+def run_sliding(
+    window: int = WINDOW, plans: int = WINDOW_PLANS, repeats: int = REPEATS
+) -> Dict[str, object]:
+    """Re-plan a sliding window with the full Algorithm 1, cache on."""
+    windows = sliding_windows(window, plans)
+    plain_solver = make_solver("mc3-general", cache="off")
+    plain_solver.solve(windows[0])  # warmup: lazy imports, allocator
+
+    def store_solver(memo: bool):
+        store = MemorySolutionCache(max_entries=65536)
+        if not memo:
+            store.step3_memo = None
+        return make_solver("mc3-general", cache=store)
+
+    def primed(memo: bool):
+        solver = store_solver(memo)
+        solver.solve(windows[0])
+        return solver
+
+    # Each round pairs a store with its memo against the same store with
+    # the memo taken away, alternating which plans first.  Cold: a fresh
+    # store, so every step-3 sub-group misses (none recurs yet, so none
+    # is keyed).  Keyed: a store that planned the window once, so every
+    # sub-group recurs, is keyed, and misses.  Only the cold pass is
+    # gated; the keyed pass happens once per load, on its second plan.
+    # A round is a single plan, so more rounds than the other passes.
+    cold_pairs: List[List[float]] = [[], []]
+    keyed_pairs: List[List[float]] = [[], []]
+    pass_misses = [0, 0]
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for round_index in range(max(repeats, SLIDING_ROUNDS)):
+            for kind, (pairs, make) in enumerate(
+                ((cold_pairs, store_solver), (keyed_pairs, primed))
+            ):
+                gc.collect()
+                solvers = [make(memo=False), make(memo=True)]
+                for side in (0, 1) if round_index % 2 == 0 else (1, 0):
+                    seconds, result = timed_solve(solvers[side], windows[0])
+                    pairs[side].append(seconds)
+                    if side:
+                        section = result.details["engine"]["cache"]
+                        pass_misses[kind] = section["step3_misses"]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    cold_misses, keyed_misses = pass_misses
+
+    store = MemorySolutionCache(max_entries=65536)
+    served_solver = make_solver("mc3-general", cache=store)
+    plain_seconds: List[float] = []
+    served_seconds: List[float] = []
+    hits: List[int] = []
+    misses: List[int] = []
+    for index, instance in enumerate(windows):
+        gc.collect()
+        seconds, plain = timed_solve(plain_solver, instance)
+        plain_seconds.append(seconds)
+        gc.collect()
+        seconds, served = timed_solve(served_solver, instance)
+        served_seconds.append(seconds)
+        # The memo must never change the answer, hit or miss.
+        assert plan_signature(served) == plan_signature(plain), instance.name
+        assert served.details["preprocess"]["classifiers_removed_step3"] == (
+            plain.details["preprocess"]["classifiers_removed_step3"]
+        )
+        section = served.details["engine"]["cache"]
+        # The first re-plan stores what the second replays.
+        if index >= 2:
+            hits.append(section["step3_hits"])
+            misses.append(section["step3_misses"])
+
+    overhead = paired_overhead(*cold_pairs)
+    keyed_overhead = paired_overhead(*keyed_pairs)
+    plain_s, served_s = median(plain_seconds[2:]), median(served_seconds[2:])
+    print(f"sliding window      : {window} queries, {WINDOW_STEP} slid per re-plan, "
+          f"{plans} re-plans")
+    print(f"cold memo (all-miss): {median(cold_pairs[1]):.4f}s ({overhead:+.2%} paired "
+          f"median vs no memo, {cold_misses} sub-groups)")
+    print(f"keyed memo misses   : {median(keyed_pairs[1]):.4f}s ({keyed_overhead:+.2%} "
+          f"paired median vs no memo, {keyed_misses} sub-groups)")
+    print(f"re-plan, cache off  : {plain_s:.4f}s (median)")
+    print(f"re-plan, cache on   : {served_s:.4f}s (median; step-3 memo hits "
+          f"{median(hits):.0f}, misses {median(misses):.0f})")
+
+    assert cold_misses > 0 and keyed_misses > 0
+    assert hits and min(hits) > 0, f"a warm re-plan replayed no sub-group: {hits}"
+    assert overhead < OVERHEAD_LIMIT, (
+        f"all-miss step-3 memo overhead {overhead:+.2%} exceeds "
+        f"{OVERHEAD_LIMIT:.0%} on the {window}-query window"
+    )
+    return {
+        "window": window,
+        "window_step": WINDOW_STEP,
+        "plans": plans,
+        "cold_memo_misses": cold_misses,
+        "cold_memo_overhead_fraction": overhead,
+        "keyed_memo_misses": keyed_misses,
+        "keyed_memo_overhead_fraction": keyed_overhead,
+        "replan_cache_off_seconds": plain_s,
+        "replan_cache_on_seconds": served_s,
+        "replan_step3_hits": median(hits),
+        "replan_step3_misses": median(misses),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", metavar="PATH", help="write results as JSON")
@@ -206,6 +349,11 @@ def main(argv=None) -> int:
     )
     blocks = 40 if options.smoke else BLOCKS
     results = run_all(blocks=blocks, repeats=repeats)
+    results["sliding"] = run_sliding(
+        window=300 if options.smoke else WINDOW,
+        plans=6 if options.smoke else WINDOW_PLANS,
+        repeats=repeats,
+    )
     if options.save:
         with open(options.save, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)

@@ -136,7 +136,8 @@ class DominatedPruner:
         # Effective weight: cheapest way to obtain S's covering power from
         # shorter classifiers (or S itself).
         self._effective: Dict[int, float] = {}
-        self.removed: Set[Classifier] = set()
+        # Insertion-ordered set: the removals in the order they happened.
+        self.removed: Dict[Classifier, None] = {}
         self._removed_masks: Set[int] = set()
         self.forced: List[Classifier] = []
         self._universe_cache: Optional[List[int]] = None
@@ -259,7 +260,7 @@ class DominatedPruner:
             if math.isfinite(direct) and decomposition_cost <= direct:
                 remove(mask)
                 removed_masks.add(mask)
-                self.removed.add(self.space.set_of(mask))
+                self.removed[self.space.set_of(mask)] = None
                 removed_count += 1
         return removed_count
 

@@ -194,7 +194,8 @@ class ReferenceDominatedPruner:
         self.overlay = overlay
         self.max_classifier_length = max_classifier_length
         self._effective: Dict[PropertySet, float] = {}
-        self.removed: Set[Classifier] = set()
+        # Insertion-ordered set, as in the mask kernel.
+        self.removed: Dict[Classifier, None] = {}
         self.forced: List[Classifier] = []
         self._universe_cache: Optional[List[Classifier]] = None
         self._decomposition_cache: Dict[
@@ -277,7 +278,7 @@ class ReferenceDominatedPruner:
             effective[clf] = min(direct, decomposition_cost)
             if math.isfinite(direct) and decomposition_cost <= direct:
                 self.overlay.remove(clf)
-                self.removed.add(clf)
+                self.removed[clf] = None
                 removed_count += 1
         return removed_count
 

@@ -30,6 +30,11 @@ material, never fallback-rung answers — see
 :func:`repro.engine.engine.SolveEngine.run`), each already checked by
 the independent coverage verifier in the executor.
 
+Both backends also own a :class:`Step3Memo`: the Algorithm 1 step-3
+outcomes of the last plan, per free-property sub-group (see
+docs/algorithms.md §2), which a re-plan over a slid window replays
+instead of re-pruning the sub-groups it shares with the previous one.
+
 Configuration is a choice string (``"off"``/``"memory"``/``"disk"``),
 a process default seeded once at import from ``REPRO_SOLUTION_CACHE``
 (directory and budget from ``REPRO_SOLUTION_CACHE_DIR`` /
@@ -48,10 +53,22 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+    runtime_checkable,
+)
 
-from repro.core.properties import Classifier, classifier_sort_key
+from repro.core.properties import Classifier, Query, classifier_sort_key
 from repro.exceptions import SolverError
+from repro.preprocess.pipeline import Step3Outcome
 
 #: Bumped whenever the serialized entry layout changes; decoders treat
 #: any other version as a miss, so stale stores degrade to re-solves.
@@ -199,6 +216,99 @@ class _StatCounters:
         self.corrupt_evictions = 0
 
 
+# ----------------------------------------------------------------------
+# Step-3 memo
+# ----------------------------------------------------------------------
+
+
+class Step3Memo:
+    """Step-3 outcomes of the most recent plan, keyed by sub-group content.
+
+    The key (built by :func:`repro.preprocess.pipeline.preprocess`)
+    pins everything the dominated pruner reads, so a hit replays
+    exactly what a fresh pruner would decide.  Each plan works through
+    its own :class:`Step3MemoRun` and, when preprocessing finishes,
+    leaves behind only the entries it used and the queries it saw: the
+    memo never holds more than one plan, so it needs no budget of its
+    own.  It lives in the parent process only; workers never see it.
+    It takes no lock: a key pins everything an outcome depends on, so
+    plans that overlap in time can only miss more, never replay a wrong
+    outcome.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Hashable, Step3Outcome] = {}
+        self._queries: Set[Query] = set()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def open(self) -> "Step3MemoRun":
+        """A lookup view for one plan; :meth:`Step3MemoRun.commit` ends it."""
+        return Step3MemoRun(self)
+
+    def clear(self) -> int:
+        removed = len(self._entries)
+        self._entries = {}
+        self._queries = set()
+        return removed
+
+
+class Step3MemoRun:
+    """One plan's view of a :class:`Step3Memo`.
+
+    Reads what the previous plan left, collects the entries this plan
+    hits or stores and the queries it sees, and counts hits and misses
+    for telemetry.  A sub-group whose first query the previous plan
+    never saw is not keyed at all (:meth:`recurs`): it cannot be one the
+    previous plan stored, and a load whose queries never recur, like
+    the planner daemon's requests, would pay for keys it never uses.
+    """
+
+    __slots__ = (
+        "_memo",
+        "_previous",
+        "_previous_queries",
+        "_kept",
+        "_queries",
+        "hits",
+        "misses",
+    )
+
+    def __init__(self, memo: Step3Memo):
+        self._memo = memo
+        self._previous = memo._entries
+        self._previous_queries = memo._queries
+        self._kept: Dict[Hashable, Step3Outcome] = {}
+        self._queries: Set[Query] = set()
+        self.hits = 0
+        self.misses = 0
+
+    def recurs(self, group: Sequence[Query]) -> bool:
+        """Whether ``group``'s first query was in the previous plan."""
+        self._queries.update(group)
+        return group[0] in self._previous_queries
+
+    def get(self, key: Optional[Hashable]) -> Optional[Step3Outcome]:
+        """The stored outcome; the ``None`` key (a sub-group that was
+        not keyed) always misses."""
+        outcome = self._previous.get(key) if key is not None else None
+        if outcome is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._kept[key] = outcome
+        return outcome
+
+    def put(self, key: Hashable, outcome: Step3Outcome) -> None:
+        self._kept[key] = outcome
+
+    def commit(self) -> None:
+        """Make this plan's entries and queries the memo's whole content."""
+        self._memo._entries = self._kept
+        self._memo._queries = self._queries
+
+
 class MemorySolutionCache:
     """In-process LRU keyed by fingerprint, with entry and byte budgets.
 
@@ -222,6 +332,7 @@ class MemorySolutionCache:
         self._bytes = 0
         self._lock = threading.Lock()
         self._counters = _StatCounters()
+        self.step3_memo = Step3Memo()
 
     def get(self, fingerprint: str) -> Optional[bytes]:
         with self._lock:
@@ -281,6 +392,7 @@ class MemorySolutionCache:
             removed = len(self._entries)
             self._entries.clear()
             self._bytes = 0
+            self.step3_memo.clear()
             return removed
 
 
@@ -309,6 +421,7 @@ class DiskSolutionCache:
         self._bytes: Optional[int] = None  # lazily seeded by _scan()
         self._lock = threading.Lock()
         self._counters = _StatCounters()
+        self.step3_memo = Step3Memo()
 
     # -- paths ---------------------------------------------------------
 
@@ -454,6 +567,7 @@ class DiskSolutionCache:
                     continue
                 removed += 1
             self._bytes = 0
+            self.step3_memo.clear()
             return removed
 
 
@@ -639,7 +753,8 @@ def cache_token_of(target: object) -> Optional[Tuple[object, ...]]:
 class CacheRunStats:
     """Per-engine-run cache counters, rendered under
     ``details["engine"]["cache"]``; the backend's lifetime counters are
-    attached as the ``store`` sub-dict."""
+    attached as the ``store`` sub-dict.  ``step3_hits``/``step3_misses``
+    count the run's :class:`Step3Memo` lookups."""
 
     __slots__ = (
         "kind",
@@ -650,6 +765,8 @@ class CacheRunStats:
         "insert_skips",
         "lookup_seconds",
         "insert_seconds",
+        "step3_hits",
+        "step3_misses",
     )
 
     def __init__(self, kind: str):
@@ -661,6 +778,8 @@ class CacheRunStats:
         self.insert_skips = 0
         self.lookup_seconds = 0.0
         self.insert_seconds = 0.0
+        self.step3_hits = 0
+        self.step3_misses = 0
 
     def as_dict(self, store: Optional[Dict[str, object]] = None) -> Dict[str, object]:
         lookups = self.hits + self.misses
@@ -674,6 +793,8 @@ class CacheRunStats:
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
             "lookup_seconds": self.lookup_seconds,
             "insert_seconds": self.insert_seconds,
+            "step3_hits": self.step3_hits,
+            "step3_misses": self.step3_misses,
         }
         if store is not None:
             rendered["store"] = store

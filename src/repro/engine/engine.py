@@ -5,7 +5,8 @@ and 3 both open with "Run preprocessing procedure" and close by
 composing per-component answers):
 
 1. **preprocess** — Algorithm 1 forces/removes classifiers and splits
-   the residual load into property-disjoint components;
+   the residual load into property-disjoint components (with a cache,
+   through the store's step-3 memo);
 2. **schedule** — assign each component to the default component solver
    or to the first matching :class:`~repro.engine.routing.Route`;
 3. **dispatch** — solve components sequentially or across a process
@@ -91,7 +92,10 @@ class SolveEngine:
         clean first-attempt outcomes (already checked for coverage by
         the executor) are inserted, and runs
         with an active chaos injector bypass the cache entirely so
-        injected faults always exercise the fallback machinery.
+        injected faults always exercise the fallback machinery.  The
+        store's :class:`~repro.engine.cache.Step3Memo`, when it has
+        one, lets preprocessing replay the step-3 sub-groups this run
+        shares with the previous one.
     """
 
     def __init__(
@@ -115,23 +119,33 @@ class SolveEngine:
     ) -> Tuple[Solution, Dict[str, object]]:
         """Execute the full pipeline; returns (solution, details)."""
         cache = resolve_cache(self.cache)
-        prep = preprocess(instance, steps=self.preprocess_steps)
+        # An active chaos injector bypasses the cache entirely: a hit
+        # would skip the solve a planned fault was scheduled into, and
+        # the injector's per-(rung, index, attempt) schedule must stay
+        # exercised for the determinism tests to mean anything.
+        if self.resilience.chaos is not None:
+            cache = None
+        # The store's step-3 memo, if it has one; bespoke stores do not.
+        step3_memo = getattr(cache, "step3_memo", None)
+        memo = step3_memo.open() if step3_memo is not None else None
+        prep = preprocess(instance, steps=self.preprocess_steps, memo=memo)
+        if memo is not None:
+            memo.commit()
         tasks = self._schedule(prep.components, component_solver)
 
         mode = "process-pool" if self.jobs > 1 and len(tasks) >= 2 else "sequential"
         telemetry = EngineTelemetry(jobs=self.jobs, mode=mode)
         telemetry.preprocess_seconds = prep.report.elapsed_seconds
 
-        # An active chaos injector bypasses the cache entirely: a hit
-        # would skip the solve a planned fault was scheduled into, and
-        # the injector's per-(rung, index, attempt) schedule must stay
-        # exercised for the determinism tests to mean anything.
         cache_stats: Optional[CacheRunStats] = None
         hits: List[ComponentOutcome] = []
         pending = tasks
         fingerprints: Dict[int, str] = {}
-        if cache is not None and self.resilience.chaos is None:
+        if cache is not None:
             cache_stats = CacheRunStats(cache.kind)
+            if memo is not None:
+                cache_stats.step3_hits = memo.hits
+                cache_stats.step3_misses = memo.misses
             hits, pending = self._cache_lookup(tasks, cache, cache_stats, fingerprints)
 
         dispatch_started = time.perf_counter()

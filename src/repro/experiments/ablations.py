@@ -18,11 +18,10 @@ and our implementation decisions:
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import MC3Instance
-from repro.datasets import private_like, synthetic, synthetic_k2  # noqa: F401
+from repro.datasets import private_like, synthetic, synthetic_k2
 from repro.experiments.report import FigureResult, Series
 from repro.flow import ALGORITHMS
 from repro.preprocess import ALL_STEPS
@@ -30,19 +29,29 @@ from repro.solvers import make_solver
 
 
 def maxflow_comparison(
-    sizes: Optional[Sequence[int]] = None, seed: int = 0
+    sizes: Optional[Sequence[int]] = None, seed: int = 0, private: bool = False
 ) -> FigureResult:
-    """MC3[S] runtime per max-flow kernel on synthetic k ≤ 2 loads."""
-    chosen = list(sizes) if sizes is not None else [1000, 5000, 10_000]
+    """MC3[S] runtime per max-flow kernel on synthetic k ≤ 2 loads, or
+    (``private=True``) on the length-≤ 2 queries of a P-like load of
+    each size."""
+    chosen = list(sizes) if sizes is not None else (
+        [10_000] if private else [1000, 5000, 10_000]
+    )
     series: Dict[str, List[Tuple[float, float]]] = {name: [] for name in sorted(ALGORITHMS)}
     for n in chosen:
-        instance = synthetic_k2(n, seed=seed)
+        if private:
+            base = private_like(n, seed=seed)
+            short = [q for q in base.queries if len(q) <= 2]
+            instance = MC3Instance(short, base.cost, name=f"P-short-{n}")
+        else:
+            instance = synthetic_k2(n, seed=seed)
         for name in sorted(ALGORITHMS):
             result = make_solver("mc3-k2", flow_algorithm=name).solve(instance)
-            series[name].append((n, result.elapsed_seconds))
+            series[name].append((instance.n, result.elapsed_seconds))
+    load = "P-like length<=2 queries" if private else "synthetic, k<=2"
     return FigureResult(
         "Ablation A1",
-        "Max-flow kernel comparison inside MC3[S] (synthetic, k<=2)",
+        f"Max-flow kernel comparison inside MC3[S] ({load})",
         "#queries",
         "runtime (seconds)",
         [Series(name, points) for name, points in series.items()],

@@ -17,19 +17,28 @@ decomposition runs before every solve.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Container, Dict, List, Sequence
 
 from repro.core.properties import Query
 
 
-def partition_queries(queries: Sequence[Query]) -> List[List[Query]]:
+def partition_queries(
+    queries: Sequence[Query], ignore: Container[str] = ()
+) -> List[List[Query]]:
     """Partition queries into property-disjoint groups.
 
     Deterministic: groups are ordered by the first query that touches
     them, queries keep their input order within a group.
+
+    Properties in ``ignore`` connect nothing: the groups are then the
+    components of the queries linked through their *other* properties,
+    and may share ignored ones (preprocessing splits step 3 at its free
+    properties this way, docs/algorithms.md §2).  A query whose every
+    property is ignored forms a group of its own.
     """
     index: Dict[str, int] = {}
     parent: List[int] = []
+    anchors: List[int] = []
 
     def find(node: int) -> int:
         while parent[node] != node:
@@ -40,6 +49,8 @@ def partition_queries(queries: Sequence[Query]) -> List[List[Query]]:
     for q in queries:
         anchor = -1
         for prop in q:
+            if prop in ignore:
+                continue
             node = index.get(prop)
             if node is None:
                 node = len(parent)
@@ -52,12 +63,15 @@ def partition_queries(queries: Sequence[Query]) -> List[List[Query]]:
                 # Union by attaching to the query's anchor root; tree
                 # depth stays bounded via path halving in find().
                 parent[root] = anchor
+        if anchor < 0:
+            anchor = len(parent)
+            parent.append(anchor)
+        anchors.append(anchor)
 
     groups: Dict[int, List[Query]] = {}
     order: List[int] = []
-    for q in queries:
-        # All properties of a query share one root by construction.
-        root = find(index[next(iter(q))])
+    for q, anchor in zip(queries, anchors):
+        root = find(anchor)
         if root not in groups:
             groups[root] = []
             order.append(root)

@@ -20,7 +20,18 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.costs import CostModel, OverlayCost
 from repro.core.coverage import CoverageChecker
@@ -34,6 +45,22 @@ from repro.preprocess.k2_prune import prune_k2_singletons
 from repro.preprocess.report import PreprocessReport
 
 ALL_STEPS: Tuple[int, ...] = (1, 2, 3, 4)
+
+#: One sub-group's step-3 outcome: the classifiers removed, in removal
+#: order, and the classifiers forced, in selection order.
+Step3Outcome = Tuple[Tuple[Classifier, ...], Tuple[Classifier, ...]]
+
+
+class Step3Lookup(Protocol):
+    """What :func:`preprocess` needs of a step-3 memo: whether a
+    sub-group is worth a key, and a lookup in which the ``None`` key
+    (an unkeyed sub-group) always misses."""
+
+    def recurs(self, group: Sequence[Query]) -> bool: ...
+
+    def get(self, key: Optional[Hashable]) -> Optional[Step3Outcome]: ...
+
+    def put(self, key: Hashable, outcome: Step3Outcome) -> None: ...
 
 
 class _InstanceCost(CostModel):
@@ -100,12 +127,18 @@ class PreprocessResult:
 def preprocess(
     instance: MC3Instance,
     steps: Sequence[int] = ALL_STEPS,
+    memo: Optional[Step3Lookup] = None,
 ) -> PreprocessResult:
     """Run (a subset of) Algorithm 1.
 
     ``steps`` selects which pruning steps run — the ablation benchmarks
     disable them individually.  Step 4 runs only on residual components
-    whose queries all have length exactly 2 (its precondition).
+    whose queries all have length exactly 2 (its precondition).  When
+    steps 1 and 2 both run, step 3 runs per free-property sub-group
+    (docs/algorithms.md §2).  ``memo`` (a
+    :class:`~repro.engine.cache.Step3MemoRun`) replays the step-3
+    outcome of a sub-group it has seen instead of pruning it again; the
+    result is the same either way.
     """
     started = time.perf_counter()
     step_set = set(steps)
@@ -156,21 +189,38 @@ def preprocess(
     report.num_components = len(groups)
 
     # ------------------------------------------------------------------
-    # Steps 3 and 4, per component.
+    # Step 3, per free-property sub-group; step 4, per component.
     # ------------------------------------------------------------------
-    for group in groups:
-        if 3 in step_set:
-            pruner = DominatedPruner(group, overlay, instance.max_classifier_length)
-            removed_count, forced_now = pruner.run(group)
-            report.classifiers_removed_step3 += removed_count
+    if 3 in step_set:
+        # Properties whose singleton step 1 selected: weight 0 from now on.
+        free = {next(iter(clf)) for clf in forced if len(clf) == 1}
+        step3_groups = groups
+        if free and 2 in step_set and uncovered:
+            # Classifiers made only of free properties are the one thing
+            # sub-groups share (docs/algorithms.md §2): settle them first,
+            # once, with the pruner's own removal pass.
+            free_parts = [q & free for q in uncovered]
+            free_parts = [part for part in free_parts if len(part) >= 2]
+            if free_parts:
+                pruner = DominatedPruner(
+                    free_parts, overlay, instance.max_classifier_length
+                )
+                removed_count, _ = pruner.run(())
+                report.classifiers_removed_step3 += removed_count
+            step3_groups = partition_queries(uncovered, ignore=free)
+        for group in step3_groups:
+            removed, forced_now = _prune_dominated(instance, group, overlay, memo, free)
+            report.classifiers_removed_step3 += len(removed)
             report.forced_covers_step3 += len(forced_now)
             for clf in forced_now:
                 forced.setdefault(clf, None)
-        if 4 in step_set and group and all(len(q) == 2 for q in group):
-            removed_singletons, forced_pairs = prune_k2_singletons(group, overlay)
-            report.singletons_removed_step4 += len(removed_singletons)
-            for clf in forced_pairs:
-                forced.setdefault(clf, None)
+    if 4 in step_set:
+        for group in groups:
+            if group and all(len(q) == 2 for q in group):
+                removed_singletons, forced_pairs = prune_k2_singletons(group, overlay)
+                report.singletons_removed_step4 += len(removed_singletons)
+                for clf in forced_pairs:
+                    forced.setdefault(clf, None)
 
     # ------------------------------------------------------------------
     # Residual components: queries still uncovered after all selections.
@@ -203,6 +253,62 @@ def preprocess(
         overlay,
         components,
         report,
+    )
+
+
+def _prune_dominated(
+    instance: MC3Instance,
+    group: List[Query],
+    overlay: OverlayCost,
+    memo: Optional[Step3Lookup],
+    free: Set[str],
+) -> Step3Outcome:
+    """Step 3 over one sub-group: ``(removed, forced)``, both in order."""
+    key = None
+    if memo is not None and memo.recurs(group):
+        key = _step3_key(instance, group, free)
+    outcome = memo.get(key) if memo is not None else None
+    if outcome is not None:
+        # Selections first: a forced classifier the pruner later
+        # removed must end removed, as it did the first time.
+        removed, forced_now = outcome
+        for clf in forced_now:
+            overlay.select(clf)
+        for clf in removed:
+            overlay.remove(clf)
+        return outcome
+    pruner = DominatedPruner(group, overlay, instance.max_classifier_length)
+    _, forced_now = pruner.run(group)
+    outcome = (tuple(pruner.removed), tuple(forced_now))
+    if key is not None:
+        memo.put(key, outcome)
+    return outcome
+
+
+def _step3_key(
+    instance: MC3Instance, group: List[Query], free: Set[str]
+) -> Optional[Hashable]:
+    """The memo key of a sub-group, or ``None`` when its pricing has no
+    content token.
+
+    It pins everything the pruner reads: the queries in order, the
+    length cap, the pricing inside the sub-group's properties, and the
+    step-1 selections there.  Of those selections, only the free
+    singletons change a price (every other one is a zero-weight
+    classifier the token already prices at 0), so the free properties
+    in scope stand for them.  Free-only classifiers were settled
+    before, from those same inputs, and no other sub-group prices a
+    classifier inside this scope.
+    """
+    scope = sorted({prop for q in group for prop in q})
+    token = instance.cost_content_token(scope)
+    if token is None:
+        return None
+    return (
+        tuple(group),
+        instance.max_classifier_length,
+        token,
+        tuple(prop for prop in scope if prop in free),
     )
 
 

@@ -194,6 +194,13 @@ class TestAblations:
             "capacity_scaling", "dinic", "edmonds_karp", "push_relabel",
         }
 
+    def test_maxflow_comparison_on_p_short_queries(self):
+        figure = maxflow_comparison(sizes=[300], seed=0, private=True)
+        (count,) = figure.series_by_name("dinic").xs()
+        # x is the number of length-<= 2 queries of the 300-query load.
+        assert 0 < count < 300
+        assert len(figure.series) == 4
+
     def test_preprocessing_steps_monotone_cost(self):
         figure = preprocessing_steps(n=300, seed=0)
         costs = figure.series_by_name("cost").ys()
