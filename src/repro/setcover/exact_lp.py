@@ -9,8 +9,11 @@ LP-rounding results in EXPERIMENTS.md show — it proves optimality in a
 handful of nodes where the combinatorial search would enumerate
 thousands.
 
-Node LPs are solved by SciPy's HiGHS; warm starts are not exposed by
-``linprog``, so each node pays a fresh solve — the engine targets
+Node LPs go through :class:`repro.setcover.lp.LPRelaxation`: the
+constraint matrix is built once per instance and each node hands HiGHS
+(via ``scipy.optimize.milp``) the same model under its own column
+bounds.  SciPy's interface keeps no HiGHS model between calls, so each
+node pays a fresh solve with no warm start — the engine targets
 hundreds of sets, not the synthetic 100k loads.
 """
 
@@ -20,12 +23,11 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.exceptions import SolverError
 from repro.setcover.greedy import greedy_wsc
 from repro.setcover.instance import WSCInstance, WSCSolution
+from repro.setcover.lp import LPRelaxation
 
 #: Variables within this distance of an integer are considered integral.
 INTEGRALITY_TOL = 1e-6
@@ -37,35 +39,17 @@ class _NodeLP:
     """Shared LP data; per-node solves differ only in variable bounds."""
 
     def __init__(self, instance: WSCInstance):
-        rows, cols = [], []
-        for set_id in range(instance.num_sets):
-            for element_id in instance.set_members(set_id):
-                rows.append(element_id)
-                cols.append(set_id)
-        data = -np.ones(len(rows))
-        self.matrix = sparse.csr_matrix(
-            (data, (np.array(rows), np.array(cols))),
-            shape=(instance.universe_size, instance.num_sets),
-        )
-        self.rhs = -np.ones(instance.universe_size)
-        self.costs = np.array(
-            [instance.set_cost(set_id) for set_id in range(instance.num_sets)]
-        )
+        self.lp = LPRelaxation(instance)
+        self.num_sets = instance.num_sets
 
     def solve(self, fixed: Dict[int, int]) -> Optional[Tuple[float, np.ndarray]]:
         """LP value and solution under the given 0/1 fixings; ``None`` if
         infeasible."""
-        lower = np.zeros(len(self.costs))
-        upper = np.ones(len(self.costs))
+        lower = np.zeros(self.num_sets)
+        upper = np.ones(self.num_sets)
         for set_id, value in fixed.items():
             lower[set_id] = upper[set_id] = float(value)
-        result = linprog(
-            c=self.costs,
-            A_ub=self.matrix,
-            b_ub=self.rhs,
-            bounds=np.column_stack([lower, upper]),
-            method="highs",
-        )
+        result = self.lp.solve(lower, upper)
         if not result.success:
             return None
         return float(result.fun), result.x

@@ -12,19 +12,34 @@ variables, so at least one of them is ``≥ 1/f``.  Cost: selected
 variables are inflated by at most ``f``, giving ``f · OPT_LP ≤ f · OPT``
 (Theorem 2.6, [Vazirani]).
 
-The relaxation is solved with SciPy's HiGHS backend on a sparse
-constraint matrix.  For instances beyond :data:`DEFAULT_SIZE_LIMIT`
-nonzeros the caller should prefer the LP-free primal–dual algorithm in
+Every relaxation in the package — this module's and the node LPs of
+:mod:`repro.setcover.exact_lp` — goes through :class:`LPRelaxation`,
+which hands HiGHS the model through :func:`scipy.optimize.milp` with no
+integer variables.  The model is the one ``linprog(method="highs")``
+passed: costs ``c``, column bounds ``[0, 1]``, rows ``−inf ≤ −A·x ≤ −1``,
+with ``A`` built straight into CSC form from
+:meth:`WSCInstance.set_members` (sorted and de-duplicated, so the arrays
+equal those ``linprog``'s COO → CSR → CSC conversions produced).  The
+options are the same too: HiGHS's default presolve (``choose``) runs
+presolve as ``linprog``'s ``presolve=True`` did, and its default
+simplex strategy is the dual simplex ``linprog`` set explicitly.  So
+``x`` comes back bit for bit as ``linprog`` returned it, and the call
+skips ``linprog``'s input cleaning, format conversions and per-option
+validation: about half of a small LP's wall-clock.
+
+For instances beyond :data:`DEFAULT_SIZE_LIMIT` nonzeros the caller
+should prefer the LP-free primal–dual algorithm in
 :mod:`repro.setcover.primal_dual`, which has the same guarantee.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import accumulate, chain
+from typing import Union
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 
 from repro.exceptions import SolverError
 from repro.setcover.instance import WSCInstance, WSCSolution
@@ -40,32 +55,44 @@ def lp_nonzeros(instance: WSCInstance) -> int:
     return sum(len(instance.set_members(set_id)) for set_id in range(instance.num_sets))
 
 
+class LPRelaxation:
+    """The WSC relaxation ``min c·x, A·x ≥ 1, lower ≤ x ≤ upper`` in the
+    form HiGHS receives it; built once, solved under any column bounds."""
+
+    __slots__ = ("costs", "rows")
+
+    def __init__(self, instance: WSCInstance):
+        members = [instance.set_members(set_id) for set_id in range(instance.num_sets)]
+        starts = list(accumulate(map(len, members), initial=0))
+        nonzeros = starts[-1]
+        indptr = np.array(starts, dtype=np.int32)
+        indices = np.fromiter(chain.from_iterable(members), np.int32, nonzeros)
+        # The rows ``linprog`` made of ``A_ub x <= b_ub``, −inf ≤ −A·x ≤ −1,
+        # kept as they were so that HiGHS is handed the identical model.
+        matrix = sparse.csc_array(
+            (np.full(nonzeros, -1.0), indices, indptr),
+            shape=(instance.universe_size, instance.num_sets),
+        )
+        self.costs = np.array(instance.set_costs(), dtype=np.float64)
+        self.rows = LinearConstraint(matrix, -np.inf, -1.0)
+
+    def solve(
+        self,
+        lower: Union[float, np.ndarray] = 0.0,
+        upper: Union[float, np.ndarray] = 1.0,
+    ) -> OptimizeResult:
+        """HiGHS's answer (``success``, ``x``, ``fun``, ``message``)."""
+        return milp(
+            self.costs,
+            bounds=Bounds(lower, upper),
+            constraints=self.rows,
+        )
+
+
 def lp_relaxation(instance: WSCInstance) -> np.ndarray:
     """Solve the WSC linear relaxation; returns the fractional ``x``."""
     instance.validate_coverable()
-    num_sets = instance.num_sets
-    universe = instance.universe_size
-
-    rows, cols = [], []
-    for set_id in range(num_sets):
-        for element_id in instance.set_members(set_id):
-            rows.append(element_id)
-            cols.append(set_id)
-    data = np.ones(len(rows))
-    # linprog wants A_ub x <= b_ub; our constraints are A x >= 1.
-    matrix = sparse.csr_matrix(
-        (-data, (np.array(rows), np.array(cols))), shape=(universe, num_sets)
-    )
-    costs = np.array([instance.set_cost(set_id) for set_id in range(num_sets)])
-    upper = -np.ones(universe)
-
-    result = linprog(
-        c=costs,
-        A_ub=matrix,
-        b_ub=upper,
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
+    result = LPRelaxation(instance).solve()
     if not result.success:
         raise SolverError(f"LP relaxation failed: {result.message}")
     return result.x

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.instance import MC3Instance
 from repro.core.properties import Classifier
 from repro.core.solution import Solution, SolverResult
+from repro.engine.cache import CacheConfig
 from repro.engine.component import ComponentOutcome
 from repro.engine.engine import SolveEngine
 from repro.engine.resilience import ResiliencePolicy
@@ -65,6 +66,15 @@ class Solver(ABC):
         self.verify = verify
         self.jobs = max(1, int(jobs))
         self.cache = cache
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The engine looks up and inserts in the parent process, so a
+        # solver pickled into pool workers leaves a live store (which
+        # holds a lock) behind; specs are plain values and travel as-is.
+        state = self.__dict__.copy()
+        if not isinstance(self.cache, (str, CacheConfig, type(None))):
+            state["cache"] = "off"
+        return state
 
     def cache_token(self) -> Optional[Tuple[object, ...]]:
         """Flat tuple of scalars naming every output-affecting knob, or

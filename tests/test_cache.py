@@ -236,6 +236,33 @@ class TestBitIdentity:
         parallel = make_solver("mc3-general", jobs=4).solve(instance)
         assert outcome_of(warm) == outcome_of(parallel)
 
+    def test_live_store_at_two_jobs_equals_one_job(self):
+        """The store stays in the parent: it receives the inserts, and a
+        pooled solve answers as a sequential one does, bit for bit."""
+        instance = bestbuy_like(n=300, seed=0)
+        one_store, two_store = MemorySolutionCache(), MemorySolutionCache()
+        one = make_solver("mc3-general", cache=one_store).solve(instance)
+        pooled = make_solver("mc3-general", cache=two_store, jobs=2)
+        two = pooled.solve(instance)
+        assert two.details["engine"]["mode"] == "process-pool"
+        assert outcome_of(two) == outcome_of(one)
+        assert two.cost.hex() == one.cost.hex()
+        inserts = one_store.stats()["inserts"]
+        assert inserts > 0 and two_store.stats()["inserts"] == inserts
+        warm = pooled.solve(instance)
+        assert outcome_of(warm) == outcome_of(one)
+        assert warm.details["engine"]["cache"]["hits"] == inserts
+
+    def test_pickled_solver_leaves_live_store_behind(self):
+        store = MemorySolutionCache()
+        clone = pickle.loads(pickle.dumps(make_solver("mc3-general", cache=store)))
+        assert clone.cache == "off"
+        spec = CacheConfig(backend="memory", max_entries=7)
+        for kept in ("memory", spec, None):
+            solver = make_solver("mc3-general", cache=kept)
+            assert pickle.loads(pickle.dumps(solver)).cache == kept
+        assert store.stats()["entries"] == 0
+
     def test_resilient_non_chaos_runs_use_cache(self, example11):
         store = MemorySolutionCache()
         policy = ResiliencePolicy()
