@@ -33,7 +33,7 @@ from repro.reductions import mc3_to_bipartite_wvc, solve_bipartite_wvc
 
 
 def solve_component_k2(
-    component: MC3Instance, flow_algorithm: str = "dinic"
+    component: MC3Instance,
 ) -> Tuple[Set[Classifier], Dict[str, object]]:
     """Solve one property-disjoint component with k ≤ 2 exactly.
 
@@ -66,7 +66,7 @@ def solve_component_k2(
             overlay.select(clf)
         cost = overlay
     graph = mc3_to_bipartite_wvc(length_two, cost)
-    cover, flow_value = solve_bipartite_wvc(graph, algorithm=flow_algorithm)
+    cover, flow_value = solve_bipartite_wvc(graph)
     chosen = forced | cover
     return chosen, {"flow_value": flow_value, "lower_bound": _cost(component, chosen)}
 
@@ -122,18 +122,6 @@ class _IsK2Component:
 
     def __call__(self, component: MC3Instance) -> bool:
         return component.max_query_length <= 2
-
-
-class _SolveK2Component:
-    """Picklable k ≤ 2 exact solve bound to a flow kernel."""
-
-    def __init__(self, flow_algorithm: str):
-        self.flow_algorithm = flow_algorithm
-
-    def __call__(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        return solve_component_k2(component, flow_algorithm=self.flow_algorithm)
 
 
 class _IsLargeComponent:
@@ -237,7 +225,7 @@ def sampled_wsc_route(
     )
 
 
-def exact_k2_route(flow_algorithm: str = "dinic") -> Route:
+def exact_k2_route() -> Route:
     """The k ≤ 2 exact-dispatch rule (``dispatch_k2`` hoisted engine-level).
 
     Because the routed components are solved optimally and components
@@ -249,6 +237,6 @@ def exact_k2_route(flow_algorithm: str = "dinic") -> Route:
     return Route(
         EXACT_K2_ROUTE,
         _IsK2Component(),
-        _SolveK2Component(flow_algorithm),
-        cache_token=("route", EXACT_K2_ROUTE, DETAILS_VERSION, flow_algorithm),
+        solve_component_k2,
+        cache_token=("route", EXACT_K2_ROUTE, DETAILS_VERSION),
     )

@@ -2,7 +2,6 @@
 evaluation (Section 6), plus the ablations DESIGN.md calls out."""
 
 from repro.experiments.ablations import (
-    maxflow_comparison,
     preprocessing_steps,
     redundancy_cost,
     short_first_threshold,
@@ -39,7 +38,6 @@ __all__ = [
     "figure_3d",
     "figure_3e",
     "figure_3f",
-    "maxflow_comparison",
     "noise_quality_curve",
     "parallel_sweep",
     "preprocessing_steps",

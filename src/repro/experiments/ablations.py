@@ -3,9 +3,6 @@
 Not figures from the paper, but measurements backing its in-text claims
 and our implementation decisions:
 
-* :func:`maxflow_comparison` — Section 6.1 reports testing bipartite
-  max-flow algorithms and settling on Dinic; we compare all four
-  kernels on the WVC networks produced by the k = 2 reduction.
 * :func:`preprocessing_steps` — per-step contribution of Algorithm 1
   (the paper reports only aggregate savings).
 * :func:`wsc_methods` — greedy vs LP rounding vs primal–dual vs the
@@ -18,44 +15,13 @@ and our implementation decisions:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.instance import MC3Instance
-from repro.datasets import private_like, synthetic, synthetic_k2
+from repro.datasets import private_like, synthetic
 from repro.experiments.report import FigureResult, Series
-from repro.flow import ALGORITHMS
 from repro.preprocess import ALL_STEPS
 from repro.solvers import make_solver
-
-
-def maxflow_comparison(
-    sizes: Optional[Sequence[int]] = None, seed: int = 0, private: bool = False
-) -> FigureResult:
-    """MC3[S] runtime per max-flow kernel on synthetic k ≤ 2 loads, or
-    (``private=True``) on the length-≤ 2 queries of a P-like load of
-    each size."""
-    chosen = list(sizes) if sizes is not None else (
-        [10_000] if private else [1000, 5000, 10_000]
-    )
-    series: Dict[str, List[Tuple[float, float]]] = {name: [] for name in sorted(ALGORITHMS)}
-    for n in chosen:
-        if private:
-            base = private_like(n, seed=seed)
-            short = [q for q in base.queries if len(q) <= 2]
-            instance = MC3Instance(short, base.cost, name=f"P-short-{n}")
-        else:
-            instance = synthetic_k2(n, seed=seed)
-        for name in sorted(ALGORITHMS):
-            result = make_solver("mc3-k2", flow_algorithm=name).solve(instance)
-            series[name].append((instance.n, result.elapsed_seconds))
-    load = "P-like length<=2 queries" if private else "synthetic, k<=2"
-    return FigureResult(
-        "Ablation A1",
-        f"Max-flow kernel comparison inside MC3[S] ({load})",
-        "#queries",
-        "runtime (seconds)",
-        [Series(name, points) for name, points in series.items()],
-    )
 
 
 def preprocessing_steps(

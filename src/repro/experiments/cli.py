@@ -6,8 +6,6 @@ Usage::
     python -m repro.experiments fig3a
     python -m repro.experiments fig3c --full        # paper-scale sizes
     python -m repro.experiments all --seed 7
-    python -m repro.experiments ablation-maxflow
-    python -m repro.experiments ablation-maxflow --full   # P scale
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from repro.engine.cache import (
     set_default_cache,
 )
 from repro.experiments.ablations import (
-    maxflow_comparison,
     preprocessing_steps,
     redundancy_cost,
     short_first_threshold,
@@ -62,7 +59,6 @@ EXPERIMENTS: Dict[str, Callable[[int, bool], object]] = {
     "fig3d": lambda seed, full: figure_3d(n=10_000 if full else 4000, seed=seed),
     "fig3e": lambda seed, full: figure_3e(seed=seed, full=full),
     "fig3f": lambda seed, full: figure_3f(seed=seed, full=full),
-    "ablation-maxflow": lambda seed, full: maxflow_comparison(seed=seed, private=full),
     "ablation-preprocess": lambda seed, full: preprocessing_steps(seed=seed),
     "ablation-wsc": lambda seed, full: wsc_methods(seed=seed),
     "ablation-shortfirst": lambda seed, full: short_first_threshold(seed=seed),

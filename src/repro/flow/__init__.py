@@ -1,30 +1,7 @@
-"""Max-flow substrate: residual networks and four interchangeable kernels
-(Dinic — the paper's choice —, Edmonds–Karp, FIFO push–relabel with gap
-heuristic, capacity scaling)."""
+"""Max-flow substrate: residual networks and Dinic's algorithm, the
+kernel the paper settled on (Section 6.1)."""
 
-from repro.flow.api import (
-    ALGORITHMS,
-    DEFAULT_ALGORITHM,
-    FlowResult,
-    choose_algorithm,
-    max_flow,
-)
-from repro.flow.capacity_scaling import capacity_scaling
 from repro.flow.dinic import dinic
-from repro.flow.edmonds_karp import edmonds_karp
 from repro.flow.network import Edge, FlowNetwork
-from repro.flow.push_relabel import push_relabel
 
-__all__ = [
-    "ALGORITHMS",
-    "DEFAULT_ALGORITHM",
-    "Edge",
-    "FlowNetwork",
-    "FlowResult",
-    "capacity_scaling",
-    "choose_algorithm",
-    "dinic",
-    "edmonds_karp",
-    "max_flow",
-    "push_relabel",
-]
+__all__ = ["Edge", "FlowNetwork", "dinic"]

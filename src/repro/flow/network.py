@@ -4,7 +4,7 @@ A :class:`FlowNetwork` stores a directed capacitated graph in the
 standard residual representation: every edge is paired with a reverse
 edge of capacity 0, and pushing flow increases the reverse residual.
 Nodes are referred to by arbitrary hashable labels externally and dense
-integer ids internally, so the max-flow kernels run on plain lists.
+integer ids internally, so the max-flow kernel runs on plain lists.
 
 Capacities may be ``math.inf`` — the bipartite vertex-cover reduction
 (Theorem 2.3) uses infinite middle edges that must never be cut.
@@ -13,7 +13,7 @@ Capacities may be ``math.inf`` — the bipartite vertex-cover reduction
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, NamedTuple, Tuple
 
 from repro.exceptions import ReductionError
 
@@ -83,16 +83,9 @@ class FlowNetwork:
         except KeyError:
             raise ReductionError(f"unknown node {label!r}") from None
 
-    def label(self, node_id: int) -> Hashable:
-        return self._labels[node_id]
-
     @property
     def num_nodes(self) -> int:
         return len(self._labels)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._forward_edges)
 
     def edges(self) -> Iterator[Edge]:
         """Caller-added edges with their current flow."""
@@ -109,18 +102,6 @@ class FlowNetwork:
 
     def _original_capacity(self, index: int) -> float:
         return self._cap[index] + self._cap[index ^ 1]
-
-    def flow_on(self, edge_index: int) -> float:
-        """Flow currently pushed through a caller-added edge."""
-        return self._cap[edge_index ^ 1]
-
-    def reset_flow(self) -> None:
-        """Return every edge to zero flow (for algorithm comparisons)."""
-        for index in self._forward_edges:
-            twin = index ^ 1
-            total = self._cap[index] + self._cap[twin]
-            self._cap[index] = total
-            self._cap[twin] = 0.0
 
     # ------------------------------------------------------------------
     # Kernel-facing raw accessors (lists, ints only)
@@ -185,13 +166,3 @@ class FlowNetwork:
                     )
                 )
         return source_side, cut_edges
-
-    def max_finite_capacity(self) -> float:
-        """Largest finite forward capacity (0.0 if none); used by the
-        capacity-scaling kernel to pick its initial threshold."""
-        best = 0.0
-        for index in self._forward_edges:
-            total = self._original_capacity(index)
-            if math.isfinite(total) and total > best:
-                best = total
-        return best

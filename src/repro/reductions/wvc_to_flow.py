@@ -20,7 +20,7 @@ import math
 from typing import Set, Tuple
 
 from repro.core.properties import Classifier
-from repro.flow import FlowNetwork, max_flow
+from repro.flow import FlowNetwork, dinic
 from repro.reductions.mc3_to_wvc import BipartiteWVC
 
 SOURCE = ("__flow__", "source")
@@ -41,10 +41,9 @@ def wvc_to_flow_network(graph: BipartiteWVC) -> FlowNetwork:
     return network
 
 
-def solve_bipartite_wvc(
-    graph: BipartiteWVC, algorithm: str = "dinic"
-) -> Tuple[Set[Classifier], float]:
-    """Minimum-weight vertex cover of a bipartite graph via max flow.
+def solve_bipartite_wvc(graph: BipartiteWVC) -> Tuple[Set[Classifier], float]:
+    """Minimum-weight vertex cover of a bipartite graph via max flow
+    (Dinic's algorithm).
 
     Returns ``(cover, weight)``.  Nodes of infinite weight never enter
     the cover (their edges are covered from the other side, which the
@@ -53,7 +52,7 @@ def solve_bipartite_wvc(
     if not graph.edges:
         return set(), 0.0
     network = wvc_to_flow_network(graph)
-    result = max_flow(network, SOURCE, SINK, algorithm=algorithm)
+    value = dinic(network, SOURCE, SINK)
     reachable = network.residual_reachable(SOURCE)
 
     cover: Set[Classifier] = set()
@@ -63,4 +62,4 @@ def solve_bipartite_wvc(
     for label in graph.right:
         if reachable[network.node_id(("R", label))]:
             cover.add(label)
-    return cover, result.value
+    return cover, value

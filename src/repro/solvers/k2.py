@@ -2,8 +2,8 @@
 
 Pipeline per the paper: preprocessing (Algorithm 1) → reduction to
 bipartite Weighted Vertex Cover (Theorem 4.1) → reduction to Max-Flow
-(Theorem 2.3) → a max-flow kernel (Dinic by default, the paper's choice)
-→ translation back to classifiers.
+(Theorem 2.3) → Dinic's max-flow algorithm (the paper's choice) →
+translation back to classifiers.
 
 The solution is *optimal*: preprocessing preserves an optimal solution
 and the two reductions are exact.  The pipeline itself (preprocess →
@@ -15,16 +15,14 @@ route short components here from approximate solvers (``dispatch_k2``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.instance import MC3Instance
 from repro.core.properties import Classifier
 from repro.engine.cache import DETAILS_VERSION
 from repro.engine.component import ComponentOutcome
-from repro.engine.resilience import ResiliencePolicy
 from repro.engine.routing import solve_component_k2
 from repro.exceptions import ReductionError
-from repro.preprocess import ALL_STEPS
 from repro.solvers.base import ComponentSolver
 
 
@@ -33,8 +31,6 @@ class K2Solver(ComponentSolver):
 
     Parameters
     ----------
-    flow_algorithm:
-        Max-flow kernel name (see :data:`repro.flow.ALGORITHMS`).
     preprocess_steps:
         Which Algorithm 1 steps to run first; the empty tuple disables
         preprocessing entirely (used by the Figure 3c ablation) — the
@@ -46,26 +42,8 @@ class K2Solver(ComponentSolver):
 
     name = "mc3-k2"
 
-    def __init__(
-        self,
-        flow_algorithm: str = "dinic",
-        preprocess_steps: Sequence[int] = ALL_STEPS,
-        jobs: int = 1,
-        verify: bool = True,
-        resilience: Optional[ResiliencePolicy] = None,
-        cache: Optional[object] = None,
-    ):
-        super().__init__(
-            preprocess_steps=preprocess_steps,
-            jobs=jobs,
-            verify=verify,
-            resilience=resilience,
-            cache=cache,
-        )
-        self.flow_algorithm = flow_algorithm
-
     def cache_token(self) -> Optional[Tuple[object, ...]]:
-        return (self.name, DETAILS_VERSION, self.flow_algorithm)
+        return (self.name, DETAILS_VERSION)
 
     def validate_instance(self, instance: MC3Instance) -> None:
         if instance.max_query_length > 2:
@@ -76,13 +54,12 @@ class K2Solver(ComponentSolver):
     def solve_component(
         self, component: MC3Instance
     ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        return solve_component_k2(component, flow_algorithm=self.flow_algorithm)
+        return solve_component_k2(component)
 
     def aggregate_details(
         self, outcomes: List[ComponentOutcome]
     ) -> Dict[str, object]:
         return {
-            "flow_algorithm": self.flow_algorithm,
             "flow_value": sum(
                 float(outcome.details.get("flow_value", 0.0)) for outcome in outcomes
             ),

@@ -38,7 +38,6 @@ class ShortFirstSolver(Solver):
     def __init__(
         self,
         threshold: int = 2,
-        flow_algorithm: str = "dinic",
         wsc_method: str = "best_of",
         lp_size_limit: Optional[int] = DEFAULT_SIZE_LIMIT,
         preprocess_steps: Sequence[int] = ALL_STEPS,
@@ -52,7 +51,6 @@ class ShortFirstSolver(Solver):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         self.threshold = threshold
-        self.flow_algorithm = flow_algorithm
         self.wsc_method = wsc_method
         self.lp_size_limit = lp_size_limit
         self.preprocess_steps = tuple(preprocess_steps)
@@ -66,7 +64,6 @@ class ShortFirstSolver(Solver):
         selected: Set = set()
         if short is not None:
             k2 = K2Solver(
-                flow_algorithm=self.flow_algorithm,
                 preprocess_steps=self.preprocess_steps,
                 jobs=self.jobs,
                 verify=False,  # the combined solution is verified once

@@ -1,14 +1,10 @@
-"""Tests for the ``mc3 plan`` command and the auto flow-kernel chooser."""
+"""Tests for the ``mc3 plan`` command."""
 
 import json
-import math
 
 import pytest
 
 from repro.cli import main as mc3_main
-from repro.flow import FlowNetwork, choose_algorithm, max_flow
-from repro.solvers import K2Solver
-from tests.conftest import random_instance
 
 
 @pytest.fixture
@@ -52,34 +48,3 @@ class TestPlanCommand:
         log, _ = log_and_costs
         code = mc3_main(["plan", str(log), str(tmp_path / "nope.csv")])
         assert code == 1
-
-
-class TestAutoKernel:
-    def test_small_network_uses_edmonds_karp(self):
-        network = FlowNetwork()
-        network.add_edge("s", "t", 5)
-        assert choose_algorithm(network) == "edmonds_karp"
-
-    def test_huge_capacities_use_scaling(self):
-        network = FlowNetwork()
-        for i in range(100):
-            network.add_edge("s", f"m{i}", 10_000_000)
-            network.add_edge(f"m{i}", "t", 10_000_000)
-        assert choose_algorithm(network) == "capacity_scaling"
-
-    def test_default_is_dinic(self):
-        network = FlowNetwork()
-        for i in range(100):
-            network.add_edge("s", f"m{i}", 2)
-            network.add_edge(f"m{i}", "t", 2)
-        assert choose_algorithm(network) == "dinic"
-
-    def test_max_flow_accepts_auto(self):
-        network = FlowNetwork()
-        network.add_edge("s", "t", 7)
-        assert max_flow(network, "s", "t", algorithm="auto").value == 7
-
-    def test_k2_solver_accepts_auto(self):
-        instance = random_instance(9, num_properties=6, num_queries=5, max_length=2)
-        result = K2Solver(flow_algorithm="auto").solve(instance)
-        assert result.cost == K2Solver().solve(instance).cost

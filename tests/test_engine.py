@@ -245,6 +245,8 @@ class TestRegistryFactories:
     def test_unknown_kwarg_raises_solver_error(self):
         with pytest.raises(SolverError, match="does not accept"):
             make_solver("property-oriented", dispatch_k2=True)
+        with pytest.raises(SolverError, match=r"does not accept \['flow_algorithm'\]"):
+            make_solver("mc3-k2", flow_algorithm="dinic")
 
     def test_sweep_with_jobs_matches_plain_sweep(self):
         instance = multi_component_instance(8)

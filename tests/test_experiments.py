@@ -12,7 +12,6 @@ from repro.experiments import (
     figure_3d,
     figure_3e,
     figure_3f,
-    maxflow_comparison,
     preprocessing_steps,
     render_table,
     short_first_threshold,
@@ -188,19 +187,6 @@ class TestFigures:
 
 
 class TestAblations:
-    def test_maxflow_comparison_all_kernels(self):
-        figure = maxflow_comparison(sizes=[300], seed=0)
-        assert {s.name for s in figure.series} == {
-            "capacity_scaling", "dinic", "edmonds_karp", "push_relabel",
-        }
-
-    def test_maxflow_comparison_on_p_short_queries(self):
-        figure = maxflow_comparison(sizes=[300], seed=0, private=True)
-        (count,) = figure.series_by_name("dinic").xs()
-        # x is the number of length-<= 2 queries of the 300-query load.
-        assert 0 < count < 300
-        assert len(figure.series) == 4
-
     def test_preprocessing_steps_monotone_cost(self):
         figure = preprocessing_steps(n=300, seed=0)
         costs = figure.series_by_name("cost").ys()

@@ -1,6 +1,6 @@
-"""Tests for the max-flow substrate: four kernels, residual network,
-minimum cuts.  Random networks are validated against networkx as an
-independent oracle."""
+"""Tests for the max-flow substrate: Dinic's algorithm, the residual
+network, minimum cuts.  Random networks are validated against networkx
+as an independent oracle."""
 
 import math
 import random
@@ -11,17 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ReductionError, SolverError
-from repro.flow import (
-    ALGORITHMS,
-    FlowNetwork,
-    capacity_scaling,
-    dinic,
-    edmonds_karp,
-    max_flow,
-    push_relabel,
-)
-
-KERNELS = sorted(ALGORITHMS)
+from repro.flow import FlowNetwork, dinic
 
 
 def diamond_network():
@@ -35,6 +25,18 @@ def diamond_network():
     return network
 
 
+def random_capacity(rng: random.Random) -> float:
+    """Integer, fractional or infinite: the capacities the k <= 2
+    reduction emits (classifier weights such as 0, 0.1 or 1/3, and
+    infinite middle edges)."""
+    draw = rng.random()
+    if draw < 0.25:
+        return math.inf
+    if draw < 0.5:
+        return rng.randint(0, 36) / rng.choice((3, 10))
+    return rng.randint(0, 12)
+
+
 def random_network(seed: int, num_nodes: int = 8, num_edges: int = 18):
     rng = random.Random(seed)
     network = FlowNetwork()
@@ -45,14 +47,37 @@ def random_network(seed: int, num_nodes: int = 8, num_edges: int = 18):
         graph.add_node(node)
     for _ in range(num_edges):
         u, v = rng.sample(nodes, 2)
-        cap = rng.randint(0, 12)
+        cap = random_capacity(rng)
         network.add_edge(u, v, cap)
-        # networkx collapses parallel edges; accumulate capacities.
-        if graph.has_edge(u, v):
-            graph[u][v]["capacity"] += cap
-        else:
-            graph.add_edge(u, v, capacity=cap)
+        # networkx collapses parallel edges, so capacities accumulate; it
+        # reads an edge without a capacity attribute as infinite.
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+            if math.isfinite(cap):
+                graph[u][v]["capacity"] = cap
+        elif "capacity" in graph[u][v]:
+            if math.isfinite(cap):
+                graph[u][v]["capacity"] += cap
+            else:
+                del graph[u][v]["capacity"]
     return network, graph
+
+
+def checked_dinic(network, graph):
+    """Dinic's max flow from node 0 to node 1, checked against networkx.
+
+    Where networkx reports the flow unbounded, checks that Dinic raises
+    :class:`SolverError` and returns ``None``.
+    """
+    try:
+        expected = nx.maximum_flow_value(graph, 0, 1)
+    except nx.NetworkXUnbounded:
+        with pytest.raises(SolverError, match="unbounded"):
+            dinic(network, 0, 1)
+        return None
+    value = dinic(network, 0, 1)
+    assert value == pytest.approx(expected)
+    return value
 
 
 class TestNetwork:
@@ -72,50 +97,44 @@ class TestNetwork:
         assert edge.capacity == 5
         assert edge.flow == 5
 
-    def test_reset_flow(self):
-        network = FlowNetwork()
-        network.add_edge("s", "t", 5)
-        dinic(network, "s", "t")
-        network.reset_flow()
-        (edge,) = network.edges()
-        assert edge.flow == 0
-        assert dinic(network, "s", "t") == 5
+    def test_min_cut_of_completed_flow(self):
+        network = diamond_network()
+        value = dinic(network, "s", "t")
+        source_side, cut_edges = network.min_cut("s", "t")
+        assert value == 2000
+        assert "s" in source_side and "t" not in source_side
+        assert sum(e.capacity for e in cut_edges) == value
 
-    def test_max_finite_capacity_ignores_infinite(self):
-        network = FlowNetwork()
-        network.add_edge("a", "b", math.inf)
-        network.add_edge("b", "c", 7)
-        assert network.max_finite_capacity() == 7
+    def test_min_cut_before_completion_rejected(self):
+        network = diamond_network()
+        with pytest.raises(ReductionError):
+            network.min_cut("s", "t")
 
 
-@pytest.mark.parametrize("kernel_name", KERNELS)
-class TestKernels:
-    def kernel(self, name):
-        return ALGORITHMS[name]
-
-    def test_single_edge(self, kernel_name):
+class TestDinic:
+    def test_single_edge(self):
         network = FlowNetwork()
         network.add_edge("s", "t", 3.5)
-        assert self.kernel(kernel_name)(network, "s", "t") == 3.5
+        assert dinic(network, "s", "t") == 3.5
 
-    def test_no_path(self, kernel_name):
+    def test_no_path(self):
         network = FlowNetwork()
         network.add_edge("s", "a", 3)
         network.add_node("t")
-        assert self.kernel(kernel_name)(network, "s", "t") == 0
+        assert dinic(network, "s", "t") == 0
 
-    def test_diamond(self, kernel_name):
+    def test_diamond(self):
         network = diamond_network()
-        assert self.kernel(kernel_name)(network, "s", "t") == 2000
+        assert dinic(network, "s", "t") == 2000
 
-    def test_bottleneck_path(self, kernel_name):
+    def test_bottleneck_path(self):
         network = FlowNetwork()
         network.add_edge("s", "a", 10)
         network.add_edge("a", "b", 2)
         network.add_edge("b", "t", 10)
-        assert self.kernel(kernel_name)(network, "s", "t") == 2
+        assert dinic(network, "s", "t") == 2
 
-    def test_infinite_middle_edges(self, kernel_name):
+    def test_infinite_middle_edges(self):
         """The WVC-reduction shape: finite source/sink edges, infinite
         middle ones."""
         network = FlowNetwork()
@@ -124,43 +143,45 @@ class TestKernels:
         network.add_edge("l1", "r1", math.inf)
         network.add_edge("l2", "r1", math.inf)
         network.add_edge("r1", "t", 7)
-        assert self.kernel(kernel_name)(network, "s", "t") == 7
+        assert dinic(network, "s", "t") == 7
 
-    def test_unbounded_raises(self, kernel_name):
+    def test_unbounded_raises(self):
         network = FlowNetwork()
         network.add_edge("s", "a", math.inf)
         network.add_edge("a", "t", math.inf)
         with pytest.raises(SolverError):
-            self.kernel(kernel_name)(network, "s", "t")
+            dinic(network, "s", "t")
 
-    def test_source_equals_sink_rejected(self, kernel_name):
+    def test_source_equals_sink_rejected(self):
         network = FlowNetwork()
         network.add_edge("s", "t", 1)
         with pytest.raises(SolverError):
-            self.kernel(kernel_name)(network, "s", "s")
+            dinic(network, "s", "s")
 
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=40, deadline=None)
-    def test_matches_networkx(self, kernel_name, seed):
+    def test_matches_networkx(self, seed):
         network, graph = random_network(seed)
-        expected = nx.maximum_flow_value(graph, 0, 1) if graph.has_node(1) else 0
-        value = self.kernel(kernel_name)(network, 0, 1)
-        assert value == pytest.approx(expected)
+        checked_dinic(network, graph)
 
     @given(st.integers(min_value=0, max_value=150))
     @settings(max_examples=25, deadline=None)
-    def test_min_cut_capacity_equals_flow(self, kernel_name, seed):
-        network, _graph = random_network(seed)
-        value = self.kernel(kernel_name)(network, 0, 1)
+    def test_min_cut_capacity_equals_flow(self, seed):
+        network, graph = random_network(seed)
+        value = checked_dinic(network, graph)
+        if value is None:
+            return
         source_side, cut_edges = network.min_cut(0, 1)
         assert 0 in source_side and 1 not in source_side
         assert sum(edge.capacity for edge in cut_edges) == pytest.approx(value)
 
     @given(st.integers(min_value=0, max_value=150))
     @settings(max_examples=25, deadline=None)
-    def test_flow_conservation(self, kernel_name, seed):
-        network, _graph = random_network(seed)
-        value = self.kernel(kernel_name)(network, 0, 1)
+    def test_flow_conservation(self, seed):
+        network, graph = random_network(seed)
+        value = checked_dinic(network, graph)
+        if value is None:
+            return
         balance = {}
         for edge in network.edges():
             balance[edge.source] = balance.get(edge.source, 0.0) - edge.flow
@@ -173,27 +194,3 @@ class TestKernels:
                 assert net == pytest.approx(value)
             else:
                 assert net == pytest.approx(0.0)
-
-
-class TestFacade:
-    def test_unknown_algorithm(self):
-        with pytest.raises(SolverError):
-            max_flow(diamond_network(), "s", "t", algorithm="nope")
-
-    def test_result_min_cut(self):
-        result = max_flow(diamond_network(), "s", "t")
-        source_side, cut_edges = result.min_cut()
-        assert result.value == 2000
-        assert sum(e.capacity for e in cut_edges) == result.value
-
-    def test_min_cut_before_completion_rejected(self):
-        network = diamond_network()
-        with pytest.raises(ReductionError):
-            network.min_cut("s", "t")
-
-    def test_kernels_agree_on_diamond(self):
-        values = set()
-        for name in KERNELS:
-            network = diamond_network()
-            values.add(max_flow(network, "s", "t", algorithm=name).value)
-        assert values == {2000}

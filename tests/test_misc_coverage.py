@@ -82,7 +82,7 @@ class TestSolverDetails:
     def test_k2_details_fields(self):
         instance = MC3Instance(["a b"], {"a": 1, "b": 1, "a b": 3})
         result = K2Solver().solve(instance)
-        assert result.details["flow_algorithm"] == "dinic"
+        assert "flow_value" in result.details
         assert "preprocess" in result.details
         assert result.details["components"] >= 0
 

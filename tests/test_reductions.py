@@ -27,6 +27,11 @@ from repro.solvers import ExactSolver
 from tests.conftest import random_instance
 
 
+#: Classifier weights for the fractional WVC draws: zeros (known
+#: properties, preprocessing selections) and non-integers.
+FRACTIONAL_WEIGHTS = (0, 0.1, 1 / 3, 0.5, 1, 2.5, 7)
+
+
 def brute_force_sc(sets, universe):
     """Unweighted set-cover optimum by exhaustive search."""
     best = math.inf
@@ -83,25 +88,37 @@ class TestWVCToFlow:
         if not queries:
             return
         graph = mc3_to_bipartite_wvc(queries, instance.cost)
-        for algorithm in ("dinic", "edmonds_karp", "push_relabel", "capacity_scaling"):
-            cover, value = solve_bipartite_wvc(graph, algorithm=algorithm)
-            assert graph.is_cover(cover)
-            assert graph.cover_weight(cover) == pytest.approx(value)
+        cover, value = solve_bipartite_wvc(graph)
+        assert graph.is_cover(cover)
+        assert graph.cover_weight(cover) == pytest.approx(value)
 
     def test_empty_graph(self):
         cover, value = solve_bipartite_wvc(BipartiteWVC())
         assert cover == set() and value == 0.0
 
-    @given(st.integers(min_value=0, max_value=120))
-    @settings(max_examples=20, deadline=None)
-    def test_cover_weight_is_minimum(self, seed):
-        """Exhaustively verify minimality on tiny instances."""
+    @given(st.integers(min_value=0, max_value=120), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_cover_weight_is_minimum(self, seed, fractional):
+        """Exhaustively verify minimality on tiny instances, with integer
+        weights or with fractional and zero ones."""
         instance = random_instance(seed, num_properties=5, num_queries=4, max_length=2)
         queries = [q for q in instance.queries if len(q) == 2]
         if not queries:
             return
-        graph = mc3_to_bipartite_wvc(queries, instance.cost)
-        _cover, value = solve_bipartite_wvc(graph)
+        cost = instance.cost
+        if fractional:
+            rng = random.Random(seed)
+            cost = TableCost(
+                {
+                    clf: rng.choice(FRACTIONAL_WEIGHTS)
+                    for q in queries
+                    for clf in (q, *(frozenset([p]) for p in sorted(q)))
+                }
+            )
+        graph = mc3_to_bipartite_wvc(queries, cost)
+        cover, value = solve_bipartite_wvc(graph)
+        assert graph.is_cover(cover)
+        assert graph.cover_weight(cover) == pytest.approx(value)
         nodes = list(graph.left) + list(graph.right)
         best = math.inf
         for size in range(len(nodes) + 1):
