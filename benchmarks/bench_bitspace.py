@@ -1,11 +1,16 @@
 """Micro-benchmarks for the bitset property-space rewrite.
 
-Times the three rewritten hot paths — dominated pruning, the
-single-query min-cover DP, and greedy WSC (plain + bucketed) — against
-the verbatim pre-change implementations kept in
-:mod:`repro.core.reference`, asserting bit-identical outputs before any
-timing is trusted.  Also re-checks that every registered solver returns
-the identical solution with the reference kernels patched in.
+Times the rewritten hot paths — dominated pruning, the single-query
+min-cover DP, greedy WSC (plain + bucketed), the coverage walk and the
+canonical classifier sum — against the verbatim pre-change
+implementations kept in :mod:`repro.core.reference`, asserting
+bit-identical outputs before any timing is trusted.  The coverage and
+sum rows run on ``mc3-general`` plans: a 1000-query window of a
+shuffled BestBuy-like 1500-query log (the drift benchmark's source),
+the same window at fractional costs, P-like 3000 (600 in smoke mode)
+and a daemon-sized request of 10 P-like queries.  Also re-checks that
+every registered solver returns the identical solution with the
+reference kernels patched in.
 
 Standalone usage (writes median timings + speedups as JSON)::
 
@@ -27,22 +32,27 @@ import random
 import statistics
 import sys
 import time
+import zlib
 from typing import Callable, Dict
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.core import MC3Instance, OverlayCost, TableCost  # noqa: E402
+from repro.core import CallableCost, MC3Instance, OverlayCost, TableCost  # noqa: E402
+from repro.core.coverage import CoverageChecker  # noqa: E402
 from repro.core.mincover import min_cover  # noqa: E402
-from repro.core.properties import iter_nonempty_subsets  # noqa: E402
+from repro.core.properties import canonical_sum, iter_nonempty_subsets  # noqa: E402
 from repro.core.reference import (  # noqa: E402
+    ReferenceCoverageChecker,
     ReferenceDominatedPruner,
     patch_reference_kernels,
     reference_bucket_greedy_wsc,
     reference_greedy_wsc,
     reference_min_cover,
+    reference_sorted_sum,
 )
+from repro.datasets import bestbuy_like, private_like  # noqa: E402
 from repro.exceptions import ReductionError, SolverError  # noqa: E402
 from repro.preprocess.dominated import DominatedPruner  # noqa: E402
 from repro.setcover import bucket_greedy_wsc, greedy_wsc  # noqa: E402
@@ -93,6 +103,34 @@ def wsc_workload(num_elements: int, num_sets: int, seed: int = 13) -> WSCInstanc
         members = rng.sample(elements, size)
         instance.add_set(f"s{index}", members, float(rng.randint(1, 10)))
     return instance
+
+
+def plan_workloads(smoke: bool) -> Dict[str, tuple]:
+    """``name → (instance, plan)``: ``mc3-general``'s plan for a drift
+    window, for P-like, for a daemon-sized request (10 P-like queries)
+    and for the drift window priced at fractional costs (``k/7``, so
+    :func:`canonical_sum` takes its sorted path): the inputs a plan's
+    coverage check and pricing see."""
+    bestbuy = bestbuy_like(n=1500, seed=0)
+    log = list(bestbuy.queries)
+    random.Random(1).shuffle(log)
+    private = private_like(n=600 if smoke else 3000, seed=0)
+    request = list(private.queries)
+    random.Random(1).shuffle(request)
+
+    def sevenths(clf) -> float:
+        return (1 + zlib.crc32("+".join(sorted(clf)).encode("utf-8")) % 300) / 7
+
+    loads = {
+        "drift_window": MC3Instance(log[:1000], bestbuy.cost),
+        "private_like": private,
+        "daemon_request": MC3Instance(request[:10], private.cost),
+        "fractional_window": MC3Instance(log[:1000], CallableCost(sevenths)),
+    }
+    return {
+        name: (instance, make_solver("mc3-general").solve(instance).solution.classifiers)
+        for name, instance in loads.items()
+    }
 
 
 def solver_check_instance(seed: int = 17) -> MC3Instance:
@@ -240,6 +278,53 @@ def bench_bucket_greedy(repeats: int, num_elements: int, num_sets: int) -> Dict:
     )
 
 
+def bench_coverage(repeats: int, instance: MC3Instance, plan, calls: int) -> Dict:
+    """The whole plan (all covered) and half of it (some uncovered):
+    the walk must return the reference's queries in the same order.
+    Each sample checks the whole plan ``calls`` times."""
+    queries = instance.queries
+    selections = [list(plan), list(plan)[: len(plan) // 2]]
+    checker = CoverageChecker(queries)
+    reference = ReferenceCoverageChecker(queries)
+    expected = [reference.uncovered_queries(chosen) for chosen in selections]
+
+    def identical(_) -> bool:
+        return [checker.uncovered_queries(chosen) for chosen in selections] == expected
+
+    return workload_entry(
+        {"queries": len(queries), "classifiers": len(plan), "calls": calls},
+        lambda: [checker.uncovered_queries(plan) for _ in range(calls)],
+        median_seconds(
+            lambda: [reference.uncovered_queries(plan) for _ in range(calls)], repeats
+        ),
+        repeats,
+        identical,
+        {"uncovered_of_half_plan": len(expected[1])},
+    )
+
+
+def bench_canonical_sum(repeats: int, instance: MC3Instance, plan, calls: int) -> Dict:
+    """``W(plan)`` with the helper and with the always-sorted sum, as
+    type and float bits.  Each sample prices the plan ``calls`` times."""
+    weight = instance.weight
+    expected = reference_sorted_sum(weight, plan)
+
+    def identical(_) -> bool:
+        total = canonical_sum(weight, plan)
+        return type(total) is type(expected) and float(total).hex() == float(expected).hex()
+
+    return workload_entry(
+        {"classifiers": len(plan), "calls": calls},
+        lambda: [canonical_sum(weight, plan) for _ in range(calls)],
+        median_seconds(
+            lambda: [reference_sorted_sum(weight, plan) for _ in range(calls)], repeats
+        ),
+        repeats,
+        identical,
+        {"cost": expected},
+    )
+
+
 def check_solver_equivalence() -> Dict:
     """Every registered solver: identical solution on the bench instance
     whether it runs on the mask kernels or the patched-in references."""
@@ -288,6 +373,15 @@ def run_all(smoke: bool = False, repeats: int = 5) -> Dict:
         "greedy_wsc": bench_greedy(repeats, *sizes["greedy"]),
         "bucket_greedy_wsc": bench_bucket_greedy(repeats, *sizes["bucket_greedy"]),
     }
+    for load, (instance, plan) in plan_workloads(smoke).items():
+        # A request's plan takes microseconds: time a batch of calls.
+        calls = 1000 if load == "daemon_request" else 1
+        workloads[f"coverage_walk/{load}"] = bench_coverage(
+            max(repeats, 5), instance, plan, calls
+        )
+        workloads[f"canonical_sum/{load}"] = bench_canonical_sum(
+            max(repeats, 5), instance, plan, calls
+        )
     for name, entry in workloads.items():
         median = entry["median_s"]
         entry["speedup"] = (
@@ -317,7 +411,7 @@ def main(argv=None) -> int:
     results = run_all(smoke=options.smoke, repeats=options.repeats)
     for name, entry in results["workloads"].items():
         print(
-            f"{name:20s} reference {entry['reference_median_s'] * 1e3:9.2f} ms"
+            f"{name:32s} reference {entry['reference_median_s'] * 1e3:9.2f} ms"
             f"  kernel {entry['median_s'] * 1e3:9.2f} ms"
             f"  speedup {entry['speedup']:6.2f}x"
             f"  identical={entry['identical']}"

@@ -47,7 +47,7 @@ from repro.core.properties import (
     Classifier,
     PropertySet,
     canonical_label,
-    classifier_sort_key,
+    canonical_sum,
 )
 from repro.exceptions import InvalidInstanceError
 
@@ -132,11 +132,11 @@ class CostModel(ABC):
     def total(self, classifiers: Iterable[Classifier]) -> float:
         """Sum of costs — the paper's ``W(S)``.  ``inf`` if any member is.
 
-        Summed in :func:`~repro.core.properties.classifier_sort_key`
-        order: float addition is order-sensitive, and callers pass sets
-        whose iteration order depends on the hash seed.
+        Summed by :func:`~repro.core.properties.canonical_sum`: float
+        addition is order-sensitive, and callers pass sets whose
+        iteration order depends on the hash seed.
         """
-        return sum(self.cost(clf) for clf in sorted(classifiers, key=classifier_sort_key))
+        return canonical_sum(self.cost, classifiers)
 
 
 class TableCost(CostModel):

@@ -59,27 +59,37 @@ class CoverageChecker:
         return self._by_property.get(prop, [])
 
     def applicable_queries(self, clf: Classifier) -> List[int]:
-        """Indices of queries that ``clf`` can help cover (``clf ⊆ q``).
+        """Indices of queries that ``clf`` can help cover (``clf ⊆ q``),
+        ascending.
 
-        Intersects the per-property posting lists, shortest first.
+        Every query ``q ⊇ clf`` holds each of ``clf``'s properties, so
+        the posting list of the rarest one lists all of them: walk it and
+        keep the queries with ``clf <= q``.  A singleton's posting list is
+        the answer as it stands (returned as is, like
+        :meth:`queries_with_property`).
         """
-        posting_lists = sorted(
-            (self._by_property.get(prop, []) for prop in clf), key=len
-        )
-        if not posting_lists:
-            return []
-        result = set(posting_lists[0])
-        for postings in posting_lists[1:]:
-            result.intersection_update(postings)
-            if not result:
-                break
-        return sorted(result)
+        by_property = self._by_property
+        if len(clf) == 1:
+            (prop,) = clf
+            return by_property.get(prop, [])
+        # Which of equally rare lists is walked cannot change the
+        # queries found, so the hash order of ``clf`` is harmless.
+        rarest: List[int] = []
+        for prop in clf:
+            postings = by_property.get(prop)
+            if postings is None:
+                return []
+            if not rarest or len(postings) < len(rarest):
+                rarest = postings
+        queries = self.queries
+        return [index for index in rarest if clf <= queries[index]]
 
     def uncovered_queries(self, selected: Iterable[Classifier]) -> List[Query]:
-        """The queries not covered by ``selected``."""
+        """The queries not covered by ``selected``, in load order."""
         remaining: List[Set[str]] = [set(q) for q in self.queries]
+        applicable = self.applicable_queries
         for clf in selected:
-            for index in self.applicable_queries(clf):
+            for index in applicable(clf):
                 remaining[index] -= clf
         return [self.queries[i] for i, rem in enumerate(remaining) if rem]
 

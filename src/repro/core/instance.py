@@ -16,7 +16,7 @@ from repro.core.properties import (
     Classifier,
     PropertySet,
     Query,
-    classifier_sort_key,
+    canonical_sum,
     iter_nonempty_subsets,
     query as make_query,
     union_of,
@@ -140,13 +140,10 @@ class MC3Instance:
     def total_weight(self, classifiers: Iterable[Classifier]) -> float:
         """``W(S)`` — the sum of individual classifier weights.
 
-        Summed in :func:`~repro.core.properties.classifier_sort_key`
-        order, so the float is the same whatever order (or hash seed)
-        the set arrives in.
+        Summed by :func:`~repro.core.properties.canonical_sum`, so the
+        float is the same whatever order (or hash seed) the set arrives in.
         """
-        return sum(
-            self.weight(clf) for clf in sorted(classifiers, key=classifier_sort_key)
-        )
+        return canonical_sum(self.weight, classifiers)
 
     # ------------------------------------------------------------------
     # Candidate classifiers

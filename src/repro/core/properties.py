@@ -16,7 +16,7 @@ enumeration helpers used throughout the solvers.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.exceptions import InvalidInstanceError
 
@@ -96,6 +96,35 @@ def classifier_sort_key(props: PropertySet) -> Tuple[int, Tuple[str, ...]]:
     float weights, where accumulation order changes the rounded total).
     """
     return (len(props), tuple(sorted(props)))
+
+
+#: Sums of non-negative integers below this are exact in binary64 in any
+#: order: every partial sum is an integer no larger than the total, and
+#: each integer below ``2**53`` is representable.
+EXACT_INTEGER_SUM = 2**53
+
+
+def canonical_sum(
+    weight: Callable[[Classifier], float], classifiers: Iterable[Classifier]
+) -> float:
+    """``Σ weight(c)`` over ``classifiers``, the same float whatever their order.
+
+    When every weight is a non-negative integer and the total is below
+    :data:`EXACT_INTEGER_SUM`, no partial sum rounds, so the sum in
+    arrival order is already the canonical one.  Anything else
+    (fractional, infinite or NaN weights, or a larger total) is summed
+    in :func:`classifier_sort_key` order.  ``weight`` is called once
+    per member.
+    """
+    members = list(classifiers)
+    weights = [weight(clf) for clf in members]
+    # Returned only when every term is a non-negative integer and the
+    # total is below 2**53: then every order gives this same float.
+    total = sum(weights)  # reprolint: sanitize exact integer sum, order-free
+    if total < EXACT_INTEGER_SUM and all(w >= 0 and w % 1 == 0 for w in weights):
+        return total
+    order = sorted(range(len(members)), key=lambda i: classifier_sort_key(members[i]))
+    return sum(weights[i] for i in order)
 
 
 def iter_nonempty_subsets(

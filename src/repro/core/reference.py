@@ -6,6 +6,9 @@ set ids, same solution costs.  That promise is only worth something if
 it stays executable, so this module keeps the original frozenset-based
 implementations — dominated pruning, the single-query min-cover DP,
 the MC³ → WSC reduction, and both greedy set-cover variants — verbatim.
+It also keeps the intersect-and-sort coverage check and the always
+sorted classifier sum that :class:`~repro.core.coverage.CoverageChecker`
+and :func:`~repro.core.properties.canonical_sum` replaced.
 
 They serve two callers:
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from contextlib import ExitStack, contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.costs import OverlayCost
 from repro.core.instance import MC3Instance
@@ -33,6 +36,7 @@ from repro.core.properties import (
     Classifier,
     PropertySet,
     Query,
+    classifier_sort_key,
     iter_nonempty_subsets,
     iter_two_covers,
     iter_two_partitions,
@@ -516,6 +520,54 @@ def reference_bucket_greedy_wsc(
     solution = WSCSolution(selected, total_cost)
     instance.verify_solution(solution)
     return solution
+
+
+# ----------------------------------------------------------------------
+# Coverage oracle (pre-walk repro.core.coverage.CoverageChecker)
+# ----------------------------------------------------------------------
+
+
+class ReferenceCoverageChecker:
+    """Original intersect-and-sort coverage check."""
+
+    def __init__(self, queries: Iterable[Query]):
+        self.queries: List[Query] = list(queries)
+        self._by_property: Dict[str, List[int]] = {}
+        for index, q in enumerate(self.queries):
+            for prop in q:
+                self._by_property.setdefault(prop, []).append(index)
+
+    def applicable_queries(self, clf: Classifier) -> List[int]:
+        posting_lists = sorted(
+            (self._by_property.get(prop, []) for prop in clf), key=len
+        )
+        if not posting_lists:
+            return []
+        result = set(posting_lists[0])
+        for postings in posting_lists[1:]:
+            result.intersection_update(postings)
+            if not result:
+                break
+        return sorted(result)
+
+    def uncovered_queries(self, selected: Iterable[Classifier]) -> List[Query]:
+        remaining: List[Set[str]] = [set(q) for q in self.queries]
+        for clf in selected:
+            for index in self.applicable_queries(clf):
+                remaining[index] -= clf
+        return [self.queries[i] for i, rem in enumerate(remaining) if rem]
+
+
+# ----------------------------------------------------------------------
+# Sorted-order classifier sum (pre-change MC3Instance.total_weight)
+# ----------------------------------------------------------------------
+
+
+def reference_sorted_sum(
+    weight: Callable[[Classifier], float], classifiers: Iterable[Classifier]
+) -> float:
+    """``W(S)`` summed in :func:`classifier_sort_key` order, always."""
+    return sum(weight(clf) for clf in sorted(classifiers, key=classifier_sort_key))
 
 
 # ----------------------------------------------------------------------

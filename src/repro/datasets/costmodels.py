@@ -85,5 +85,9 @@ class SubAdditiveHashCost(CostModel):
             value = bases[0]
         else:
             lowest = min(bases)
-            value = self._specificity(clf) * lowest + self.spill * (sum(bases) - lowest)
+            # fsum is correctly rounded, so the hash order of ``clf``
+            # cannot reach the float (integer bases sum exactly anyway).
+            value = self._specificity(clf) * lowest + self.spill * (
+                math.fsum(bases) - lowest
+            )
         return float(min(self.high, max(self.low, round(value))))

@@ -34,7 +34,7 @@ import random
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.costs import HashCost
-from repro.core.properties import Classifier, Query, classifier_sort_key
+from repro.core.properties import Classifier, Query, canonical_sum
 from repro.datasets.synthetic import (
     COST_HIGH,
     COST_LOW,
@@ -217,9 +217,7 @@ class LazyQueryLoad:
     def total_weight(self, classifiers: Iterable[Classifier]) -> float:
         """``W(S)``, summed in canonical order (same contract as
         :meth:`MC3Instance.total_weight`)."""
-        return sum(
-            self.weight(clf) for clf in sorted(classifiers, key=classifier_sort_key)
-        )
+        return canonical_sum(self.weight, classifiers)
 
     def candidates(self, q: Query) -> Iterator[Classifier]:
         """Finite-weight classifiers usable for ``q`` (the paper's

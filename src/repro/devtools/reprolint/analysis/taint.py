@@ -37,8 +37,11 @@ sanitized — the list grows in hash order all the same.
 Float addition is not associative, so ``sum`` is a sink of its own
 (``float-sum``): a ``sum`` that iterates an unordered value, or a
 parameter not annotated as an ordered sequence (a caller may pass a
-set through an ``Iterable``), is a finding wherever it sits.  Sums whose
-terms are evidently integers (``len``, ``bit_count``, ``int``,
+set through an ``Iterable``), is a finding wherever it sits.  A local
+bound once to a comprehension, ``list(...)`` or ``tuple(...)`` and only
+read in place (never sorted, shuffled or handed on) is followed to what
+it was built from, since it keeps that order.  Sums
+whose terms are evidently integers (``len``, ``bit_count``, ``int``,
 comparisons, integer literals) are exact in any order and exempt.  The
 result of ``sum`` itself carries no order facts: the finding is made at
 the sum.
@@ -221,6 +224,102 @@ def _integer_terms(argument: ast.expr) -> bool:
     return False
 
 
+#: Bare-name calls that only read a list passed to them: it keeps its
+#: order after the call.
+_READ_ONLY_CALLS = _ORDER_NEUTRAL | _SEQUENCE_MAKERS | {"zip"}
+#: Nodes that open a scope of their own.
+_SCOPES = (
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.Lambda,
+    ast.ClassDef,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+def _own_scope(function: ast.AST) -> Iterable[ast.AST]:
+    """The nodes of ``function`` that bind in its own scope: nested
+    defs, lambdas, classes and comprehensions are yielded, not entered."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _single_bindings(
+    function: ast.AST, params: Iterable[str]
+) -> Dict[str, ast.expr]:
+    """Locals of ``function`` bound exactly once, by a plain assignment in
+    its own scope, and only ever read in place → the bound expression.
+
+    Read in place means iterated, indexed, compared, tested for truth
+    or handed to a bare read-only builtin (:data:`_READ_ONLY_CALLS`).  Any other read
+    (``ws.sort()``, ``shuffle(ws)``, ``alias = ws``, a closure's
+    ``nonlocal``) could reorder the list, so such a local is dropped.
+    """
+    stores: Dict[str, int] = dict.fromkeys(params, 1)
+    values: Dict[str, ast.expr] = {}
+    for node in _own_scope(function):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            stores[node.id] = stores.get(node.id, 0) + 1
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stores[node.name] = stores.get(node.name, 0) + 1
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target, value = node.target, node.value
+        else:
+            continue
+        if isinstance(target, ast.Name):
+            values[target.id] = value
+    dropped = set()
+    for parent in ast.walk(function):
+        if isinstance(parent, (ast.Nonlocal, ast.Global)):
+            dropped.update(parent.names)
+        elif isinstance(parent, ast.NamedExpr):
+            # A walrus in a comprehension binds in this scope too.
+            dropped.add(parent.target.id)
+        for child in ast.iter_child_nodes(parent):
+            if (
+                isinstance(child, ast.Name)
+                and isinstance(child.ctx, ast.Load)
+                and child.id in values
+                and not _read_in_place(child, parent, stores)
+            ):
+                dropped.add(child.id)
+    return {
+        name: value
+        for name, value in values.items()
+        if stores[name] == 1 and name not in dropped
+    }
+
+
+def _read_in_place(name: ast.Name, parent: ast.AST, stores: Dict[str, int]) -> bool:
+    """Whether this read of a local looks at its items and nothing more."""
+    if isinstance(parent, (ast.For, ast.AsyncFor, ast.comprehension)):
+        return name is parent.iter
+    if isinstance(parent, ast.Subscript):
+        return name is parent.value and isinstance(parent.ctx, ast.Load)
+    if isinstance(parent, (ast.Compare, ast.UnaryOp)):
+        return True
+    if isinstance(parent, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+        return name is parent.test
+    if isinstance(parent, ast.Call):
+        func = parent.func
+        return (
+            name is not func
+            and isinstance(func, ast.Name)
+            and func.id in _READ_ONLY_CALLS
+            and func.id not in stores
+        )
+    return False
+
+
 def _is_seeded_rng(call: ast.Call) -> bool:
     """``random.Random(seed)`` with an explicit seed is the sanctioned
     threaded-RNG idiom; argument-less construction inherits OS entropy."""
@@ -310,6 +409,9 @@ class _FunctionPass:
         #: ``sum`` calls already judged: a return value can be evaluated
         #: twice in the report pass, a finding is made once.
         self._judged_sums: set = set()
+        #: Locals bound exactly once → the bound expression, built lazily
+        #: by :meth:`_sequence_source`.
+        self._single_bindings: Optional[Dict[str, ast.expr]] = None
 
     # -- summary -------------------------------------------------------
 
@@ -821,23 +923,76 @@ class _FunctionPass:
         ):
             return
         self._judged_sums.add(id(call))
-        argument = call.args[0]
-        if _integer_terms(argument) or self._sanitized_line(call):
+        if self._sanitized_line(call):
             return
+        labels = self._float_sum_labels(call, call.args[0], frozenset())
+        if labels:
+            self._emit("float-sum", call, Taint(order_labels=frozenset(labels)))
+
+    def _float_sum_labels(
+        self, call: ast.Call, argument: ast.expr, followed: FrozenSet[str]
+    ) -> set:
+        """Order labels of the terms ``argument`` feeds a ``sum``.
+
+        A local bound once to a comprehension, ``list(...)`` or
+        ``tuple(...)`` keeps the order of what it was built from, so the
+        judgment follows it to that source (``ws = [w(c) for c in
+        classifiers]; sum(ws)`` sums in the parameter's order).
+        """
+        if _integer_terms(argument):
+            return set()
         if isinstance(argument, (ast.GeneratorExp, ast.ListComp)):
             iterables = [generator.iter for generator in argument.generators]
         else:
             iterables = [argument]
         labels = set()
         for iterable in iterables:
-            if self.eval_expr(iterable).unordered:
+            if self._quiet_eval(iterable).unordered:
                 labels.add(self._site(call, "unsorted-iteration"))
-            elif isinstance(iterable, ast.Name) and self._may_arrive_unordered(
-                iterable.id
-            ):
-                labels.add(self._site(call, f"unordered-param:{iterable.id}"))
-        if labels:
-            self._emit("float-sum", call, Taint(order_labels=frozenset(labels)))
+            elif isinstance(iterable, ast.Name):
+                name = iterable.id
+                if self._may_arrive_unordered(name):
+                    labels.add(self._site(call, f"unordered-param:{name}"))
+                elif name not in followed:
+                    source = self._sequence_source(name)
+                    if source is not None:
+                        labels |= self._float_sum_labels(
+                            call, source, followed | {name}
+                        )
+        return labels
+
+    def _quiet_eval(self, node: ast.expr) -> Taint:
+        """Evaluate without reporting: a followed source was already
+        judged where it was bound."""
+        report, self.report = self.report, False
+        try:
+            return self.eval_expr(node)
+        finally:
+            self.report = report
+
+    def _sequence_source(self, name: str) -> Optional[ast.expr]:
+        """What the local ``name`` copies the order of, when
+        :func:`_single_bindings` keeps it and it is bound to a
+        comprehension or a one-argument ``list``/``tuple`` call; else
+        ``None``."""
+        if self._single_bindings is None:
+            self._single_bindings = _single_bindings(
+                self.info.node, self.info.param_names
+            )
+        value = self._single_bindings.get(name)
+        if isinstance(value, (ast.ListComp, ast.GeneratorExp)):
+            return value
+        if (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in ("list", "tuple")
+            and value.func.id not in self.env
+            and len(value.args) == 1
+            and not value.keywords
+            and not isinstance(value.args[0], ast.Starred)
+        ):
+            return value.args[0]
+        return None
 
     def _may_arrive_unordered(self, name: str) -> bool:
         """A parameter, never rebound, not ``*args`` and not annotated as

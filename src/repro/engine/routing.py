@@ -8,7 +8,7 @@ level at which specialisation is lossless (components share no
 properties, so composing per-component optima is exact, Observation
 3.2).
 
-The flagship rule is :func:`exact_k2_route`: components whose queries
+The one built-in rule is :func:`exact_k2_route`: components whose queries
 all have length ≤ 2 are solved *exactly* through the Theorem 4.1
 reduction chain (bipartite WVC → max-flow) instead of the WSC
 approximation.  This used to live inside ``GeneralSolver`` (as the
@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.costs import OverlayCost
 from repro.core.instance import MC3Instance
-from repro.core.properties import Classifier, Query, classifier_sort_key
+from repro.core.properties import Classifier, Query
 from repro.engine.cache import DETAILS_VERSION
 from repro.exceptions import UncoverableQueryError
 from repro.reductions import mc3_to_bipartite_wvc, solve_bipartite_wvc
@@ -54,7 +54,7 @@ def solve_component_k2(
         else:
             length_two.append(q)
     if not length_two:
-        return forced, {"flow_value": 0.0, "lower_bound": _cost(component, forced)}
+        return forced, {"flow_value": 0.0, "lower_bound": component.total_weight(forced)}
     cost = component.cost
     if forced:
         # Forced singletons are already paid for; the WVC must see them
@@ -68,14 +68,7 @@ def solve_component_k2(
     graph = mc3_to_bipartite_wvc(length_two, cost)
     cover, flow_value = solve_bipartite_wvc(graph)
     chosen = forced | cover
-    return chosen, {"flow_value": flow_value, "lower_bound": _cost(component, chosen)}
-
-
-def _cost(component: MC3Instance, classifiers: Set[Classifier]) -> float:
-    """The component's price of ``classifiers``, summed in canonical order."""
-    return sum(
-        component.weight(clf) for clf in sorted(classifiers, key=classifier_sort_key)
-    )
+    return chosen, {"flow_value": flow_value, "lower_bound": component.total_weight(chosen)}
 
 
 class Route:
@@ -124,105 +117,8 @@ class _IsK2Component:
         return component.max_query_length <= 2
 
 
-class _IsLargeComponent:
-    """Picklable predicate: the component has at least ``min_queries``
-    residual queries (the size tier where sub-linear gain estimation
-    starts beating exact greedy's full-universe scans)."""
-
-    def __init__(self, min_queries: int):
-        self.min_queries = min_queries
-
-    def __call__(self, component: MC3Instance) -> bool:
-        return component.n >= self.min_queries
-
-
-class _SolveSampledComponent:
-    """Picklable sampled-greedy WSC solve for one large component.
-
-    The per-component RNG seed is derived from the run seed and the
-    component's query content (blake2b, not ``hash()``), so outputs are
-    bit-identical across ``jobs=1``/``jobs=N`` and ``PYTHONHASHSEED``
-    values — each component's randomness is a pure function of (seed,
-    its queries), independent of scheduling order.
-    """
-
-    def __init__(self, seed: int, rates: Tuple[float, ...], exact_threshold: int):
-        self.seed = seed
-        self.rates = tuple(rates)
-        self.exact_threshold = exact_threshold
-
-    def __call__(
-        self, component: MC3Instance
-    ) -> Tuple[Set[Classifier], Dict[str, object]]:
-        from repro.core.bitspace import PropertySpace
-        from repro.reductions import mc3_to_wsc
-        from repro.setcover import derive_seed, sampled_greedy_wsc
-
-        space = PropertySpace.from_queries(component.queries)
-        wsc = mc3_to_wsc(component, space=space)
-        stats: Dict[str, object] = {}
-        wsc_solution = sampled_greedy_wsc(
-            wsc,
-            seed=derive_seed(self.seed, component.queries),
-            rates=self.rates,
-            exact_threshold=self.exact_threshold,
-            stats=stats,
-        )
-        classifiers = {wsc.set_label(set_id) for set_id in wsc_solution.set_ids}
-        return classifiers, {
-            "sampled": stats,
-            "bitspace": {
-                "properties": space.size,
-                "elements": wsc.universe_size,
-                "sets": wsc.num_sets,
-            },
-        }
-
-
 #: Route name used in telemetry and details aggregation.
 EXACT_K2_ROUTE = "exact-k2"
-
-#: Route name of the sampled sub-linear greedy size-tier rule.
-SAMPLED_WSC_ROUTE = "sampled-wsc"
-
-#: Components below this many residual queries stay on the default
-#: solver: sampling only pays once universes are large enough that the
-#: sample is much smaller than the universe.
-SAMPLED_ROUTE_MIN_QUERIES = 20_000
-
-
-def sampled_wsc_route(
-    min_queries: int = SAMPLED_ROUTE_MIN_QUERIES,
-    seed: int = 0,
-    rates: Optional[Tuple[float, ...]] = None,
-    exact_threshold: Optional[int] = None,
-) -> Route:
-    """Size-tier rule: very large components go to the sampling-based
-    sub-linear greedy (Indyk et al.) instead of the exact-gain greedy.
-
-    The cache token names every output-affecting knob — run seed, the
-    sample-rate schedule, and the exactness fallback threshold — so a
-    cached component solution is only reused for an identical sampling
-    configuration.
-    """
-    from repro.setcover import DEFAULT_EXACT_THRESHOLD, DEFAULT_SAMPLE_RATES
-
-    resolved_rates = DEFAULT_SAMPLE_RATES if rates is None else tuple(rates)
-    resolved_threshold = (
-        DEFAULT_EXACT_THRESHOLD if exact_threshold is None else int(exact_threshold)
-    )
-    return Route(
-        SAMPLED_WSC_ROUTE,
-        _IsLargeComponent(min_queries),
-        _SolveSampledComponent(seed, resolved_rates, resolved_threshold),
-        cache_token=(
-            "route",
-            SAMPLED_WSC_ROUTE,
-            int(seed),
-            *resolved_rates,
-            resolved_threshold,
-        ),
-    )
 
 
 def exact_k2_route() -> Route:

@@ -36,7 +36,7 @@ from typing import (
 from repro.core.costs import CostModel, OverlayCost
 from repro.core.coverage import CoverageChecker
 from repro.core.instance import MC3Instance
-from repro.core.properties import Classifier, Query, classifier_sort_key
+from repro.core.properties import Classifier, Query, canonical_sum
 from repro.core.solution import Solution
 from repro.exceptions import UncoverableQueryError
 from repro.preprocess.decompose import partition_queries
@@ -104,12 +104,10 @@ class PreprocessResult:
         self.overlay = overlay
         self.components = components
         self.report = report
-        # Sorted accumulation: float addition is order-sensitive, and
+        # Canonical accumulation: float addition is order-sensitive, and
         # ``forced`` is a set — summing in hash order would make the
         # reported base cost depend on the interpreter's hash seed.
-        self.base_cost = sum(
-            instance.weight(clf) for clf in sorted(forced, key=classifier_sort_key)
-        )
+        self.base_cost = canonical_sum(instance.weight, forced)
 
     @property
     def fully_covered(self) -> bool:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
+from repro.core.properties import EXACT_INTEGER_SUM
 from repro.exceptions import SolverError
 from repro.setcover.greedy import greedy_wsc
 from repro.setcover.instance import WSCInstance, WSCSolution
@@ -54,9 +55,6 @@ CERTIFY_NODE_LIMIT = 100
 #: against a 16 ms ``f`` arm, and private_like(10000)'s 17815-element
 #: one 8.5 s against 0.29 s.  The daemon load has no component above 16.
 CERTIFY_MAX_ELEMENTS = 32
-
-#: Integer sums below this are exact in binary64 in any order.
-_EXACT_INTEGER_SUM = 2**53
 
 #: Relative slack taken off the computed bound, so float round-off in
 #: the share sum can never make it exceed the true remaining optimum.
@@ -184,7 +182,7 @@ def certify_optimal(instance: WSCInstance, solution: WSCSolution) -> bool:
         instance.universe_size > CERTIFY_MAX_ELEMENTS
         or not solution.cost.is_integer()
         or not all(cost.is_integer() for cost in costs)
-        or sum(costs) >= _EXACT_INTEGER_SUM
+        or sum(costs) >= EXACT_INTEGER_SUM
     ):
         return False
     try:

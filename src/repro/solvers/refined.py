@@ -96,13 +96,10 @@ def refine_selection(
                 for picked in cover.classifiers:
                     if picked not in repair and overlay.cost(picked) > 0:
                         repair.add(picked)
-                # ``repair`` is a set: sum in canonical order so the
-                # rounded total (and the >= weight cutoffs below) never
-                # depend on the hash seed.
-                repair_cost = sum(
-                    instance.weight(c)
-                    for c in sorted(repair, key=classifier_sort_key)
-                )
+                # ``repair`` is a set: the canonical sum keeps the rounded
+                # total (and the >= weight cutoffs below) independent of
+                # the hash seed.
+                repair_cost = instance.total_weight(repair)
                 if repair_cost >= weight:
                     feasible = False
                     break

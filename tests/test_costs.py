@@ -17,6 +17,8 @@ from repro.core.costs import (
     parse_classifier_key,
     validate_weight,
 )
+from repro.core.properties import EXACT_INTEGER_SUM, canonical_sum
+from repro.core.reference import reference_sorted_sum
 from repro.datasets.costmodels import SubAdditiveHashCost
 from repro.exceptions import InvalidInstanceError
 
@@ -251,3 +253,96 @@ class TestSubAdditiveHashCost:
             SubAdditiveHashCost({"a": 1}, u_low=0, u_high=1)
         with pytest.raises(InvalidInstanceError):
             SubAdditiveHashCost({"a": 1}, spill=-0.1)
+
+
+# Weights for the canonical-sum checks: integers, fractions whose sums
+# round, zero, infinity, and integers near 2**52 so that totals land on
+# both sides of 2**53 (where integer sums stop being exact).
+SUM_WEIGHT = st.one_of(
+    st.integers(0, 1000).map(float),
+    st.integers(0, 90).map(lambda k: k / 3),
+    st.integers(0, 90).map(lambda k: k / 10),
+    st.just(0.0),
+    st.just(math.inf),
+    st.integers(-4, 4).map(lambda k: float(2**52 + k)),
+)
+
+
+def _bits(value):
+    """Type and exact bits of a sum (an empty sum is the int ``0``)."""
+    return type(value).__name__, float(value).hex()
+
+
+class TestCanonicalSum:
+    """``canonical_sum`` returns exactly the sorted-order sum it replaced
+    (``core/reference.py``), whatever order the classifiers arrive in."""
+
+    @given(
+        st.dictionaries(CLF, SUM_WEIGHT, max_size=10),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=400)
+    def test_matches_sorted_sum_bit_for_bit(self, table, rng):
+        weight = table.__getitem__
+        expected = _bits(reference_sorted_sum(weight, table))
+        members = list(table)
+        assert _bits(canonical_sum(weight, members)) == expected
+        assert _bits(canonical_sum(weight, frozenset(members))) == expected
+        rng.shuffle(members)
+        assert _bits(canonical_sum(weight, members)) == expected
+        assert _bits(canonical_sum(weight, iter(members))) == expected
+
+    def test_totals_either_side_of_2_53(self):
+        big = float(2**52)
+        small = [frozenset({f"p{i}"}) for i in range(3)]
+        below = dict(zip(small, [big, big - 2.0, 1.0]))
+        above = dict(zip(small, [2 * big, 1.0, 1.0]))
+        assert sum(below.values()) < EXACT_INTEGER_SUM <= sum(above.values())
+        # Above 2**53 the arrival order reaches the float: 2**53 + 1 + 1
+        # rounds twice, 1 + 1 + 2**53 not at all.
+        assert sum([2 * big, 1.0, 1.0]) != sum([1.0, 1.0, 2 * big])
+        for table in (below, above):
+            for order in (small, small[::-1], small[1:] + small[:1]):
+                assert _bits(canonical_sum(table.__getitem__, order)) == _bits(
+                    reference_sorted_sum(table.__getitem__, table)
+                )
+
+    def test_fractional_weights_take_sorted_order(self):
+        """0.1 + 0.2 + 0.3 rounds differently by order; the helper keeps
+        the canonical one."""
+        a, b, c = frozenset({"a"}), frozenset({"b"}), frozenset({"c"})
+        table = {a: 0.1, b: 0.2, c: 0.3}
+        expected = reference_sorted_sum(table.__getitem__, [a, b, c])
+        for order in ([a, b, c], [c, b, a], [b, c, a], [c, a, b]):
+            assert canonical_sum(table.__getitem__, order).hex() == expected.hex()
+
+    def test_negative_and_nan_weights_take_sorted_order(self):
+        a, b, c = frozenset({"a"}), frozenset({"b"}), frozenset({"c"})
+        table = {a: -1.0, b: float(2**53), c: 1.0}
+        expected = reference_sorted_sum(table.__getitem__, table)
+        assert canonical_sum(table.__getitem__, [c, b, a]).hex() == expected.hex()
+        nan = {a: 1.0, b: math.nan}
+        assert math.isnan(canonical_sum(nan.__getitem__, [b, a]))
+
+    def test_empty_and_integer_types_are_kept(self):
+        assert _bits(canonical_sum(float, [])) == ("int", "0x0.0p+0")
+        lengths = [frozenset("ab"), frozenset("c")]
+        assert _bits(canonical_sum(len, lengths)) == _bits(
+            reference_sorted_sum(len, lengths)
+        )
+
+    def test_weight_called_once_per_member(self):
+        calls = []
+
+        def weight(clf):
+            calls.append(clf)
+            return 0.1
+
+        members = [frozenset("a"), frozenset("b")]
+        canonical_sum(weight, members)
+        assert sorted(calls, key=sorted) == members
+
+    def test_cost_model_total_with_missing_is_inf(self):
+        cost = TableCost({"a": 1.0})
+        assert cost.total([frozenset("a"), frozenset("z")]) == math.inf
+        assert cost.total({frozenset("z"), frozenset("a")}) == math.inf

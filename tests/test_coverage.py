@@ -1,6 +1,8 @@
 """Tests for the coverage semantics (Section 2.1) — the independent
 feasibility oracle."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.core.coverage import (
     is_covered,
     verify_cover,
 )
+from repro.core.reference import ReferenceCoverageChecker
 from repro.exceptions import InfeasibleSolutionError
 
 PROPS = [f"p{i}" for i in range(6)]
@@ -89,6 +92,88 @@ class TestCoverageChecker:
         missing = set(checker.uncovered_queries(selected))
         for q in queries:
             assert (q in missing) == (not is_covered(q, selected))
+
+
+# Classifiers for the walk-vs-reference checks: "x0"/"x1" belong to no
+# query, the empty classifier has no posting list at all, and lists
+# (not sets) let the same classifier arrive twice.
+WALK_CLASSIFIER = st.frozensets(
+    st.sampled_from(PROPS + ["x0", "x1"]), min_size=0, max_size=4
+)
+
+
+class TestCoverageWalk:
+    """``applicable_queries`` walks the rarest property's posting list
+    and ``uncovered_queries`` loops over it; the intersect-and-sort
+    original in ``core/reference.py`` is their oracle: same queries,
+    same order."""
+
+    @given(
+        st.lists(QUERY, max_size=12),
+        st.lists(WALK_CLASSIFIER, max_size=12),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300)
+    def test_walk_matches_reference(self, queries, selected, rng):
+        reference = ReferenceCoverageChecker(queries)
+        expected = reference.uncovered_queries(selected)
+        checker = CoverageChecker(queries)
+        for clf in selected:
+            assert checker.applicable_queries(clf) == reference.applicable_queries(clf)
+        assert checker.uncovered_queries(selected) == expected
+        shuffled = list(selected)
+        rng.shuffle(shuffled)
+        assert checker.uncovered_queries(shuffled) == expected
+        assert checker.uncovered_queries(frozenset(selected)) == expected
+
+    def test_edge_classifiers_match_reference(self):
+        queries = [frozenset("ab"), frozenset("bc"), frozenset("b"), frozenset("ab")]
+        cases = [
+            [frozenset()],  # empty classifier
+            [frozenset({"z"})],  # property no query has
+            [frozenset({"a", "z"})],  # rare property no query has
+            [frozenset("abc")],  # subset of no query
+            [frozenset("b"), frozenset("b")],  # duplicate classifier
+            [frozenset("ab"), frozenset("ab"), frozenset("c"), frozenset("bc")],
+            [],
+        ]
+        checker = CoverageChecker(queries)
+        reference = ReferenceCoverageChecker(queries)
+        for selected in cases:
+            assert checker.uncovered_queries(selected) == reference.uncovered_queries(
+                selected
+            ), selected
+            for clf in selected:
+                assert checker.applicable_queries(
+                    clf
+                ) == reference.applicable_queries(clf), clf
+
+    def test_order_is_load_order_with_duplicate_queries(self):
+        queries = [frozenset("c"), frozenset("ab"), frozenset("c"), frozenset("a")]
+        checker = CoverageChecker(queries)
+        assert checker.uncovered_queries([frozenset("a")]) == [
+            frozenset("c"),
+            frozenset("ab"),
+            frozenset("c"),
+        ]
+
+    def test_oracle_imports_no_solver_code(self):
+        """The oracle stays independent of what it checks."""
+        import ast
+
+        import repro.core.coverage as coverage
+
+        tree = ast.parse(Path(coverage.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        for name in imported:
+            assert not name.startswith(
+                ("repro.core.bitspace", "repro.core.kernels", "repro.solvers")
+            ), name
 
 
 class TestVerifyCover:

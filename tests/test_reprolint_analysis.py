@@ -738,6 +738,52 @@ def test_rpl506_sorted_sequence_self_and_integer_sums_are_clean(tmp_path):
     assert result.ok, "\n".join(v.render() for v in result.violations)
 
 
+ANALYSIS_FIXTURE_DIR = (
+    Path(__file__).resolve().parent / "fixtures" / "reprolint" / "analysis"
+)
+
+
+def materialize_analysis_fixture(tmp_path: Path, name: str) -> None:
+    """Copy one ``tests/fixtures/reprolint/analysis`` fixture to the path
+    its ``# dest:`` header names.  These fixtures need ``--analyze``, so
+    they live apart from the per-file ones the plain CLI test runs."""
+    lines = (ANALYSIS_FIXTURE_DIR / name).read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# dest: ")
+    dest = lines[0][len("# dest: ") :].strip()
+    write_module(tmp_path, dest, "\n".join(lines[1:]) + "\n")
+
+
+def test_rpl506_follows_local_lists_to_their_source(tmp_path):
+    """A local bound once to a comprehension, list() or tuple() keeps the
+    order it was built in: each of the five sums adds floats in the
+    order of a parameter or a set, one or two bindings away.  Reading
+    the list in place (truth, index, ``len``) does not stop the follow."""
+    materialize_analysis_fixture(tmp_path, "RPL506_local_list_bad.txt")
+    result = lint_paths([tmp_path], select=["RPL506"], analyze=True)
+    assert rule_ids(result) == {"RPL506"}
+    messages = sorted(v.message for v in result.violations)
+    assert len(messages) == 5
+    assert sum("unordered-param:classifiers@" in m for m in messages) == 4
+    assert sum("unsorted-iteration@" in m for m in messages) == 1
+
+
+def test_rpl506_local_lists_in_canonical_order_are_clean(tmp_path):
+    materialize_analysis_fixture(tmp_path, "RPL506_local_list_good.txt")
+    result = lint_paths([tmp_path], select=["RPL506"], analyze=True)
+    assert result.ok, "\n".join(v.render() for v in result.violations)
+
+
+def test_rpl506_local_list_is_flagged_without_its_sanitize_note(tmp_path):
+    """The good fixture's exact-sum branch is clean only by its note."""
+    materialize_analysis_fixture(tmp_path, "RPL506_local_list_good.txt")
+    path = tmp_path / "src/repro/core/fixture_sum.py"
+    source = path.read_text(encoding="utf-8")
+    path.write_text(source.replace("  # reprolint: sanitize", "  #"), encoding="utf-8")
+    result = lint_paths([tmp_path], select=["RPL506"], analyze=True)
+    assert len(result.violations) == 1
+    assert "unordered-param:classifiers@" in result.violations[0].message
+
+
 # ----------------------------------------------------------------------
 # RPL102 service-scope leg
 # ----------------------------------------------------------------------

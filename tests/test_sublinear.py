@@ -21,7 +21,6 @@ from repro.datasets.scale import (
 )
 from repro.datasets.synthetic import SyntheticQueryStream
 from repro.engine.resilience import FALLBACK_RUNGS, ResiliencePolicy, resolve_rung
-from repro.engine.routing import SAMPLED_WSC_ROUTE, sampled_wsc_route
 from repro.exceptions import DatasetError
 from repro.setcover import (
     WSCInstance,
@@ -32,7 +31,6 @@ from repro.setcover import (
     solve_wsc,
 )
 from repro.solvers import available_solvers, make_solver
-from repro.solvers.general import GeneralSolver
 
 
 def build(sets_with_costs):
@@ -292,23 +290,6 @@ class TestSampledSolverIntegration:
         policy = ResiliencePolicy(fallback=("sampled", "query-oriented"))
         result = make_solver("mc3-general", resilience=policy).solve(instance)
         result.solution.verify(instance)
-
-    def test_sampled_route_dispatches_large_components(self):
-        route = sampled_wsc_route(min_queries=1, seed=3)
-
-        class Routed(GeneralSolver):
-            def routes(self):
-                return (route,)
-
-        result = Routed().solve(synthetic(200, seed=2))
-        assert result.details["engine"]["routed"].get(SAMPLED_WSC_ROUTE, 0) >= 1
-        result.solution.verify(synthetic(200, seed=2))
-
-    def test_route_cache_token_names_knobs(self):
-        a = sampled_wsc_route(seed=1).cache_token
-        b = sampled_wsc_route(seed=2).cache_token
-        c = sampled_wsc_route(seed=1, rates=(0.5,)).cache_token
-        assert a != b and a != c
 
     def test_streaming_solver_feasible(self):
         instance = synthetic(300, seed=5)
