@@ -3,8 +3,9 @@
 The paper's guarantees (Theorem 5.3) are worst-case; practitioners want
 the *instance-specific* story.  :func:`optimality_report` combines
 
-* the forced-selection cost from preprocessing (paid by every solution),
-* per-component LP relaxation lower bounds (Section 5.2's reduction),
+* the lower bound on OPT that the engine rolls up from every solve
+  (``details["engine"]["lower_bound"]``: preprocessing's forced cost
+  plus each component's bound),
 * the proven approximation guarantee for the instance's parameters,
 
 into a certificate: ``lower_bound ≤ OPT ≤ solution.cost`` with
@@ -14,15 +15,12 @@ into a certificate: ``lower_bound ≤ OPT ≤ solution.cost`` with
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.instance import MC3Instance
-from repro.core.solution import Solution
-from repro.exceptions import SolverError
+from repro.core.solution import SolverResult
 from repro.extensions import instance_guarantee
-from repro.preprocess import preprocess
-from repro.reductions import mc3_to_wsc
-from repro.setcover import lagrangian_lower_bound, lp_lower_bound, lp_nonzeros
+from repro.solvers import make_solver
 
 
 class OptimalityReport:
@@ -34,13 +32,13 @@ class OptimalityReport:
         lower_bound: float,
         guarantee: float,
         components: int,
-        lp_components: int,
+        bounded: int,
     ):
         self.solution_cost = solution_cost
         self.lower_bound = lower_bound
         self.guarantee = guarantee
         self.components = components
-        self.lp_components = lp_components
+        self.bounded = bounded
 
     @property
     def gap(self) -> float:
@@ -57,7 +55,7 @@ class OptimalityReport:
         lines = [
             f"solution cost  : {self.solution_cost:g}",
             f"lower bound    : {self.lower_bound:g} "
-            f"(LP relaxations over {self.lp_components}/{self.components} components)",
+            f"({self.bounded}/{self.components} bounded components)",
             f"gap            : at most {self.gap:.4f}x optimal",
             f"proven bound   : {self.guarantee:.2f}x (Theorem 5.3, worst case)",
         ]
@@ -69,32 +67,33 @@ class OptimalityReport:
         return f"<OptimalityReport gap<={self.gap:.4f} bound={self.lower_bound:g}>"
 
 
-def optimality_report(
-    instance: MC3Instance,
-    solution: Solution,
-    lp_size_limit: Optional[int] = 2_000_000,
-) -> OptimalityReport:
-    """Build a quality certificate for ``solution`` on ``instance``.
+def optimality_report(instance: MC3Instance, result: SolverResult) -> OptimalityReport:
+    """Build a quality certificate for ``result``, a solve of ``instance``.
 
-    Components whose LP exceeds ``lp_size_limit`` nonzeros fall back to
-    the linear-time Lagrangian bound (weaker but still valid);
-    ``lp_components`` reports how many were LP-bounded.
+    The bound is the solve's own engine summary when every component
+    reported one (``mc3-refined`` carries its inner ``mc3-general``
+    solve's).  Results without it (the baselines, streaming,
+    short-first and robust solvers) take the summary of one
+    ``mc3-general`` solve of ``instance``.
     """
-    solution.verify(instance)
-    prep = preprocess(instance)
-    bound = prep.base_cost
-    lp_count = 0
-    for component in prep.components:
-        wsc = mc3_to_wsc(component)
-        if lp_size_limit is not None and lp_nonzeros(wsc) > lp_size_limit:
-            bound += lagrangian_lower_bound(wsc)
-            continue
-        bound += lp_lower_bound(wsc)
-        lp_count += 1
+    result.solution.verify(instance)
+    summary = _full_bound(result.details)
+    if summary is None:
+        general = make_solver("mc3-general").solve(instance)
+        summary = general.details["engine"]["lower_bound"]
     return OptimalityReport(
-        solution.cost,
-        bound,
+        result.solution.cost,
+        summary["value"],
         instance_guarantee(instance),
-        len(prep.components),
-        lp_count,
+        summary["components"],
+        summary["bounded"],
     )
+
+
+def _full_bound(details: Dict[str, object]) -> Optional[Dict[str, object]]:
+    """The engine's lower-bound summary, if it bounds every component."""
+    engine = details.get("engine")
+    summary = engine.get("lower_bound") if isinstance(engine, dict) else None
+    if isinstance(summary, dict) and summary["bounded"] == summary["components"]:
+        return summary
+    return None

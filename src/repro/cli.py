@@ -222,7 +222,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.report_gap:
         from repro.analysis import optimality_report
 
-        print(optimality_report(instance, result.solution).describe())
+        print(optimality_report(instance, result).describe())
     if args.output:
         save_solution(result.solution, args.output)
         print(f"solution written to {args.output}")
@@ -431,7 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--report-gap",
         dest="report_gap",
         action="store_true",
-        help="print an optimality certificate (LP lower bound + proven ratio)",
+        help="print an optimality certificate (lower bound + proven ratio)",
     )
     _add_engine_flags(solve)
     solve.set_defaults(fn=_cmd_solve)

@@ -78,7 +78,8 @@ ENTRY_VERSION = 1
 #: component details that solvers cache change shape, so a persistent
 #: cache written by an older version is never served to a newer one.
 #: 2: details gained ``lower_bound`` (and best-of's ``certified``).
-DETAILS_VERSION = 2
+#: 3: sampled and exact details gained ``lower_bound``; sampled lost ``gap``.
+DETAILS_VERSION = 3
 
 #: Environment variables consulted once, at import, for the process-wide
 #: default cache configuration.

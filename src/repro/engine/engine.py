@@ -168,14 +168,12 @@ class SolveEngine:
             # the deterministic kernels and set-union merging commutes.
             selected |= outcome.classifiers  # reprolint: sanitize
             bitspace = outcome.details.get("bitspace")
-            gap = outcome.details.get("gap")
             telemetry.record_component(
                 outcome.size,
                 outcome.seconds,
                 outcome.route,
                 outcome.rung,
                 bitspace if isinstance(bitspace, dict) else None,
-                gap=gap if isinstance(gap, dict) else None,
                 lower_bound=outcome.details.get("lower_bound"),
                 certified=outcome.details.get("certified") is True,
             )

@@ -57,8 +57,6 @@ class EngineTelemetry:
         "bitspace_properties",
         "bitspace_elements",
         "bitspace_sets",
-        "gap_ratios_vs_greedy",
-        "gap_ratios_vs_exact",
         "forced_cost",
         "solution_cost",
         "component_bound_sum",
@@ -89,11 +87,6 @@ class EngineTelemetry:
         self.bitspace_properties: List[int] = []
         self.bitspace_elements: List[int] = []
         self.bitspace_sets: List[int] = []
-        # Approximation-gap probes: components whose solver also ran
-        # reference algorithms (greedy, and exact where tractable) and
-        # reported cost ratios in a "gap" details entry.
-        self.gap_ratios_vs_greedy: List[float] = []
-        self.gap_ratios_vs_exact: List[float] = []
         # Lower bound on the run's optimum: preprocessing's forced cost
         # plus the bounds that components reported ("lower_bound" in
         # their details; a component without one contributes 0).
@@ -110,7 +103,6 @@ class EngineTelemetry:
         route: Optional[str],
         rung: str,
         bitspace: Optional[Dict[str, int]] = None,
-        gap: Optional[Dict[str, float]] = None,
         lower_bound: Optional[float] = None,
         certified: bool = False,
     ) -> None:
@@ -128,37 +120,6 @@ class EngineTelemetry:
             self.bitspace_properties.append(int(bitspace.get("properties", 0)))
             self.bitspace_elements.append(int(bitspace.get("elements", 0)))
             self.bitspace_sets.append(int(bitspace.get("sets", 0)))
-        if gap is not None:
-            ratio = gap.get("ratio_vs_greedy")
-            if ratio is not None:
-                self.gap_ratios_vs_greedy.append(float(ratio))
-            ratio = gap.get("ratio_vs_exact")
-            if ratio is not None:
-                self.gap_ratios_vs_exact.append(float(ratio))
-
-    def approx_gap_summary(self) -> Optional[Dict[str, object]]:
-        """Aggregate the per-component approximation-gap probes, or
-        ``None`` when no component reported one.
-
-        ``max``/``mean`` ratios answer the operational question the
-        probes exist for: how far off the sampled answer was from the
-        exact-gain greedy (and, on tiny components, from the optimum)
-        on the slices where both were computed.
-        """
-        if not self.gap_ratios_vs_greedy and not self.gap_ratios_vs_exact:
-            return None
-        summary: Dict[str, object] = {
-            "components_probed": len(self.gap_ratios_vs_greedy),
-        }
-        if self.gap_ratios_vs_greedy:
-            ratios = self.gap_ratios_vs_greedy
-            summary["max_ratio_vs_greedy"] = max(ratios)
-            summary["mean_ratio_vs_greedy"] = sum(ratios) / len(ratios)
-        if self.gap_ratios_vs_exact:
-            ratios = self.gap_ratios_vs_exact
-            summary["components_probed_exact"] = len(ratios)
-            summary["max_ratio_vs_exact"] = max(ratios)
-        return summary
 
     def lower_bound_summary(self) -> Dict[str, object]:
         """The run's lower bound on OPT and its solution's ratio to it.
@@ -207,9 +168,6 @@ class EngineTelemetry:
             "bitspace": self.bitspace_summary(),
             "lower_bound": self.lower_bound_summary(),
         }
-        approx_gap = self.approx_gap_summary()
-        if approx_gap is not None:
-            rendered["approx_gap"] = approx_gap
         if self.cache is not None:
             rendered["cache"] = self.cache
         return rendered

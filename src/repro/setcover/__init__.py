@@ -6,13 +6,17 @@ optimality certificate built on it."""
 from typing import Optional
 
 from repro.exceptions import SolverError
-from repro.setcover.best_of import BestOf, best_of_wsc, f_approximation_wsc
+from repro.setcover.best_of import (
+    BestOf,
+    best_of_wsc,
+    f_approximation_wsc,
+    wsc_lower_bound,
+)
 from repro.setcover.bucket_greedy import bucket_greedy_wsc
 from repro.setcover.exact import DEFAULT_NODE_LIMIT, certify_optimal, exact_wsc
 from repro.setcover.exact_lp import exact_wsc_lp
 from repro.setcover.greedy import greedy_wsc
 from repro.setcover.instance import WSCInstance, WSCSolution
-from repro.setcover.lagrangian import lagrangian_lower_bound, lagrangian_value
 from repro.setcover.multicover import (
     exact_multicover,
     greedy_multicover,
@@ -110,8 +114,6 @@ __all__ = [
     "f_approximation_wsc",
     "greedy_multicover",
     "greedy_wsc",
-    "lagrangian_lower_bound",
-    "lagrangian_value",
     "validate_demands",
     "verify_multicover",
     "lp_lower_bound",
@@ -120,4 +122,5 @@ __all__ = [
     "lp_rounding_wsc",
     "primal_dual_wsc",
     "solve_wsc",
+    "wsc_lower_bound",
 ]

@@ -13,6 +13,8 @@ never changes the chosen sets or the ``float.hex`` of the cost.
 Every result carries a lower bound on the component's optimum, at no
 extra solve: the optimum itself when certified, else the LP value
 ``c·x`` or the primal–dual sum ``Σ y_e`` of the ``f`` arm that ran.
+:func:`wsc_lower_bound` computes the same bound, by the same rule, for
+solvers that cover a component some other way.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ from typing import Callable, NamedTuple, Optional, Tuple
 from repro.setcover.exact import certify_optimal
 from repro.setcover.greedy import greedy_wsc
 from repro.setcover.instance import WSCInstance, WSCSolution
-from repro.setcover.lp import DEFAULT_SIZE_LIMIT, lp_nonzeros, lp_rounding_wsc
+from repro.setcover.lp import (
+    DEFAULT_SIZE_LIMIT,
+    lp_lower_bound,
+    lp_nonzeros,
+    lp_rounding_wsc,
+)
 from repro.setcover.primal_dual import primal_dual_wsc
 
 Arm = Callable[..., WSCSolution]
@@ -52,9 +59,24 @@ def f_approximation_wsc(
     """The ``f``-approximation arm and its mode name: LP rounding when
     the constraint matrix fits in ``lp_size_limit`` nonzeros (``None``:
     no cap), primal–dual otherwise."""
-    if lp_size_limit is not None and lp_nonzeros(instance) > lp_size_limit:
-        return primal_dual(instance, prune=prune), "primal_dual"
-    return lp(instance, prune=prune), "lp"
+    if _lp_fits(instance, lp_size_limit):
+        return lp(instance, prune=prune), "lp"
+    return primal_dual(instance, prune=prune), "primal_dual"
+
+
+def wsc_lower_bound(
+    instance: WSCInstance, lp_size_limit: Optional[int] = DEFAULT_SIZE_LIMIT
+) -> float:
+    """A lower bound on the optimum, by the ``f`` arm's rule: the LP
+    relaxation's value when it fits in ``lp_size_limit`` nonzeros,
+    primal–dual's dual sum ``Σ y_e`` otherwise."""
+    if _lp_fits(instance, lp_size_limit):
+        return lp_lower_bound(instance)
+    return primal_dual_wsc(instance).lower_bound
+
+
+def _lp_fits(instance: WSCInstance, lp_size_limit: Optional[int]) -> bool:
+    return lp_size_limit is None or lp_nonzeros(instance) <= lp_size_limit
 
 
 def best_of_wsc(

@@ -128,9 +128,6 @@ def _lp_value(instance: WSCInstance, x: np.ndarray) -> float:
 
 def lp_lower_bound(instance: WSCInstance) -> float:
     """Optimal value of the relaxation — a valid lower bound on OPT, up
-    to the solver's round-off.
-
-    Used by :mod:`repro.analysis` and by EXPERIMENTS.md to report
-    optimality gaps on instances too large to solve exactly.
+    to the solver's round-off (see :func:`~repro.setcover.wsc_lower_bound`).
     """
     return _lp_value(instance, lp_relaxation(instance))

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 from repro.core.bitspace import PropertySpace
 from repro.core.instance import MC3Instance
 from repro.core.properties import Classifier
+from repro.engine.cache import DETAILS_VERSION
 from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import SolverError
 from repro.preprocess import ALL_STEPS
@@ -61,7 +62,7 @@ class ExactSolver(ComponentSolver):
         # so a cached entry proves the limit was generous enough — but a
         # *smaller* limit must not be served a bigger limit's answer, or
         # the limit stops being reproducible.
-        return (self.name, self.engine, self.node_limit)
+        return (self.name, DETAILS_VERSION, self.engine, self.node_limit)
 
     def solve_component(
         self, component: MC3Instance
@@ -78,4 +79,5 @@ class ExactSolver(ComponentSolver):
             "elements": wsc.universe_size,
             "sets": wsc.num_sets,
         }
-        return classifiers, {"bitspace": bitspace}
+        # The optimum is its own lower bound.
+        return classifiers, {"lower_bound": wsc_solution.cost, "bitspace": bitspace}

@@ -23,6 +23,7 @@ from repro.core.bitspace import PropertySpace
 from repro.core.instance import MC3Instance
 from repro.core.properties import Classifier
 from repro.core.solution import Solution
+from repro.engine.cache import DETAILS_VERSION
 from repro.engine.component import ComponentOutcome
 from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import SolverError, UncoverableQueryError
@@ -74,7 +75,7 @@ class RobustSolver(ComponentSolver):
         self.redundancy = int(redundancy)
 
     def cache_token(self) -> Optional[Tuple[object, ...]]:
-        return (self.name, self.redundancy)
+        return (self.name, DETAILS_VERSION, self.redundancy)
 
     def solve_component(
         self, component: MC3Instance

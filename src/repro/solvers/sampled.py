@@ -14,14 +14,10 @@ content digest, not ``hash()`` — so outputs are bit-identical across
 ``jobs=1``/``jobs=N``, scheduling orders, and ``PYTHONHASHSEED``
 values (the chaos/determinism contract every engine solver obeys).
 
-Approximation-gap probes: components small enough to afford it also run
-the exact-gain greedy (and, on tiny set systems, the branch-and-bound
-optimum) on a *forced-sampling* answer, and report the observed cost
-ratios.  The engine aggregates them into
-``details["engine"]["approx_gap"]`` so every run carries its own
-measured gap alongside the speedup — the returned solution still comes
-from the default path (exactness fallback included), the probe is
-telemetry only.
+Each component also reports a ``lower_bound`` on its optimum, by the
+rule of Algorithm 3's ``f`` arm (:func:`~repro.setcover.wsc_lower_bound`):
+the sampled guarantee is stated against OPT, and the engine rolls the
+bounds up into ``details["engine"]["lower_bound"]``.
 """
 
 from __future__ import annotations
@@ -31,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.bitspace import PropertySpace
 from repro.core.instance import MC3Instance
 from repro.core.properties import Classifier
+from repro.engine.cache import DETAILS_VERSION
 from repro.engine.component import ComponentOutcome
 from repro.engine.resilience import ResiliencePolicy
 from repro.preprocess import ALL_STEPS
@@ -39,19 +36,10 @@ from repro.setcover import (
     DEFAULT_EXACT_THRESHOLD,
     DEFAULT_SAMPLE_RATES,
     derive_seed,
-    exact_wsc,
-    greedy_wsc,
     sampled_greedy_wsc,
+    wsc_lower_bound,
 )
 from repro.solvers.base import ComponentSolver
-
-#: Components with at most this many WSC elements run the gap probe
-#: (greedy costs O(elements·sets) there — cheap at this size).
-GAP_PROBE_MAX_ELEMENTS = 2000
-
-#: Exact-optimum probe bound: branch-and-bound is exponential in the
-#: number of sets, so only tiny set systems compare against OPT.
-GAP_PROBE_MAX_EXACT_SETS = 16
 
 
 class SampledSolver(ComponentSolver):
@@ -70,9 +58,6 @@ class SampledSolver(ComponentSolver):
         Universes at or below this size use the exact-gain greedy
         directly (sampling has nothing to save there), default
         :data:`~repro.setcover.DEFAULT_EXACT_THRESHOLD`.
-    gap_probe:
-        Run the approximation-gap probes on small components (default
-        on; disable for pure benchmarking runs).
     """
 
     name = "mc3-sampled"
@@ -82,7 +67,6 @@ class SampledSolver(ComponentSolver):
         seed: int = 0,
         sample_rates: Sequence[float] = DEFAULT_SAMPLE_RATES,
         exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-        gap_probe: bool = True,
         preprocess_steps: Sequence[int] = ALL_STEPS,
         jobs: int = 1,
         verify: bool = True,
@@ -99,17 +83,14 @@ class SampledSolver(ComponentSolver):
         self.seed = int(seed)
         self.sample_rates = tuple(float(rate) for rate in sample_rates)
         self.exact_threshold = int(exact_threshold)
-        self.gap_probe = gap_probe
 
     def cache_token(self) -> Optional[Tuple[object, ...]]:
-        # ``gap_probe`` leaves the selected classifiers alone but adds a
-        # "gap" entry to the cached details, so it must key the entry.
         return (
             self.name,
+            DETAILS_VERSION,
             self.seed,
             *self.sample_rates,
             self.exact_threshold,
-            self.gap_probe,
         )
 
     def solve_component(
@@ -128,41 +109,14 @@ class SampledSolver(ComponentSolver):
         )
         details: Dict[str, object] = {
             "sampled": stats,
+            "lower_bound": wsc_lower_bound(wsc),
             "bitspace": {
                 "properties": space.size,
                 "elements": wsc.universe_size,
                 "sets": wsc.num_sets,
             },
         }
-        if self.gap_probe and wsc.universe_size <= GAP_PROBE_MAX_ELEMENTS:
-            details["gap"] = self._probe_gap(wsc, component_seed)
         return {wsc.set_label(set_id) for set_id in wsc_solution.set_ids}, details
-
-    def _probe_gap(self, wsc, component_seed: int) -> Dict[str, float]:
-        """Measure sampling quality on a component cheap enough to
-        afford reference solves.
-
-        Forces the sampling path (``exact_threshold=0``) so the probe
-        measures the estimator rather than the fallback, and compares
-        against exact-gain greedy — plus branch-and-bound OPT when the
-        set system is tiny.
-        """
-        forced = sampled_greedy_wsc(
-            wsc, seed=component_seed, rates=self.sample_rates, exact_threshold=0
-        )
-        reference = greedy_wsc(wsc)
-        probe: Dict[str, float] = {
-            "sampled_cost": forced.cost,
-            "greedy_cost": reference.cost,
-            "ratio_vs_greedy": forced.cost / reference.cost if reference.cost else 1.0,
-        }
-        if wsc.num_sets <= GAP_PROBE_MAX_EXACT_SETS:
-            optimum = exact_wsc(wsc)
-            probe["exact_cost"] = optimum.cost
-            probe["ratio_vs_exact"] = (
-                forced.cost / optimum.cost if optimum.cost else 1.0
-            )
-        return probe
 
     def aggregate_details(
         self, outcomes: List[ComponentOutcome]

@@ -30,11 +30,13 @@ from repro.setcover import (
     best_of_wsc,
     certify_optimal,
     exact_wsc,
+    f_approximation_wsc,
     greedy_wsc,
     lp_nonzeros,
     lp_rounding_wsc,
     primal_dual_wsc,
     solve_wsc,
+    wsc_lower_bound,
 )
 from repro.solvers import GeneralSolver
 from tests.strategies import PROPERTY_NAMES
@@ -318,6 +320,15 @@ class TestLowerBoundDetails:
         result = GeneralSolver(wsc_method="greedy", cache="off").solve(example11)
         summary = result.details["engine"]["lower_bound"]
         assert summary["bounded"] == 0 and summary["certified"] == 0
+
+    @pytest.mark.parametrize("lp_size_limit", [None, 0])
+    def test_wsc_lower_bound_follows_the_f_arm(self, lp_size_limit):
+        # One rule picks the LP or primal–dual, for the arm and the bound.
+        for seed in range(10):
+            instance = random_wsc(seed)
+            arm, _ = f_approximation_wsc(instance, lp_size_limit)
+            bound = wsc_lower_bound(instance, lp_size_limit)
+            assert bound.hex() == arm.lower_bound.hex()
 
     def test_k2_route_bound_is_its_cost(self):
         instance = MC3Instance(

@@ -431,7 +431,7 @@ class TestDetailsVersion:
         """A disk cache written before components reported lower bounds
         holds details without them.  The version element of the
         solver's cache token keeps those entries from serving a new
-        solve (compare the sampled solver's gap-probe split)."""
+        solve."""
         from repro.solvers import GeneralSolver
 
         class Unversioned(GeneralSolver):
@@ -461,6 +461,18 @@ class TestDetailsVersion:
         again = GeneralSolver(cache=store).solve(instance)
         assert again.details["engine"]["cache"]["misses"] == 0
         assert again.details["engine"]["lower_bound"] == summary
+
+    def test_every_component_solver_token_carries_the_version(self):
+        from repro.solvers import ComponentSolver
+        from repro.solvers.registry import available_solvers
+
+        checked = []
+        for name in available_solvers():
+            solver = make_solver(name)
+            if isinstance(solver, ComponentSolver):
+                assert solver.cache_token()[:2] == (name, DETAILS_VERSION)
+                checked.append(name)
+        assert {"exact", "mc3-general", "mc3-k2", "mc3-sampled"} <= set(checked)
 
 
 class TestEntryCodec:

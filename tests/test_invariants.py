@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 from repro.core import CoverageChecker, MC3Instance, UniformCost
 from repro.core.properties import classifier_sort_key
+from repro.engine.cache import MemorySolutionCache
 from repro.extensions import instance_guarantee
 from repro.preprocess import preprocess
 from repro.reductions import mc3_to_wsc
 from repro.setcover import exact_wsc
 from repro.solvers import GeneralSolver, make_solver
 from tests.conftest import brute_force_optimum, random_instance
+from tests.strategies import k2_instances, mc3_instances
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -88,6 +90,50 @@ class TestSolverRelations:
         for name in ("mc3-general", "short-first", "local-greedy", "exact"):
             solution = make_solver(name).solve(instance).solution
             assert checker.all_covered(solution.classifiers)
+
+
+#: Relative slack of the certificate checks over every engine solver.
+BOUND_TOLERANCE = 1e-9
+
+
+def bounded_runs(name, instance, jobs, **kwargs):
+    """A cache-off solve, then the warm second pass over a memory cache."""
+    yield make_solver(name, jobs=jobs, cache="off", **kwargs).solve(instance)
+    store = MemorySolutionCache()
+    make_solver(name, jobs=jobs, cache=store, **kwargs).solve(instance)
+    warm = make_solver(name, jobs=jobs, cache=store, **kwargs).solve(instance)
+    assert warm.details["engine"]["cache"]["misses"] == 0
+    yield warm
+
+
+def assert_every_component_bounded(name, instance, jobs, **kwargs):
+    for result in bounded_runs(name, instance, jobs, **kwargs):
+        summary = result.details["engine"]["lower_bound"]
+        assert summary["bounded"] == summary["components"], name
+        assert summary["value"] <= result.cost * (1 + BOUND_TOLERANCE), name
+        if name == "exact":
+            assert summary["value"] == pytest.approx(result.cost, rel=BOUND_TOLERANCE)
+
+
+class TestEveryComponentBounded:
+    """Every engine solver that covers components by set cover bounds
+    each of them, and the rolled-up bound never exceeds the cost, for
+    any ``jobs`` and with components served from the cache."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @given(instance=mc3_instances(max_queries=5))
+    @settings(max_examples=25, deadline=None)
+    def test_general_sampled_exact(self, jobs, instance):
+        assert_every_component_bounded("mc3-general", instance, jobs)
+        assert_every_component_bounded("mc3-general", instance, jobs, lp_size_limit=0)
+        assert_every_component_bounded("mc3-sampled", instance, jobs)
+        assert_every_component_bounded("exact", instance, jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @given(instance=k2_instances(max_queries=6))
+    @settings(max_examples=25, deadline=None)
+    def test_k2(self, jobs, instance):
+        assert_every_component_bounded("mc3-k2", instance, jobs)
 
 
 class TestLowerBoundInvariants:
