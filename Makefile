@@ -34,7 +34,7 @@ experiments-full:
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script =="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) $$script || exit 1; \
 	done
 
 # Uses ruff (configured in pyproject.toml) when it is installed; falls

@@ -97,15 +97,19 @@ class CoverageChecker:
         """Whether every query in the load is covered by ``selected``."""
         return not self.uncovered_queries(selected)
 
+    def verify(self, selected: Iterable[Classifier]) -> None:
+        """Raise :class:`InfeasibleSolutionError` unless ``selected``
+        covers every query of the load."""
+        missing = self.uncovered_queries(selected)
+        if missing:
+            sample = ", ".join("+".join(sorted(q)) for q in missing[:5])
+            raise InfeasibleSolutionError(
+                f"{len(missing)} quer{'y is' if len(missing) == 1 else 'ies are'} "
+                f"not covered (e.g. {sample})"
+            )
+
 
 def verify_cover(queries: Iterable[Query], selected: Iterable[Classifier]) -> None:
     """Raise :class:`InfeasibleSolutionError` unless ``selected`` covers
     every query.  Used as the final check on every solver output."""
-    selected = list(selected)
-    missing = CoverageChecker(queries).uncovered_queries(selected)
-    if missing:
-        sample = ", ".join("+".join(sorted(q)) for q in missing[:5])
-        raise InfeasibleSolutionError(
-            f"{len(missing)} quer{'y is' if len(missing) == 1 else 'ies are'} "
-            f"not covered (e.g. {sample})"
-        )
+    CoverageChecker(queries).verify(selected)

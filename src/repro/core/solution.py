@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.core.coverage import verify_cover
+from repro.core.coverage import CoverageChecker
 from repro.core.properties import Classifier, canonical_label
 from repro.exceptions import InfeasibleSolutionError
 
@@ -36,7 +36,11 @@ class Solution:
         """Assert feasibility against the independent coverage checker and
         that the recorded cost matches the instance's pricing.  Returns
         ``self`` so calls chain."""
-        verify_cover(instance.queries, self.classifiers)
+        # An MC3Instance shares the index preprocessing built; a duck
+        # load (e.g. a lazy one) gets a fresh one.
+        shared = getattr(instance, "coverage_checker", None)
+        checker = shared() if shared is not None else CoverageChecker(instance.queries)
+        checker.verify(self.classifiers)
         expected = instance.total_weight(self.classifiers)
         if not math.isclose(expected, self.cost, rel_tol=1e-9, abs_tol=1e-9):
             raise InfeasibleSolutionError(

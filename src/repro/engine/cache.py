@@ -30,10 +30,11 @@ material, never fallback-rung answers — see
 :func:`repro.engine.engine.SolveEngine.run`), each already checked by
 the independent coverage verifier in the executor.
 
-Both backends also own a :class:`Step3Memo`: the Algorithm 1 step-3
-outcomes of the last plan, per free-property sub-group (see
-docs/algorithms.md §2), which a re-plan over a slid window replays
-instead of re-pruning the sub-groups it shares with the previous one.
+Both backends also own a :class:`Step3Memo`, the plan memo: the last
+plan's outcome per step-2 group, solved components included, and per
+free-property step-3 sub-group (see docs/algorithms.md §2).  A re-plan
+over a slid window replays the groups it shares with the previous plan
+whole, and re-prunes only the sub-groups that changed.
 
 Configuration is a choice string (``"off"``/``"memory"``/``"disk"``),
 a process default seeded once at import from ``REPRO_SOLUTION_CACHE``
@@ -68,7 +69,7 @@ from typing import (
 
 from repro.core.properties import Classifier, Query, classifier_sort_key
 from repro.exceptions import SolverError
-from repro.preprocess.pipeline import Step3Outcome
+from repro.preprocess.pipeline import GroupOutcome, Step3Outcome
 
 #: Bumped whenever the serialized entry layout changes; decoders treat
 #: any other version as a miss, so stale stores degrade to re-solves.
@@ -223,34 +224,43 @@ class _StatCounters:
 
 
 class Step3Memo:
-    """Step-3 outcomes of the most recent plan, keyed by sub-group content.
+    """The plan memo: outcomes of the most recent plan, keyed by content.
 
-    The key (built by :func:`repro.preprocess.pipeline.preprocess`)
-    pins everything the dominated pruner reads, so a hit replays
-    exactly what a fresh pruner would decide.  Each plan works through
-    its own :class:`Step3MemoRun` and, when preprocessing finishes,
-    leaves behind only the entries it used and the queries it saw: the
-    memo never holds more than one plan, so it needs no budget of its
-    own.  It lives in the parent process only; workers never see it.
-    It takes no lock: a key pins everything an outcome depends on, so
-    plans that overlap in time can only miss more, never replay a wrong
-    outcome.
+    It holds two granularities (docs/algorithms.md §2).  A *step-2
+    group* entry is the group's whole outcome, solved components
+    included, under a key (built by
+    :func:`repro.preprocess.pipeline.preprocess`) that pins everything
+    preprocessing and the engine read for it; a *sub-group* entry is
+    the step-3 outcome of one free-property sub-group of a group that
+    had to be preprocessed again.  A hit replays exactly what a fresh
+    run would decide.  Each plan works through its own
+    :class:`Step3MemoRun` and, once its components are solved, leaves
+    behind only the entries it used and the queries it saw: the memo
+    never holds more than one plan, so it needs no budget of its own.
+    ``len()`` counts sub-group entries.  It lives in the parent process
+    only; workers never see it.  It takes no lock: a key pins everything
+    an outcome depends on, so plans that overlap in time can only miss
+    more, never replay a wrong outcome.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Hashable, Step3Outcome] = {}
+        self._groups: Dict[Hashable, GroupOutcome] = {}
         self._queries: Set[Query] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def open(self) -> "Step3MemoRun":
-        """A lookup view for one plan; :meth:`Step3MemoRun.commit` ends it."""
-        return Step3MemoRun(self)
+    def open(self, token: Optional[Hashable] = None) -> "Step3MemoRun":
+        """A lookup view for one plan; :meth:`Step3MemoRun.commit` ends
+        it.  ``token`` pins the engine's part of a group's outcome;
+        without one, only sub-groups are memoised."""
+        return Step3MemoRun(self, token)
 
     def clear(self) -> int:
-        removed = len(self._entries)
+        removed = len(self._entries) + len(self._groups)
         self._entries = {}
+        self._groups = {}
         self._queries = set()
         return removed
 
@@ -260,30 +270,42 @@ class Step3MemoRun:
 
     Reads what the previous plan left, collects the entries this plan
     hits or stores and the queries it sees, and counts hits and misses
-    for telemetry.  A sub-group whose first query the previous plan
-    never saw is not keyed at all (:meth:`recurs`): it cannot be one the
+    for telemetry.  A group whose first query the previous plan never
+    saw is not keyed at all (:meth:`recurs`): it cannot be one the
     previous plan stored, and a load whose queries never recur, like
     the planner daemon's requests, would pay for keys it never uses.
+    A replayed group keeps its sub-group entries alive, so they still
+    serve the plan in which the group changes.
     """
 
     __slots__ = (
         "_memo",
+        "token",
         "_previous",
+        "_previous_groups",
         "_previous_queries",
         "_kept",
+        "_kept_groups",
         "_queries",
         "hits",
         "misses",
+        "group_hits",
+        "group_misses",
     )
 
-    def __init__(self, memo: Step3Memo):
+    def __init__(self, memo: Step3Memo, token: Optional[Hashable] = None):
         self._memo = memo
+        self.token = token
         self._previous = memo._entries
+        self._previous_groups = memo._groups
         self._previous_queries = memo._queries
         self._kept: Dict[Hashable, Step3Outcome] = {}
+        self._kept_groups: Dict[Hashable, GroupOutcome] = {}
         self._queries: Set[Query] = set()
         self.hits = 0
         self.misses = 0
+        self.group_hits = 0
+        self.group_misses = 0
 
     def recurs(self, group: Sequence[Query]) -> bool:
         """Whether ``group``'s first query was in the previous plan."""
@@ -291,8 +313,8 @@ class Step3MemoRun:
         return group[0] in self._previous_queries
 
     def get(self, key: Optional[Hashable]) -> Optional[Step3Outcome]:
-        """The stored outcome; the ``None`` key (a sub-group that was
-        not keyed) always misses."""
+        """The stored sub-group outcome; the ``None`` key (a sub-group
+        that was not keyed) always misses."""
         outcome = self._previous.get(key) if key is not None else None
         if outcome is None:
             self.misses += 1
@@ -304,9 +326,24 @@ class Step3MemoRun:
     def put(self, key: Hashable, outcome: Step3Outcome) -> None:
         self._kept[key] = outcome
 
+    def get_group(self, key: Optional[Hashable]) -> Optional[GroupOutcome]:
+        """The stored group outcome; the ``None`` key always misses."""
+        outcome = self._previous_groups.get(key) if key is not None else None
+        if outcome is None:
+            self.group_misses += 1
+        else:
+            self.group_hits += 1
+            self._kept_groups[key] = outcome
+            self._kept.update(outcome.step3)
+        return outcome
+
+    def put_group(self, key: Hashable, outcome: GroupOutcome) -> None:
+        self._kept_groups[key] = outcome
+
     def commit(self) -> None:
         """Make this plan's entries and queries the memo's whole content."""
         self._memo._entries = self._kept
+        self._memo._groups = self._kept_groups
         self._memo._queries = self._queries
 
 
@@ -755,7 +792,8 @@ class CacheRunStats:
     """Per-engine-run cache counters, rendered under
     ``details["engine"]["cache"]``; the backend's lifetime counters are
     attached as the ``store`` sub-dict.  ``step3_hits``/``step3_misses``
-    count the run's :class:`Step3Memo` lookups."""
+    and ``group_hits``/``group_misses`` count the run's
+    :class:`Step3Memo` lookups per sub-group and per step-2 group."""
 
     __slots__ = (
         "kind",
@@ -768,6 +806,8 @@ class CacheRunStats:
         "insert_seconds",
         "step3_hits",
         "step3_misses",
+        "group_hits",
+        "group_misses",
     )
 
     def __init__(self, kind: str):
@@ -781,6 +821,8 @@ class CacheRunStats:
         self.insert_seconds = 0.0
         self.step3_hits = 0
         self.step3_misses = 0
+        self.group_hits = 0
+        self.group_misses = 0
 
     def as_dict(self, store: Optional[Dict[str, object]] = None) -> Dict[str, object]:
         lookups = self.hits + self.misses
@@ -796,6 +838,8 @@ class CacheRunStats:
             "insert_seconds": self.insert_seconds,
             "step3_hits": self.step3_hits,
             "step3_misses": self.step3_misses,
+            "group_hits": self.group_hits,
+            "group_misses": self.group_misses,
         }
         if store is not None:
             rendered["store"] = store

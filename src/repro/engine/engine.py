@@ -6,7 +6,8 @@ composing per-component answers):
 
 1. **preprocess** — Algorithm 1 forces/removes classifiers and splits
    the residual load into property-disjoint components (with a cache,
-   through the store's step-3 memo);
+   through the store's plan memo, which replays the step-2 groups the
+   previous plan solved, components included);
 2. **schedule** — assign each component to the default component solver
    or to the first matching :class:`~repro.engine.routing.Route`;
 3. **dispatch** — solve components sequentially or across a process
@@ -32,12 +33,13 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.bitspace import component_fingerprint
+from repro.core.bitspace import PRIMARY_RUNG, component_fingerprint
 from repro.core.instance import MC3Instance
 from repro.core.solution import Solution
 from repro.engine.cache import (
     CacheRunStats,
     SolutionCache,
+    Step3MemoRun,
     cache_token_of,
     decode_entry,
     encode_entry,
@@ -53,6 +55,7 @@ from repro.engine.resilience import (
 from repro.engine.routing import Route
 from repro.engine.telemetry import EngineTelemetry
 from repro.preprocess import ALL_STEPS, preprocess
+from repro.preprocess.pipeline import PendingGroup
 
 # perfbench/spans.py times dispatch through this name as well.
 run_components_resilient = run_components
@@ -93,9 +96,10 @@ class SolveEngine:
         the executor) are inserted, and runs
         with an active chaos injector bypass the cache entirely so
         injected faults always exercise the fallback machinery.  The
-        store's :class:`~repro.engine.cache.Step3Memo`, when it has
-        one, lets preprocessing replay the step-3 sub-groups this run
-        shares with the previous one.
+        store's plan memo (:class:`~repro.engine.cache.Step3Memo`),
+        when it has one, replays the step-2 groups this run shares with
+        the previous one whole, solved components included, and the
+        step-3 sub-groups it shares inside the groups that changed.
     """
 
     def __init__(
@@ -125,15 +129,25 @@ class SolveEngine:
         # exercised for the determinism tests to mean anything.
         if self.resilience.chaos is not None:
             cache = None
-        # The store's step-3 memo, if it has one; bespoke stores do not.
+        # The store's plan memo, if it has one; bespoke stores do not.
         step3_memo = getattr(cache, "step3_memo", None)
-        memo = step3_memo.open() if step3_memo is not None else None
+        memo = (
+            step3_memo.open(self._memo_token(component_solver))
+            if step3_memo is not None
+            else None
+        )
         prep = preprocess(instance, steps=self.preprocess_steps, memo=memo)
-        if memo is not None:
-            memo.commit()
-        tasks = self._schedule(prep.components, component_solver)
+        tasks = self._schedule(zip(prep.indices, prep.components), component_solver)
+        replayed = [
+            ComponentOutcome(
+                index, stored.classifiers, stored.details, 0.0, stored.size,
+                stored.route, stored.rung,
+            )
+            for index, stored in prep.replayed
+        ]
 
-        mode = "process-pool" if self.jobs > 1 and len(tasks) >= 2 else "sequential"
+        components = len(tasks) + len(replayed)
+        mode = "process-pool" if self.jobs > 1 and components >= 2 else "sequential"
         telemetry = EngineTelemetry(jobs=self.jobs, mode=mode)
         telemetry.preprocess_seconds = prep.report.elapsed_seconds
 
@@ -146,6 +160,8 @@ class SolveEngine:
             if memo is not None:
                 cache_stats.step3_hits = memo.hits
                 cache_stats.step3_misses = memo.misses
+                cache_stats.group_hits = memo.group_hits
+                cache_stats.group_misses = memo.group_misses
             hits, pending = self._cache_lookup(tasks, cache, cache_stats, fingerprints)
 
         dispatch_started = time.perf_counter()
@@ -156,7 +172,12 @@ class SolveEngine:
         if cache_stats is not None and fingerprints:
             self._cache_insert(cache, cache_stats, solved, fingerprints)
 
-        outcomes = sorted(hits + list(solved), key=lambda outcome: outcome.index)
+        outcomes = sorted(
+            hits + list(solved) + replayed, key=lambda outcome: outcome.index
+        )
+        if memo is not None:
+            self._remember_groups(memo, prep.pending_groups, tasks, outcomes)
+            memo.commit()
         if cache_stats is not None:
             telemetry.cache = cache_stats.as_dict(cache.stats())
 
@@ -193,7 +214,7 @@ class SolveEngine:
 
         details: Dict[str, object] = {
             "preprocess": prep.report.as_dict(),
-            "components": len(prep.components),
+            "components": components,
         }
         details.update(self._aggregate(component_solver, outcomes))
         details["engine"] = telemetry.as_dict()
@@ -203,13 +224,13 @@ class SolveEngine:
 
     def _schedule(
         self,
-        components: Iterable[MC3Instance],
+        components: Iterable[Tuple[int, MC3Instance]],
         component_solver: SolvesComponents,
     ) -> List[ComponentTask]:
-        """Assign each component to the first matching route, else the
-        default solver."""
+        """Assign each ``(index, component)`` to the first matching
+        route, else the default solver."""
         tasks: List[ComponentTask] = []
-        for index, component in enumerate(components):
+        for index, component in components:
             target: SolvesComponents = component_solver
             route_name: Optional[str] = None
             for route in self.routes:
@@ -219,6 +240,52 @@ class SolveEngine:
                     break
             tasks.append((index, target, component, route_name))
         return tasks
+
+    def _memo_token(
+        self, component_solver: SolvesComponents
+    ) -> Optional[Tuple[object, ...]]:
+        """What a step-2 group's memo key pins beyond its content:
+        everything :func:`~repro.core.bitspace.component_fingerprint`
+        pins beyond it (the solver's cache token, the routes, the
+        primary rung).  ``None`` when the solver or a route is
+        uncacheable: the memo then keeps step-3 sub-groups only."""
+        solver_token = cache_token_of(component_solver)
+        if solver_token is None:
+            return None
+        routes = []
+        for route in self.routes:
+            route_token = cache_token_of(route)
+            if route_token is None:
+                return None
+            routes.append((route.name, route_token))
+        return (solver_token, tuple(routes), PRIMARY_RUNG)
+
+    @staticmethod
+    def _remember_groups(
+        memo: Step3MemoRun,
+        pending_groups: Sequence[PendingGroup],
+        tasks: List[ComponentTask],
+        outcomes: List[ComponentOutcome],
+    ) -> None:
+        """Store each keyed group whose every component came out clean.
+
+        The rule is the cache's insert rule: a first-attempt answer of
+        the primary rung (a cache hit is one), so a replay stands in for
+        exactly what a fresh solve would return.
+        """
+        if not pending_groups:
+            return
+        primary = {index: target.name for index, target, _, _ in tasks}
+        by_index = {outcome.index: outcome for outcome in outcomes}
+        for group in pending_groups:
+            solved = [by_index.get(index) for index, _ in group.components]
+            if all(
+                outcome is not None
+                and outcome.attempts == 1
+                and outcome.rung == primary[outcome.index]
+                for outcome in solved
+            ):
+                memo.put_group(group.key, group.outcome(solved))
 
     # ------------------------------------------------------------------
     # Content-addressed component-solution cache (see repro.engine.cache)

@@ -28,6 +28,7 @@ from repro.core.instance import MC3Instance
 from repro.core.mincover import min_cover
 from repro.core.properties import Classifier, Query, classifier_sort_key
 from repro.core.solution import Solution
+from repro.engine.telemetry import cost_ratio
 from repro.preprocess import ALL_STEPS
 from repro.solvers.base import Solver
 from repro.solvers.general import GeneralSolver
@@ -157,6 +158,13 @@ class RefinedSolver(Solver):
         )
         solution = Solution.from_instance(refined, instance)
         details = dict(base.details)
+        # The inner solve's bound still holds; its ratio was taken
+        # against the unrefined cost.
+        engine = dict(details["engine"])
+        bound = dict(engine["lower_bound"])
+        bound["cost_ratio"] = cost_ratio(solution.cost, bound["value"])
+        engine["lower_bound"] = bound
+        details["engine"] = engine
         details["refinement_moves"] = moves
         details["refinement_saving"] = base.cost - solution.cost
         return solution, details

@@ -12,8 +12,9 @@ applies before constructing.
 
 from __future__ import annotations
 
+import functools
 import inspect
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.exceptions import SolverError
 from repro.solvers.base import Solver
@@ -68,7 +69,14 @@ def solver_parameters(name: str) -> List[str]:
     forwarding to the general solver) report the passthrough target's
     parameters too, so callers see the effective surface.
     """
-    factory = _factory(name)
+    return list(_accepted(_factory(name)))
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted(factory: Callable[..., Solver]) -> Tuple[str, ...]:
+    """:func:`solver_parameters` of one factory, read off its signature
+    once: ``inspect.signature`` is slow, and :func:`make_solver` checks
+    every keyword it is given."""
     signature = inspect.signature(factory)
     params: List[str] = []
     passthrough = False
@@ -81,18 +89,12 @@ def solver_parameters(name: str) -> List[str]:
         for extra in inspect.signature(GeneralSolver).parameters:
             if extra not in params:
                 params.append(extra)
-    return params
+    return tuple(params)
 
 
 def supports_parameter(name: str, parameter: str) -> bool:
     """Whether ``make_solver(name, parameter=...)`` is accepted."""
-    factory = _factory(name)
-    signature = inspect.signature(factory)
-    if any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in signature.parameters.values()
-    ):
-        return parameter in solver_parameters(name)
-    return parameter in signature.parameters
+    return parameter in _accepted(_factory(name))
 
 
 def make_solver(name: str, **kwargs) -> Solver:
@@ -100,7 +102,8 @@ def make_solver(name: str, **kwargs) -> Solver:
     constructor.  Unknown keywords raise :class:`SolverError` naming the
     supported parameters instead of a bare ``TypeError``."""
     factory = _factory(name)
-    unsupported = [key for key in kwargs if not supports_parameter(name, key)]
+    accepted = _accepted(factory)
+    unsupported = [key for key in kwargs if key not in accepted]
     if unsupported:
         supported = ", ".join(solver_parameters(name))
         raise SolverError(

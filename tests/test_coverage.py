@@ -68,6 +68,39 @@ class TestCoveringSubset:
         assert witnesses == [frozenset("a")]
 
 
+class TestSharedChecker:
+    def test_preprocessing_and_verification_share_one_index(self, monkeypatch):
+        from repro.core import MC3Instance
+        from repro.core import instance as instance_module
+        from repro.solvers import make_solver
+
+        built = []
+
+        class Counting(CoverageChecker):
+            def __init__(self, queries):
+                built.append(len(list(queries)))
+                super().__init__(queries)
+
+        monkeypatch.setattr(instance_module, "CoverageChecker", Counting)
+        load = MC3Instance(
+            ["a b", "b c", "c", "d e"], {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1}
+        )
+        result = make_solver("mc3-general", cache="off").solve(load)
+        assert built == [4]
+        assert load.coverage_checker() is load.coverage_checker()
+        result.solution.verify(load)
+        assert built == [4]
+
+    def test_verification_stays_complete(self):
+        from repro.core import MC3Instance
+        from repro.core.solution import Solution
+
+        load = MC3Instance(["a b", "c"], {"a": 1, "b": 1, "c": 1})
+        load.coverage_checker()
+        with pytest.raises(InfeasibleSolutionError, match="1 query is not covered"):
+            Solution([frozenset("ab")], 2.0).verify(load)
+
+
 class TestCoverageChecker:
     def test_applicable_queries(self):
         checker = CoverageChecker([frozenset("ab"), frozenset("bc"), frozenset("b")])

@@ -22,6 +22,7 @@ from repro.experiments.runner import sweep, with_jobs
 from repro.solvers import (
     GeneralSolver,
     K2Solver,
+    RefinedSolver,
     available_solvers,
     make_solver,
     solver_parameters,
@@ -247,6 +248,34 @@ class TestRegistryFactories:
             make_solver("property-oriented", dispatch_k2=True)
         with pytest.raises(SolverError, match=r"does not accept \['flow_algorithm'\]"):
             make_solver("mc3-k2", flow_algorithm="dinic")
+
+    def test_cached_parameters_equal_the_signature(self):
+        import inspect
+
+        from repro.solvers.registry import _FACTORIES
+
+        for name in available_solvers():
+            factory = _FACTORIES[name]
+            named = [
+                p.name
+                for p in inspect.signature(factory).parameters.values()
+                if p.kind is not inspect.Parameter.VAR_KEYWORD
+            ]
+            if factory is RefinedSolver:
+                general = inspect.signature(GeneralSolver).parameters
+                named += [p for p in general if p not in named]
+            assert solver_parameters(name) == named, name
+            assert solver_parameters(name) == solver_parameters(name), name
+            for parameter in named:
+                assert supports_parameter(name, parameter), (name, parameter)
+            assert not supports_parameter(name, "no_such_knob")
+            message = (
+                f"solver {name!r} does not accept ['no_such_knob'] "
+                f"(supported parameters: {', '.join(named)})"
+            )
+            with pytest.raises(SolverError) as raised:
+                make_solver(name, no_such_knob=1)
+            assert str(raised.value) == message
 
     def test_sweep_with_jobs_matches_plain_sweep(self):
         instance = multi_component_instance(8)

@@ -58,6 +58,19 @@ class TestRefinedSolver:
         assert "refinement_moves" in result.details
         assert result.details["refinement_saving"] >= 0
 
+    def test_cost_ratio_is_taken_against_the_refined_cost(self):
+        from repro.datasets import private_like
+
+        instance = private_like(300, seed=0)
+        result = RefinedSolver().solve(instance)
+        inner = GeneralSolver().solve(instance)
+        bound = result.details["engine"]["lower_bound"]
+        assert bound["value"] == inner.details["engine"]["lower_bound"]["value"]
+        assert bound["cost_ratio"] == result.cost / bound["value"]
+        assert result.details["refinement_saving"] > 0
+        inner_bound = inner.details["engine"]["lower_bound"]
+        assert bound["cost_ratio"] < inner_bound["cost_ratio"]
+
     def test_registered(self):
         from repro.solvers import make_solver
 
