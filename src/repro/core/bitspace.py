@@ -26,15 +26,11 @@ their frozenset counterparts exactly, keeping outputs bit-identical.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from itertools import combinations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.costs import CostModel, OverlayCost
 from repro.core.properties import Classifier, PropertySet, Query
-
-INFINITY = math.inf
 
 
 def popcount(mask: int) -> int:
@@ -117,13 +113,25 @@ class PropertySpace:
         cached = self._set_cache.get(mask)
         if cached is None:
             names = self._properties
-            cached = frozenset(names[bit] for bit in iter_bits(mask))
+            members = []
+            rest = mask
+            while rest:
+                low = rest & -rest
+                members.append(names[low.bit_length() - 1])
+                rest ^= low
+            cached = frozenset(members)
             self._set_cache[mask] = cached
         return cached
 
-    def bits_of(self, mask: int) -> Tuple[int, ...]:
+    @staticmethod
+    def bits_of(mask: int) -> Tuple[int, ...]:
         """Ascending set-bit positions (sorted-property order)."""
-        return tuple(iter_bits(mask))
+        bits = []
+        while mask:
+            low = mask & -mask
+            bits.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(bits)
 
     def label(self, mask: int) -> str:
         """``canonical_label`` of the mask's property set."""
@@ -133,8 +141,9 @@ class PropertySpace:
     # Enumeration helpers (mask mirrors of repro.core.properties)
     # ------------------------------------------------------------------
 
+    @staticmethod
     def iter_subset_masks(
-        self, mask: int, max_length: Optional[int] = None
+        mask: int, max_length: Optional[int] = None
     ) -> Iterator[int]:
         """Non-empty submasks of ``mask``, by increasing popcount then
         lexicographically — the exact order of
@@ -187,51 +196,6 @@ class PropertySpace:
                     break
                 s = (s - 1) & a
             a = (a - 1) & mask
-
-
-class MaskCost:
-    """Mask-keyed cost overlay over a component's frozenset cost model.
-
-    Reads are memoised by mask (``int`` hashing instead of frozenset
-    hashing) and :meth:`select` / :meth:`remove` write *through* to the
-    underlying :class:`~repro.core.costs.OverlayCost`, so the rest of
-    the pipeline — which keeps pricing by frozenset — observes every
-    mask-level decision.  The cache stays coherent because the owning
-    pass is the only writer while it runs (preprocessing components are
-    property-disjoint, so two pruners never share classifiers).
-    """
-
-    __slots__ = ("space", "base", "_cache")
-
-    def __init__(self, space: PropertySpace, base: CostModel):
-        self.space = space
-        self.base = base
-        self._cache: Dict[int, float] = {}
-
-    def cost(self, mask: int) -> float:
-        cached = self._cache.get(mask)
-        if cached is None:
-            cached = self.base.cost(self.space.set_of(mask))
-            self._cache[mask] = cached
-        return cached
-
-    def select(self, mask: int) -> None:
-        """Weight 0 (selected), here and in the base overlay."""
-        base = self.base
-        if isinstance(base, OverlayCost):
-            base.select(self.space.set_of(mask))
-        self._cache[mask] = 0.0
-
-    def remove(self, mask: int) -> None:
-        """Weight ``∞`` (removed), here and in the base overlay."""
-        base = self.base
-        if isinstance(base, OverlayCost):
-            base.remove(self.space.set_of(mask))
-        self._cache[mask] = INFINITY
-
-    def stats(self) -> Dict[str, int]:
-        """Cache footprint, for telemetry."""
-        return {"properties": self.space.size, "cached_costs": len(self._cache)}
 
 
 # ----------------------------------------------------------------------

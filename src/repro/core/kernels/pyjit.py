@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 # ``core/mincover`` imports this module for its DP, so either of the two
 # may be the one still initialising.
 from repro.core import mincover
-from repro.core.bitspace import MaskCost, PropertySpace, mask_union, popcount
+from repro.core.bitspace import PropertySpace, mask_union
 from repro.core.costs import OverlayCost
 from repro.core.properties import Classifier, Query
 from repro.exceptions import InvalidInstanceError, SolverError
@@ -100,6 +100,46 @@ TWO_COVER_TABLES: Dict[int, Tuple[itemgetter, itemgetter]] = {
 }
 
 
+#: Queries up to this length take their uniqueness answer from
+#: :data:`~repro.core.mincover.unique_cover_table`; longer ones, up to
+#: :data:`FORCED_COVER_MAX_LENGTH`, search live.
+UNIQUE_COVER_TABLE_MAX_LENGTH = 4
+
+#: ``LOCAL_LATTICES[L]`` for ``1 <= L <= FULL_ENUMERATION_MAX_LENGTH``:
+#: the non-empty submasks of the full ``L``-bit mask in
+#: ``iter_subset_masks`` order.  Position ``i`` of a length-``L`` query's
+#: lattice is the query's submask with local index
+#: ``LOCAL_LATTICES[L][i]`` (local relabelling keeps the bits' order).
+LOCAL_LATTICES: Dict[int, Tuple[int, ...]] = {
+    length: tuple(PropertySpace.iter_subset_masks((1 << length) - 1))
+    for length in range(1, FULL_ENUMERATION_MAX_LENGTH + 1)
+}
+
+#: ``_LATTICE_GETTERS[L]`` reads a length-``L`` query's lattice off its
+#: submasks listed by local index.
+_LATTICE_GETTERS: Dict[int, itemgetter] = {
+    length: itemgetter(*local) for length, local in LOCAL_LATTICES.items()
+    if length >= 2
+}
+
+
+def _submasks_by_local_index(mask: int) -> List[int]:
+    """Every submask of ``mask``, the empty one and ``mask`` included, at
+    its local index (doubling over the bits, lowest first)."""
+    subs = [0]
+    while mask:
+        low = mask & -mask
+        subs += [sub | low for sub in subs]
+        mask ^= low
+    return subs
+
+
+def _lattice_size(length: int, cap: int) -> int:
+    """Submasks of a length-``length`` query within the length cap: the
+    prefix of its lattice that the cap keeps."""
+    return sum(math.comb(length, size) for size in range(1, cap + 1))
+
+
 class DominatedPruner:
     """Stateful step-3 pass over one property-disjoint component.
 
@@ -117,6 +157,19 @@ class DominatedPruner:
     Lengths 3 to :data:`FULL_ENUMERATION_MAX_LENGTH` price every
     two-cover through :data:`TWO_COVER_TABLES`; longer classifiers price
     their two-partitions, materialised once per mask.
+
+    One run does each piece of per-query work once.  A query's
+    *lattice*, its submasks within the length cap in
+    ``iter_subset_masks`` order, is built once and read by the universe,
+    the uniqueness test, the selected-cover check and the re-pass
+    targets.  Every lattice mask is priced once into a mask-keyed price
+    table that the hot loops index directly; the pruner's selections
+    (:meth:`_select`) and removals (:meth:`_pass_remove`) keep it
+    current and write through to the overlay, whose only writer the
+    pruner is while it runs.  A mask in no lattice (the pair of a
+    length-2 query under a length cap of 1) is priced on demand by
+    :meth:`_cost`.  Decompositions read a third table, the part weights
+    (a mask's price, or its effective weight where that is lower).
     """
 
     def __init__(
@@ -131,11 +184,18 @@ class DominatedPruner:
         # The component's property universe, interned once; every hot
         # structure below is keyed by mask, not frozenset.
         self.space = PropertySpace.from_queries(self.queries)
-        self._cost = MaskCost(self.space, overlay)
-        self._query_masks = [self.space.mask_of(q) for q in self.queries]
+        mask_of = self.space.mask_of
+        self._query_masks: Dict[Query, int] = {q: mask_of(q) for q in self.queries}
+        self._lattices: Dict[int, List[int]] = {}
+        self._price: Dict[int, float] = {}
         # Effective weight: cheapest way to obtain S's covering power from
         # shorter classifiers (or S itself).
         self._effective: Dict[int, float] = {}
+        # What a decomposition reads for a part: its price, or its
+        # memoised effective weight where that is strictly lower.  Kept
+        # current for every mask a decomposition can read (see
+        # _pass_remove and _select).
+        self._part_weight: Dict[int, float] = {}
         # Insertion-ordered set: the removals in the order they happened.
         self.removed: Dict[Classifier, None] = {}
         self._removed_masks: Set[int] = set()
@@ -146,6 +206,53 @@ class DominatedPruner:
         # materialised once and reused across the fixpoint re-passes.
         self._partition_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
+    def _lattice(self, qmask: int) -> List[int]:
+        """The query's submasks within the length cap, in
+        ``iter_subset_masks`` order, each priced on first sight."""
+        lattice = self._lattices.get(qmask)
+        if lattice is None:
+            length = qmask.bit_count()
+            cap = self.max_classifier_length
+            getter = _LATTICE_GETTERS.get(length)
+            if length == 1:
+                lattice = [qmask]
+            elif getter is None:
+                lattice = list(self.space.iter_subset_masks(qmask, cap))
+            else:
+                # The length cap keeps a prefix of the lattice order.
+                lattice = list(getter(_submasks_by_local_index(qmask)))
+                if cap is not None and cap < length:
+                    del lattice[_lattice_size(length, cap) :]
+            price = self._price
+            part_weight = self._part_weight
+            overlay_cost = self.overlay.cost
+            set_of = self.space.set_of
+            for mask in lattice:
+                if mask not in price:
+                    price[mask] = part_weight[mask] = overlay_cost(set_of(mask))
+            self._lattices[qmask] = lattice
+        return lattice
+
+    def _cost(self, mask: int) -> float:
+        """Weight of any mask: the table's, else the overlay's (kept).
+        No decomposition reads a mask outside the lattices, so it gets
+        no part weight."""
+        weight = self._price.get(mask)
+        if weight is None:
+            weight = self.overlay.cost(self.space.set_of(mask))
+            self._price[mask] = weight
+        return weight
+
+    def _select(self, mask: int) -> None:
+        """Weight 0 (selected), in the tables and in the overlay."""
+        self.overlay.select(self.space.set_of(mask))
+        self._price[mask] = 0.0
+        weight = 0.0
+        cached = self._effective.get(mask)
+        if cached is not None and cached < weight:
+            weight = cached
+        self._part_weight[mask] = weight
+
     def _universe(self) -> List[int]:
         """All candidate classifier masks of the component, by increasing
         length then label, deduplicated.  Computed once — removals are
@@ -153,16 +260,14 @@ class DominatedPruner:
         if self._universe_cache is None:
             seen: Set[int] = set()
             ordered: List[int] = []
-            for qmask in self._query_masks:
-                for mask in self.space.iter_subset_masks(
-                    qmask, self.max_classifier_length
-                ):
+            for qmask in self._query_masks.values():
+                for mask in self._lattice(qmask):
                     if mask not in seen:
                         seen.add(mask)
                         ordered.append(mask)
             # Stable sort by length keeps the deterministic per-query
             # enumeration order within each length class.
-            ordered.sort(key=popcount)
+            ordered.sort(key=int.bit_count)
             self._universe_cache = ordered
         return self._universe_cache
 
@@ -170,7 +275,7 @@ class DominatedPruner:
         """Weight of ``clf`` or of its cheapest recorded decomposition."""
         mask = self.space.mask_of(clf)
         memo = self._effective.get(mask)
-        direct = self._cost.cost(mask)
+        direct = self._cost(mask)
         if memo is None:
             return direct
         return min(memo, direct)
@@ -181,23 +286,10 @@ class DominatedPruner:
         table = TWO_COVER_TABLES.get(length)
         if table is None:
             return self._cheapest_partition(mask)
-        memo = self._effective.get
-        cost = self._cost.cost
-        # weights[i] = effective weight of the submask with local index
-        # i.  Descending submask enumeration visits local indices in
-        # descending order too, because the local relabelling keeps the
-        # bits' order and so the submasks' numeric order.
-        weights = [0.0] * (1 << length)
-        index = len(weights) - 2
-        sub = (mask - 1) & mask
-        while sub:
-            weight = cost(sub)
-            cached = memo(sub)
-            if cached is not None and cached < weight:
-                weight = cached
-            weights[index] = weight
-            index -= 1
-            sub = (sub - 1) & mask
+        # weights[i] = part weight of the submask with local index i.
+        # The tables never read index 0 (the empty mask, no entry) nor
+        # the last (the classifier itself).
+        weights = list(map(self._part_weight.get, _submasks_by_local_index(mask)))
         first, second = table
         return min(map(add, first(weights), second(weights)))
 
@@ -207,19 +299,9 @@ class DominatedPruner:
             pairs = tuple(self.space.iter_two_partition_masks(mask))
             self._partition_cache[mask] = pairs
         best = math.inf
-        memo = self._effective
-        cost = self._cost.cost
+        part_weight = self._part_weight
         for part_a, part_b in pairs:
-            # Inlined effective_weight: min(memoised decomposition, direct).
-            weight = cost(part_a)
-            cached = memo.get(part_a)
-            if cached is not None and cached < weight:
-                weight = cached
-            direct_b = cost(part_b)
-            cached_b = memo.get(part_b)
-            if cached_b is not None and cached_b < direct_b:
-                direct_b = cached_b
-            weight += direct_b
+            weight = part_weight[part_a] + part_weight[part_b]
             if weight < best:
                 best = weight
         return best
@@ -227,24 +309,29 @@ class DominatedPruner:
     # ------------------------------------------------------------------
 
     def _pass_remove(self, targets: Optional[Iterable[int]] = None) -> int:
-        """One removal sweep; returns the number of removals.
+        """One removal sweep over ``targets`` (distinct masks; the whole
+        universe when ``None``); returns the number of removals.
 
         Classifiers are processed by increasing length so shorter parts'
         effective weights are final before longer classifiers consult
-        them; within a length the order is irrelevant (decompositions use
-        strictly shorter classifiers only).
+        them; within a length the decisions do not depend on the order
+        (decompositions use strictly shorter classifiers only), and the
+        removals keep the order the targets come in.
         """
         if targets is None:
             universe = self._universe()
         else:
-            universe = sorted(set(targets), key=popcount)
+            universe = sorted(targets, key=int.bit_count)
         removed_count = 0
-        cost = self._cost.cost
-        remove = self._cost.remove
+        price = self._price
         effective = self._effective
+        part_weight = self._part_weight
         removed_masks = self._removed_masks
+        removed = self.removed
+        remove = self.overlay.remove
+        set_of = self.space.set_of
         for mask in universe:
-            length = popcount(mask)
+            length = mask.bit_count()
             if length < 2 or mask in removed_masks:
                 continue
             if length == 2:
@@ -252,88 +339,84 @@ class DominatedPruner:
                 # singletons are never removed by this step, so their
                 # effective weight is just their overlay weight.
                 low = mask & -mask
-                decomposition_cost = cost(low) + cost(mask ^ low)
+                decomposition_cost = price[low] + price[mask ^ low]
             else:
                 decomposition_cost = self._cheapest_decomposition(mask, length)
-            direct = cost(mask)
-            effective[mask] = min(direct, decomposition_cost)
+            direct = price[mask]
+            # min() keeps ``direct`` on a tie, which is what the part
+            # weight keeps too.  A removal below leaves the part weight
+            # as it is: the effective weight is finite, so it stays
+            # strictly below the new price of ∞.
+            effective[mask] = part_weight[mask] = min(direct, decomposition_cost)
             if math.isfinite(direct) and decomposition_cost <= direct:
-                remove(mask)
+                clf = set_of(mask)
+                remove(clf)
+                price[mask] = math.inf
                 removed_masks.add(mask)
-                self.removed[self.space.set_of(mask)] = None
+                removed[clf] = None
                 removed_count += 1
         return removed_count
-
-    def _available_candidates(self, qmask: int) -> List[Tuple[int, float]]:
-        cost = self._cost.cost
-        pairs = []
-        for mask in self.space.iter_subset_masks(qmask, self.max_classifier_length):
-            weight = cost(mask)
-            if math.isfinite(weight):
-                pairs.append((mask, weight))
-        return pairs
 
     def _detect_forced_covers(self, uncovered: Sequence[int]) -> List[int]:
         """Queries with a single irredundant cover force its classifiers
         (Algorithm 1, line 10).  Takes and returns masks."""
         newly_forced: List[int] = []
+        price = self._price
         for qmask in uncovered:
-            length = popcount(qmask)
+            length = qmask.bit_count()
             if length > FORCED_COVER_MAX_LENGTH:
                 continue
             if length == 2:
                 unique = self._unique_cover_k2(qmask)
             else:
-                candidates = self._available_candidates(qmask)
-                if len(candidates) > FORCED_COVER_MAX_CANDIDATES:
-                    continue
-                unique = self._unique_cover(qmask, candidates)
+                unique = self._unique_cover(qmask, length)
             if unique is not None:
                 for mask in unique:
-                    if self._cost.cost(mask) > 0:
-                        self._cost.select(mask)
+                    if price[mask] > 0:
+                        self._select(mask)
                         newly_forced.append(mask)
         return newly_forced
 
-    def _unique_cover(
-        self, qmask: int, candidates: List[Tuple[int, float]]
-    ) -> Optional[Tuple[int, ...]]:
+    def _unique_cover(self, qmask: int, length: int) -> Optional[Tuple[int, ...]]:
         """Mask-level uniqueness test via the irredundant-cover search.
 
-        Candidate masks are compressed to query-local bits (ascending
-        component bits → ascending local bits) so the search order, and
-        therefore the budget-exhaustion behaviour, matches the
-        frozenset-era enumeration exactly.
+        The available (finite-weight) lattice masks are handed over as
+        query-local subsets (ascending component bits → ascending local
+        bits) in lattice order, so the search order, and therefore the
+        budget-exhaustion behaviour, matches the frozenset-era
+        enumeration exactly.
         """
-        bits = self.space.bits_of(qmask)
-        local_of = {bit: i for i, bit in enumerate(bits)}
-        full = (1 << len(bits)) - 1
-        usable: List[Tuple[int, float]] = []
-        for mask, weight in candidates:
-            local = 0
-            sub = mask
-            while sub:
-                low = sub & -sub
-                local |= 1 << local_of[low.bit_length() - 1]
-                sub ^= low
-            usable.append((local, weight))
-        covers, exhausted = mincover.enumerate_covers_local(
-            full, usable, limit=2, node_budget=FORCED_COVER_NODE_BUDGET
-        )
-        if exhausted or len(covers) != 1:
+        price = self._price
+        masks: List[int] = []
+        subsets: List[int] = []
+        for mask, local in zip(self._lattice(qmask), LOCAL_LATTICES[length]):
+            if math.isfinite(price[mask]):
+                masks.append(mask)
+                subsets.append(local)
+        if len(masks) > FORCED_COVER_MAX_CANDIDATES:
             return None
-        picked, _cost = covers[0]
-        return tuple(candidates[idx][0] for idx in picked)
+        if length <= UNIQUE_COVER_TABLE_MAX_LENGTH:
+            search = mincover.unique_cover_table
+        else:
+            search = mincover.unique_cover_local
+        picked = search(length, tuple(subsets), FORCED_COVER_NODE_BUDGET)
+        if picked is None:
+            return None
+        return tuple(masks[idx] for idx in picked)
 
     def _unique_cover_k2(self, qmask: int) -> Optional[Tuple[int, ...]]:
         """Closed form of the uniqueness test for length-2 queries: the
         only irredundant covers are {XY} and {X, Y}."""
         singleton_x = qmask & -qmask
         singleton_y = qmask ^ singleton_x
-        cost = self._cost.cost
-        pair_ok = math.isfinite(cost(qmask))
-        singles_ok = math.isfinite(cost(singleton_x)) and math.isfinite(
-            cost(singleton_y)
+        price = self._price
+        pair = price.get(qmask)
+        if pair is None:
+            # Outside the lattice: the query's length exceeds the cap.
+            pair = self._cost(qmask)
+        pair_ok = math.isfinite(pair)
+        singles_ok = math.isfinite(price[singleton_x]) and math.isfinite(
+            price[singleton_y]
         )
         if pair_ok and not singles_ok:
             return (qmask,)
@@ -354,12 +437,15 @@ class DominatedPruner:
         """
         space = self.space
         effective = self._effective
-        uncovered_masks = [space.mask_of(q) for q in uncovered]
-        queries_by_bit: Dict[int, List[int]] = {}
-        for qmask in uncovered_masks:
-            for bit in space.bits_of(qmask):
-                queries_by_bit.setdefault(bit, []).append(qmask)
+        removed_masks = self._removed_masks
+        known = self._query_masks.get
+        uncovered_masks = [known(q) or space.mask_of(q) for q in uncovered]
         alive: Dict[int, None] = dict.fromkeys(uncovered_masks)
+        for qmask in alive:
+            self._lattice(qmask)  # prices every mask the tests below read
+        # Built on the first selection; half the runs of a drift re-plan
+        # select nothing.
+        queries_by_bit: Optional[Dict[int, List[int]]] = None
 
         total_removed = self._pass_remove()
         pending: Sequence[int] = list(alive)
@@ -367,7 +453,12 @@ class DominatedPruner:
             forced_now = self._detect_forced_covers(pending)
             if not forced_now:
                 break
-            self.forced.extend(space.set_of(mask) for mask in forced_now)
+            if queries_by_bit is None:
+                queries_by_bit = {}
+                for qmask in uncovered_masks:
+                    for bit in space.bits_of(qmask):
+                        queries_by_bit.setdefault(bit, []).append(qmask)
+            self.forced.extend([space.set_of(mask) for mask in forced_now])
             affected_mask = mask_union(forced_now)
             # Queries sharing a property with the selections are the only
             # ones whose cover options changed; of those, the ones the
@@ -388,14 +479,14 @@ class DominatedPruner:
             # Re-examine only classifiers of still-uncovered queries:
             # removals among covered queries' classifiers can never
             # influence the residual problem.
-            touched: Set[int] = set()
+            touched: Dict[int, None] = {}
             for qmask in still_uncovered:
-                for mask in space.iter_subset_masks(
-                    qmask, self.max_classifier_length
-                ):
-                    if mask & affected_mask and mask not in self._removed_masks:
-                        touched.add(mask)
-                        # Invalidate memo so the zeroed selections are seen.
+                for mask in self._lattice(qmask):
+                    if mask & affected_mask and mask not in removed_masks:
+                        touched[mask] = None
+                        # Invalidate memo so the zeroed selections are
+                        # seen (the re-pass sets the part weight anew
+                        # before any longer target reads it).
                         effective.pop(mask, None)
             total_removed += self._pass_remove(touched)
             pending = still_uncovered
@@ -405,9 +496,9 @@ class DominatedPruner:
         """Whether zero-weight (selected) classifiers already cover the
         query."""
         remaining = qmask
-        cost = self._cost.cost
-        for mask in self.space.iter_subset_masks(qmask, self.max_classifier_length):
-            if cost(mask) == 0:
+        price = self._price
+        for mask in self._lattice(qmask):
+            if price[mask] == 0:
                 remaining &= ~mask
                 if not remaining:
                     return True

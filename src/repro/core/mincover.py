@@ -21,6 +21,7 @@ dominated pruner) skip the frozenset marshalling the public
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -160,6 +161,41 @@ def enumerate_covers_local(
 
     recurse(0, 0, [])
     return results, exhausted[0]
+
+
+def unique_cover_local(
+    length: int, subsets: Tuple[int, ...], node_budget: int
+) -> Optional[Tuple[int, ...]]:
+    """Indices into ``subsets`` of the only irredundant cover of the full
+    ``length``-bit mask, or ``None`` when there is none, there are
+    several, or ``node_budget`` ran out first.
+
+    The uniqueness test of preprocessing step 3 (Algorithm 1, line 10).
+    :func:`enumerate_covers_local` steers its search, its budget cut-off
+    and its picked indices by the masks and their order alone; weights
+    enter only the cover costs, which this test never reads, so it takes
+    none.
+    """
+    covers, exhausted = enumerate_covers_local(
+        (1 << length) - 1,
+        [(subset, 0.0) for subset in subsets],
+        limit=2,
+        node_budget=node_budget,
+    )
+    if exhausted or len(covers) != 1:
+        return None
+    return covers[0][0]
+
+
+#: :func:`unique_cover_local`, filled on first use.  The dominated
+#: pruner asks it for queries of length 4 or less, passing each query's
+#: available subsets in its lattice order (a subsequence of the 2^L - 1
+#: local submasks in ``iter_subset_masks`` order), so it needs at most
+#: 2 + 2^7 + 2^15 answers for its one node budget; the bound only stops
+#: other callers from growing it without end.  An answer depends on its
+#: key alone, so the table cannot carry state from one query, component
+#: or process into another's output.
+unique_cover_table = functools.lru_cache(maxsize=2 + 2**7 + 2**15)(unique_cover_local)
 
 
 def enumerate_covers(

@@ -264,7 +264,7 @@ class ReferenceDominatedPruner:
         if targets is None:
             universe = self._universe()
         else:
-            universe = sorted(set(targets), key=len)
+            universe = sorted(dict.fromkeys(targets), key=len)
         removed_count = 0
         overlay_cost = self.overlay.cost
         effective = self._effective
@@ -348,7 +348,10 @@ class ReferenceDominatedPruner:
             affected_props = set().union(*forced_now)
             affected: List[Query] = []
             seen_affected = set()
-            for prop in affected_props:
+            # Sorted: the mask kernel walks the selections' bits in
+            # ascending (sorted-property) order, and a set of strings
+            # would iterate in hash order.
+            for prop in sorted(affected_props):
                 for q in queries_by_property.get(prop, ()):
                     if q in alive and q not in seen_affected:
                         seen_affected.add(q)
@@ -359,11 +362,11 @@ class ReferenceDominatedPruner:
                     del alive[q]
                 else:
                     still_uncovered.append(q)
-            touched = set()
+            touched: Dict[Classifier, None] = {}
             for q in still_uncovered:
                 for clf in iter_nonempty_subsets(q, self.max_classifier_length):
                     if clf & affected_props and clf not in self.removed:
-                        touched.add(clf)
+                        touched[clf] = None
                         self._effective.pop(clf, None)
             total_removed += self._pass_remove(touched)
             pending = still_uncovered

@@ -9,6 +9,7 @@ output: same orders, same tie-breaks, same costs, same solutions, for
 every registered solver.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -17,15 +18,21 @@ from hypothesis import strategies as st
 
 from repro.core import MC3Instance, OverlayCost, TableCost
 from repro.core.bitspace import (
-    MaskCost,
     PropertySpace,
     compress_masks,
     iter_bits,
     mask_union,
     popcount,
 )
-from repro.core.mincover import enumerate_covers, min_cover
+from repro.core.kernels.pyjit import FORCED_COVER_NODE_BUDGET, LOCAL_LATTICES
+from repro.core.mincover import (
+    enumerate_covers,
+    enumerate_covers_local,
+    min_cover,
+    unique_cover_table,
+)
 from repro.core.properties import (
+    classifier_sort_key,
     iter_nonempty_subsets,
     iter_two_covers,
     iter_two_partitions,
@@ -109,24 +116,26 @@ class TestMaskPrimitives:
         assert local == [0b01, 0b11]  # non-submasks dropped
 
 
-class TestMaskCostOverlayWriteThrough:
+class TestPrunerOverlayWriteThrough:
     def test_select_and_remove_reach_the_overlay(self):
-        instance = MC3Instance(
-            ["a b"], TableCost({frozenset("a"): 1, frozenset("b"): 2,
-                                frozenset("ab"): 4})
-        )
-        overlay = OverlayCost(instance.cost)
-        space = PropertySpace.from_queries(instance.queries)
-        cost = MaskCost(space, overlay)
-        a = space.mask_of(frozenset("a"))
-        assert cost.cost(a) == 1
-        cost.select(a)
+        """The pruner's price table and the overlay agree after a run:
+        ``a+b`` is removed (1 + 2 <= 4), which leaves ``{a, b}`` the only
+        cover of its query, and ``c+d``, the only cover of its own, is
+        selected."""
+        table = TableCost({"a": 1, "b": 2, "a b": 4, "c d": 5})
+        queries = [frozenset("ab"), frozenset("cd")]
+        overlay = OverlayCost(table)
+        pruner = DominatedPruner(queries, overlay)
+        removed, forced = pruner.run(queries)
+        assert removed == 1
+        assert forced == [frozenset("a"), frozenset("b"), frozenset("cd")]
+        assert overlay.is_removed(frozenset("ab"))
         assert overlay.cost(frozenset("a")) == 0.0
-        assert cost.cost(a) == 0.0
-        b = space.mask_of(frozenset("b"))
-        cost.remove(b)
-        assert overlay.is_removed(frozenset("b"))
-        assert math.isinf(cost.cost(b))
+        assert overlay.cost(frozenset("cd")) == 0.0
+        assert pruner.effective_weight(frozenset("a")) == 0.0
+        assert math.isinf(pruner.effective_weight(frozenset("c")))
+        assert pruner.effective_weight(frozenset("ab")) == 3
+        assert pruner.effective_weight(frozenset("cd")) == 0.0
 
 
 def _candidates(instance, q):
@@ -178,25 +187,60 @@ LONG_TABLE = {
 }
 
 
-def _assert_pruner_matches_reference(instance):
+def _assert_pruner_matches_reference(instance, max_length=None, edits=()):
+    """Run both pruners on equal overlays (after ``edits``, a sequence
+    of ``("select" | "remove", classifier)``) and compare everything
+    they decide: the result, the order of removals and selections, the
+    overlay's overrides in write order, and every effective weight."""
     overlay_new = OverlayCost(instance.cost)
     overlay_ref = OverlayCost(instance.cost)
-    pruner = DominatedPruner(instance.queries, overlay_new)
-    reference = ReferenceDominatedPruner(instance.queries, overlay_ref)
+    for action, clf in edits:
+        getattr(overlay_new, action)(clf)
+        getattr(overlay_ref, action)(clf)
+    pruner = DominatedPruner(instance.queries, overlay_new, max_length)
+    reference = ReferenceDominatedPruner(instance.queries, overlay_ref, max_length)
     assert pruner.run(instance.queries) == reference.run(instance.queries)
     assert pruner.forced == reference.forced
-    assert pruner.removed == reference.removed
-    assert overlay_new.overrides == overlay_ref.overrides
+    assert list(pruner.removed) == list(reference.removed)
+    assert list(overlay_new.overrides.items()) == list(overlay_ref.overrides.items())
     for q in instance.queries:
         for clf in iter_nonempty_subsets(q):
-            assert pruner.effective_weight(clf) == reference.effective_weight(clf)
+            new = pruner.effective_weight(clf)
+            assert float(new).hex() == float(reference.effective_weight(clf)).hex()
+
+
+@st.composite
+def preprocessing_edits(draw, instance):
+    """Overlay edits of the kind preprocessing hands step 3: some
+    singletons selected (step 1's free properties), then some
+    classifiers removed (an earlier pruning pass)."""
+    candidates = sorted(
+        {clf for q in instance.queries for clf in iter_nonempty_subsets(q)},
+        key=classifier_sort_key,
+    )
+    singletons = [clf for clf in candidates if len(clf) == 1]
+    selected = draw(st.lists(st.sampled_from(singletons), unique=True, max_size=3))
+    removed = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=4))
+    return [("select", clf) for clf in selected] + [("remove", clf) for clf in removed]
 
 
 class TestDominatedPrunerEquivalence:
-    @given(mc3_instances())
-    @settings(max_examples=25, deadline=None)
-    def test_run_matches_reference(self, instance):
-        _assert_pruner_matches_reference(instance)
+    @given(mc3_instances(), st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_run_matches_reference(self, instance, max_length):
+        _assert_pruner_matches_reference(instance, max_length)
+
+    @given(
+        st.one_of(mc3_instances(), mc3_instances(price_all=False)),
+        st.sampled_from([None, 1, 2, 3]),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_run_matches_reference_on_an_edited_overlay(
+        self, instance, max_length, data
+    ):
+        edits = data.draw(preprocessing_edits(instance))
+        _assert_pruner_matches_reference(instance, max_length, edits)
 
     @example(MC3Instance(LONG_QUERIES, TableCost(LONG_TABLE)))
     @given(
@@ -208,6 +252,98 @@ class TestDominatedPrunerEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_run_matches_reference_up_to_length_8(self, instance):
         _assert_pruner_matches_reference(instance)
+
+    def test_forced_cover_is_selected_in_lattice_order(self):
+        """``{c, a+b}`` is the only cover of ``a b c``; both pruners
+        select ``c`` first, the order the query's subsets are listed in
+        (by length, then label)."""
+        instance = MC3Instance([frozenset("abc")], TableCost({"c": 1, "a b": 2}))
+        _assert_pruner_matches_reference(instance)
+        pruner = DominatedPruner(instance.queries, OverlayCost(instance.cost))
+        assert pruner.run(instance.queries)[1] == [frozenset("c"), frozenset("ab")]
+
+    @given(
+        mc3_instances(max_queries=3, max_query_length=6, price_all=False),
+        st.sampled_from([2, 3, 4]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_run_matches_reference_under_a_cap_below_the_query_length(
+        self, instance, max_length
+    ):
+        _assert_pruner_matches_reference(instance, max_length)
+
+
+def _expected_unique_cover(length, subsets, weights):
+    covers, exhausted = enumerate_covers_local(
+        (1 << length) - 1,
+        list(zip(subsets, weights)),
+        limit=2,
+        node_budget=FORCED_COVER_NODE_BUDGET,
+    )
+    if exhausted or len(covers) != 1:
+        return None
+    return covers[0][0]
+
+
+def _lookup(length, subsets):
+    return unique_cover_table(length, tuple(subsets), FORCED_COVER_NODE_BUDGET)
+
+
+class TestUniqueCoverTable:
+    """The step-3 uniqueness table answers exactly as the live
+    irredundant-cover search, whatever the weights, and the pruner never
+    fills it past one entry per lattice pattern."""
+
+    def test_every_length_3_pattern(self):
+        lattice = LOCAL_LATTICES[3]
+        patterns = [
+            tuple(sub for pos, sub in enumerate(lattice) if keep >> pos & 1)
+            for keep in range(1 << len(lattice))
+        ]
+        # Every ordering of up to four subsets too: the search order, and
+        # so the picked indices, depend on the order the subsets come in.
+        for size in range(1, 5):
+            patterns.extend(itertools.permutations(lattice, size))
+        for subsets in patterns:
+            weights = [float(sub) for sub in subsets]
+            for length in (3, 4):
+                assert _lookup(length, subsets) == _expected_unique_cover(
+                    length, subsets, weights
+                )
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=15), unique=True, max_size=15),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_length_4_patterns(self, subsets, data):
+        weights = data.draw(
+            st.lists(
+                st.floats(min_value=0.0, max_value=30.0),
+                min_size=len(subsets),
+                max_size=len(subsets),
+            )
+        )
+        assert _lookup(4, subsets) == _expected_unique_cover(4, subsets, weights)
+
+    def test_pruner_keeps_one_entry_per_pattern(self):
+        """All 2^7 availability patterns of a length-3 query, each at two
+        price levels: the table ends with at most 2^7 entries."""
+        unique_cover_table.cache_clear()
+        query = frozenset(("a", "b", "c"))
+        lattice = list(iter_nonempty_subsets(query))
+        for keep in range(1 << len(lattice)):
+            for scale in (1.0, 7.0):
+                # Concave prices: nothing is dominated, so the pattern
+                # reaches the uniqueness test as drawn.
+                table = {
+                    clf: scale * len(clf) ** 0.5
+                    for pos, clf in enumerate(lattice)
+                    if keep >> pos & 1
+                }
+                pruner = DominatedPruner([query], OverlayCost(TableCost(table)))
+                pruner.run([query])
+        assert 0 < unique_cover_table.cache_info().currsize <= 2**7
 
 
 class TestReductionEquivalence:
