@@ -11,8 +11,9 @@ the same thing in float arithmetic as in exact arithmetic, so the skip
 never changes the chosen sets or the ``float.hex`` of the cost.
 
 Every result carries a lower bound on the component's optimum, at no
-extra solve: the optimum itself when certified, else the LP value
-``c·x`` or the primal–dual sum ``Σ y_e`` of the ``f`` arm that ran.
+extra solve: the optimum itself when certified, else the LP optimum
+as HiGHS's row duals certify it (:func:`~repro.setcover.lp.dual_bound`)
+or the primal–dual sum ``Σ y_e`` of the ``f`` arm that ran.
 :func:`wsc_lower_bound` computes the same bound, by the same rule, for
 solvers that cover a component some other way.
 """

@@ -14,7 +14,7 @@ variables are inflated by at most ``f``, giving ``f · OPT_LP ≤ f · OPT``
 
 Every relaxation in the package — this module's and the node LPs of
 :mod:`repro.setcover.exact_lp` — goes through :class:`LPRelaxation`,
-which hands HiGHS the model through :func:`scipy.optimize.milp` with no
+which hands HiGHS the model as :func:`scipy.optimize.milp` does with no
 integer variables.  The model is the one ``linprog(method="highs")``
 passed: costs ``c``, column bounds ``[0, 1]``, rows ``−inf ≤ −A·x ≤ −1``,
 with ``A`` built straight into CSC form from
@@ -25,7 +25,19 @@ presolve as ``linprog``'s ``presolve=True`` did, and its default
 simplex strategy is the dual simplex ``linprog`` set explicitly.  So
 ``x`` comes back bit for bit as ``linprog`` returned it, and the call
 skips ``linprog``'s input cleaning, format conversions and per-option
-validation: about half of a small LP's wall-clock.
+validation: about half of a small LP's wall-clock.  The call skips
+``milp`` too, passing its arrays straight to the HiGHS wrapper that
+``milp`` calls, since ``milp`` drops the row duals the wrapper returns.
+Where SciPy lays its HiGHS bindings out differently the call goes
+through ``milp`` and comes back without duals, and the bound falls back
+to primal–dual's ``Σ y_e``.
+
+The lower bound is not ``c·x``.  HiGHS stops once the reduced costs are
+within an absolute tolerance (1e-7) of optimal, so ``c·x`` can exceed
+the relaxation's optimum: on costs far below the tolerance it may even
+exceed OPT twice over.  :func:`dual_bound` instead turns HiGHS's row
+duals into a feasible dual solution and sums it in exact arithmetic;
+weak duality makes the sum a lower bound on OPT with no round-off.
 
 For instances beyond :data:`DEFAULT_SIZE_LIMIT` nonzeros the caller
 should prefer the LP-free primal–dual algorithm in
@@ -34,6 +46,7 @@ should prefer the LP-free primal–dual algorithm in
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate, chain
 from typing import Union
 
@@ -43,6 +56,13 @@ from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 
 from repro.exceptions import SolverError
 from repro.setcover.instance import WSCInstance, WSCSolution
+from repro.setcover.primal_dual import primal_dual_wsc
+
+try:
+    from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+except ImportError:  # another SciPy layout: ``milp``, without duals
+    _highs_wrapper = None
 
 #: Above this many constraint-matrix nonzeros the general solver switches
 #: to the primal–dual algorithm; HiGHS handles more, but wall-clock grows
@@ -59,7 +79,7 @@ class LPRelaxation:
     """The WSC relaxation ``min c·x, A·x ≥ 1, lower ≤ x ≤ upper`` in the
     form HiGHS receives it; built once, solved under any column bounds."""
 
-    __slots__ = ("costs", "rows")
+    __slots__ = ("costs", "rows", "_integrality")
 
     def __init__(self, instance: WSCInstance):
         members = [instance.set_members(set_id) for set_id in range(instance.num_sets)]
@@ -74,28 +94,59 @@ class LPRelaxation:
             shape=(instance.universe_size, instance.num_sets),
         )
         self.costs = np.array(instance.set_costs(), dtype=np.float64)
-        self.rows = LinearConstraint(matrix, -np.inf, -1.0)
+        self.rows = LinearConstraint(
+            matrix,
+            np.full(instance.universe_size, -np.inf),
+            np.full(instance.universe_size, -1.0),
+        )
+        self._integrality = np.zeros(instance.num_sets, dtype=np.uint8)
 
     def solve(
         self,
         lower: Union[float, np.ndarray] = 0.0,
         upper: Union[float, np.ndarray] = 1.0,
     ) -> OptimizeResult:
-        """HiGHS's answer (``success``, ``x``, ``fun``, ``message``)."""
-        return milp(
-            self.costs,
-            bounds=Bounds(lower, upper),
-            constraints=self.rows,
+        """HiGHS's answer: ``success``, ``x``, ``fun``, ``message`` and
+        ``duals``, the row duals ``y_e`` (non-negative up to round-off)."""
+        lower = np.broadcast_to(lower, self.costs.shape).astype(np.float64)
+        upper = np.broadcast_to(upper, self.costs.shape).astype(np.float64)
+        if _highs_wrapper is None:
+            result = milp(self.costs, bounds=Bounds(lower, upper), constraints=self.rows)
+            result.duals = None
+            return result
+        matrix = self.rows.A
+        answer = _highs_wrapper(
+            self.costs, matrix.indptr, matrix.indices, matrix.data,
+            self.rows.lb, self.rows.ub, lower, upper, self._integrality,
+            {"log_to_console": False, "mip_max_nodes": None},
+        )
+        status, message = _highs_to_scipy_status_message(
+            answer.get("status"), answer.get("message")
+        )
+        x = answer.get("x")
+        duals = answer.get("lambda")
+        return OptimizeResult(
+            success=status == 0,
+            message=message,
+            x=None if x is None else np.array(x),
+            fun=answer.get("fun"),
+            duals=None if duals is None else -np.array(duals),
         )
 
 
-def lp_relaxation(instance: WSCInstance) -> np.ndarray:
-    """Solve the WSC linear relaxation; returns the fractional ``x``."""
+def solve_relaxation(instance: WSCInstance) -> OptimizeResult:
+    """Solve the WSC linear relaxation: the fractional ``x`` and the row
+    ``duals`` (``None`` where SciPy does not hand them back)."""
     instance.validate_coverable()
     result = LPRelaxation(instance).solve()
     if not result.success:
         raise SolverError(f"LP relaxation failed: {result.message}")
-    return result.x
+    return result
+
+
+def lp_relaxation(instance: WSCInstance) -> np.ndarray:
+    """Solve the WSC linear relaxation; returns the fractional ``x``."""
+    return solve_relaxation(instance).x
 
 
 def lp_rounding_wsc(instance: WSCInstance, prune: bool = False) -> WSCSolution:
@@ -108,7 +159,8 @@ def lp_rounding_wsc(instance: WSCInstance, prune: bool = False) -> WSCSolution:
     frequency = instance.frequency()
     if frequency == 0:
         raise SolverError("instance has an empty universe")
-    x = lp_relaxation(instance)
+    relaxation = solve_relaxation(instance)
+    x = relaxation.x
     threshold = 1.0 / frequency
     # Guard against solver round-off just below the threshold.
     epsilon = 1e-9
@@ -116,18 +168,54 @@ def lp_rounding_wsc(instance: WSCInstance, prune: bool = False) -> WSCSolution:
     if prune:
         selected = instance.prune_redundant(selected)
     cost = sum(instance.set_cost(set_id) for set_id in selected)
-    solution = WSCSolution(selected, cost, lower_bound=_lp_value(instance, x))
+    solution = WSCSolution(selected, cost, lower_bound=_bound(instance, relaxation))
     instance.verify_solution(solution)
     return solution
 
 
-def _lp_value(instance: WSCInstance, x: np.ndarray) -> float:
-    """``c·x``: the relaxation's optimum, up to HiGHS round-off."""
-    return float(np.dot(np.array(instance.set_costs()), x))
-
-
 def lp_lower_bound(instance: WSCInstance) -> float:
-    """Optimal value of the relaxation — a valid lower bound on OPT, up
-    to the solver's round-off (see :func:`~repro.setcover.wsc_lower_bound`).
+    """The relaxation's optimum as :func:`dual_bound` certifies it: a
+    lower bound on OPT (see :func:`~repro.setcover.wsc_lower_bound`)."""
+    return _bound(instance, solve_relaxation(instance))
+
+
+def _bound(instance: WSCInstance, relaxation: OptimizeResult) -> float:
+    if relaxation.duals is None:
+        return primal_dual_wsc(instance).lower_bound
+    return dual_bound(instance, relaxation.duals)
+
+
+#: Every finite double is an integer multiple of ``2**-1074``.
+_FRACTION_BITS = 1074
+
+
+def _fixed(value: float) -> int:
+    """``value * 2**1074``, exactly."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (_FRACTION_BITS + 1 - denominator.bit_length())
+
+
+def dual_bound(instance: WSCInstance, duals: np.ndarray) -> float:
+    """A lower bound on OPT from any row duals, by weak duality.
+
+    The dual of ``min c·x, A·x ≥ 1, 0 ≤ x ≤ 1`` is ``max Σ y_e − Σ z_s``
+    subject to ``Σ_{e ∈ s} y_e − z_s ≤ c_s`` and ``y, z ≥ 0``.  Clipping
+    ``y`` at 0 and taking ``z_s = max(0, Σ_{e ∈ s} y_e − c_s)`` makes any
+    ``y`` feasible, so ``Σ y_e − Σ z_s ≤ LP* ≤ OPT``.  On HiGHS's optimal
+    duals the bound is ``LP*`` up to HiGHS's own tolerances.  The sums
+    run on integers (every double times ``2**1074``) and
+    the result is rounded down, so the returned float never exceeds the
+    bound it stands for.
     """
-    return _lp_value(instance, lp_relaxation(instance))
+    y = [_fixed(value) if value > 0 else 0 for value in duals.tolist()]
+    total = sum(y)
+    for set_id, cost in enumerate(instance.set_costs()):
+        excess = sum(y[e] for e in instance.set_members(set_id)) - _fixed(cost)
+        if excess > 0:
+            total -= excess
+    if total <= 0:
+        return 0.0
+    value = total / (1 << _FRACTION_BITS)
+    if _fixed(value) > total:
+        value = math.nextafter(value, 0.0)
+    return value

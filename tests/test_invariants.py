@@ -8,10 +8,10 @@ idempotence/consistency properties of preprocessing and the reductions.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import CoverageChecker, MC3Instance, UniformCost
+from repro.core import CoverageChecker, MC3Instance, TableCost, UniformCost
 from repro.core.properties import classifier_sort_key
 from repro.engine.cache import MemorySolutionCache
 from repro.extensions import instance_guarantee
@@ -115,6 +115,16 @@ def assert_every_component_bounded(name, instance, jobs, **kwargs):
             assert summary["value"] == pytest.approx(result.cost, rel=BOUND_TOLERANCE)
 
 
+def _tiny_priced() -> MC3Instance:
+    """One query whose cheapest covers cost far below HiGHS's absolute
+    tolerance, where the LP's ``c·x`` is twice the optimum."""
+    tiny = 6.2192136790327965e-273
+    weights = {"p0": 0.0, "p1": 0.0, "p2": 1.0, "p0 p1": 0.0, "p0 p2": tiny,
+               "p1 p2": tiny, "p0 p1 p2": 1.0}
+    table = {frozenset(label.split()): weight for label, weight in weights.items()}
+    return MC3Instance(["p0 p1 p2"], TableCost(table))
+
+
 class TestEveryComponentBounded:
     """Every engine solver that covers components by set cover bounds
     each of them, and the rolled-up bound never exceeds the cost, for
@@ -122,6 +132,7 @@ class TestEveryComponentBounded:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @given(instance=mc3_instances(max_queries=5))
+    @example(instance=_tiny_priced())
     @settings(max_examples=25, deadline=None)
     def test_general_sampled_exact(self, jobs, instance):
         assert_every_component_bounded("mc3-general", instance, jobs)

@@ -3,8 +3,9 @@
 :class:`repro.setcover.lp.LPRelaxation` hands HiGHS the model
 ``linprog(method="highs")`` did, so every LP answer must match a
 test-local copy of the old ``linprog`` code bit for bit: the fractional
-``x``, the rounded set ids, the ``float.hex`` of the lower bound, and
-the optimum ``exact_wsc_lp`` finds with ``linprog`` node solves.  The
+``x``, the rounded set ids, the ``float.hex`` of the lower bound (from
+the row duals, ``linprog``'s ``ineqlin.marginals``), and the optimum
+``exact_wsc_lp`` finds with ``linprog`` node solves.  The
 drawn instances lean on the cases where a difference in model or
 options would show first: equal-cost overlapping sets (degenerate LPs
 with several optimal vertices), zero-cost sets, a one-element universe
@@ -12,7 +13,9 @@ and frequencies up to 5.
 """
 
 import ast
+import math
 import pathlib
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 from unittest import mock
 
@@ -20,17 +23,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 import repro
 from repro.reductions import mc3_to_wsc
 from repro.setcover import (
     WSCInstance,
+    exact_wsc,
     exact_wsc_lp,
     lp_lower_bound,
     lp_relaxation,
     lp_rounding_wsc,
+    primal_dual_wsc,
 )
+from repro.setcover.lp import dual_bound
 from tests.strategies import mc3_instances
 from tests.test_setcover import build
 
@@ -52,12 +58,16 @@ def linprog_model(instance: WSCInstance):
     return costs, matrix, -np.ones(instance.universe_size)
 
 
-def linprog_relaxation(instance: WSCInstance) -> np.ndarray:
+def linprog_solution(instance: WSCInstance) -> OptimizeResult:
     instance.validate_coverable()
     costs, matrix, rhs = linprog_model(instance)
     result = linprog(c=costs, A_ub=matrix, b_ub=rhs, bounds=(0.0, 1.0), method="highs")
     assert result.success, result.message
-    return result.x
+    return OptimizeResult(x=result.x, duals=-result.ineqlin.marginals)
+
+
+def linprog_relaxation(instance: WSCInstance) -> np.ndarray:
+    return linprog_solution(instance).x
 
 
 class LinprogNodeLP:
@@ -128,7 +138,7 @@ def assert_same_lp_answers(instance: WSCInstance) -> None:
     x = lp_relaxation(instance)
     assert np.array_equal(x, reference)
     assert x.tobytes() == reference.tobytes()  # signed zeros too
-    with mock.patch("repro.setcover.lp.lp_relaxation", linprog_relaxation):
+    with mock.patch("repro.setcover.lp.solve_relaxation", linprog_solution):
         old = {prune: lp_rounding_wsc(instance, prune=prune) for prune in (False, True)}
         old_bound = lp_lower_bound(instance)
     for prune, solution in old.items():
@@ -175,6 +185,54 @@ class TestAgainstLinprog:
         assert ONE_ELEMENT.universe_size == 1
         assert FIVE_FOLD.frequency() == MAX_FREQUENCY
         assert len(set(ODD_CYCLE.set_costs())) == 1
+
+
+#: One query's WSC image where HiGHS, whose reduced-cost tolerance is
+#: absolute, takes both sets priced far below it: ``c·x`` is twice OPT.
+TINY = 6.2192136790327965e-273
+TINY_COSTS = build(
+    [(["a"], 0.0), (["b"], 0.0), (["c"], 1.0), (["a", "b"], 0.0),
+     (["a", "c"], TINY), (["b", "c"], TINY), (["a", "b", "c"], 1.0)]
+)
+
+
+class TestDualBound:
+    def test_tiny_costs_stay_below_the_optimum(self):
+        optimum = exact_wsc(TINY_COSTS).cost
+        assert optimum == TINY
+        assert lp_lower_bound(TINY_COSTS) <= optimum
+        for prune in (False, True):
+            assert lp_rounding_wsc(TINY_COSTS, prune=prune).lower_bound <= optimum
+
+    def test_exact_duals_give_the_lp_optimum(self):
+        assert lp_lower_bound(ODD_CYCLE) == 2.5
+        assert dual_bound(ODD_CYCLE, np.full(ODD_CYCLE.universe_size, 0.5)) == 2.5
+
+    def test_rounds_down(self):
+        instance = build([(["a"], 1), (["b"], 1)])
+        value = dual_bound(instance, np.array([0.1, 0.2]))
+        assert 0.1 + 0.2 > Fraction(0.1) + Fraction(0.2) >= Fraction(value)
+        assert value == math.nextafter(0.1 + 0.2, 0.0)
+
+    @given(
+        degenerate_wsc(),
+        st.lists(st.floats(min_value=-1.0, max_value=1e3, allow_nan=False), max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_duals_bound_the_optimum(self, instance, values):
+        duals = np.zeros(instance.universe_size)
+        size = min(len(values), instance.universe_size)
+        duals[:size] = values[:size]
+        assert 0.0 <= dual_bound(instance, duals) <= exact_wsc(instance).cost
+
+    @given(degenerate_wsc())
+    @settings(max_examples=30, deadline=None)
+    def test_without_duals_the_bound_is_primal_dual(self, instance):
+        x = lp_relaxation(instance)
+        with mock.patch("repro.setcover.lp._highs_wrapper", None):
+            assert lp_relaxation(instance).tobytes() == x.tobytes()
+            bound = lp_lower_bound(instance)
+        assert bound == primal_dual_wsc(instance).lower_bound
 
 
 def test_no_module_reaches_linprog():
