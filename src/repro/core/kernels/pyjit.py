@@ -115,14 +115,6 @@ LOCAL_LATTICES: Dict[int, Tuple[int, ...]] = {
     for length in range(1, FULL_ENUMERATION_MAX_LENGTH + 1)
 }
 
-#: ``_LATTICE_GETTERS[L]`` reads a length-``L`` query's lattice off its
-#: submasks listed by local index.
-_LATTICE_GETTERS: Dict[int, itemgetter] = {
-    length: itemgetter(*local) for length, local in LOCAL_LATTICES.items()
-    if length >= 2
-}
-
-
 def _submasks_by_local_index(mask: int) -> List[int]:
     """Every submask of ``mask``, the empty one and ``mask`` included, at
     its local index (doubling over the bits, lowest first)."""
@@ -132,12 +124,6 @@ def _submasks_by_local_index(mask: int) -> List[int]:
         subs += [sub | low for sub in subs]
         mask ^= low
     return subs
-
-
-def _lattice_size(length: int, cap: int) -> int:
-    """Submasks of a length-``length`` query within the length cap: the
-    prefix of its lattice that the cap keeps."""
-    return sum(math.comb(length, size) for size in range(1, cap + 1))
 
 
 class DominatedPruner:
@@ -211,18 +197,9 @@ class DominatedPruner:
         ``iter_subset_masks`` order, each priced on first sight."""
         lattice = self._lattices.get(qmask)
         if lattice is None:
-            length = qmask.bit_count()
-            cap = self.max_classifier_length
-            getter = _LATTICE_GETTERS.get(length)
-            if length == 1:
-                lattice = [qmask]
-            elif getter is None:
-                lattice = list(self.space.iter_subset_masks(qmask, cap))
-            else:
-                # The length cap keeps a prefix of the lattice order.
-                lattice = list(getter(_submasks_by_local_index(qmask)))
-                if cap is not None and cap < length:
-                    del lattice[_lattice_size(length, cap) :]
+            lattice = list(
+                self.space.iter_subset_masks(qmask, self.max_classifier_length)
+            )
             price = self._price
             part_weight = self._part_weight
             overlay_cost = self.overlay.cost

@@ -11,8 +11,8 @@ thousands.
 
 Node LPs go through :class:`repro.setcover.lp.LPRelaxation`: the
 constraint matrix is built once per instance and each node hands HiGHS
-(via ``scipy.optimize.milp``) the same model under its own column
-bounds.  SciPy's interface keeps no HiGHS model between calls, so each
+(through the wrapper ``scipy.optimize.milp`` calls) the same model
+under its own column bounds.  SciPy's interface keeps no HiGHS model between calls, so each
 node pays a fresh solve with no warm start — the engine targets
 hundreds of sets, not the synthetic 100k loads.
 """

@@ -23,7 +23,8 @@ class WSCSolution:
 
     ``lower_bound`` is a bound on the optimum that the algorithm proved
     on the way, when it has one: the LP optimum as its row duals
-    certify it for LP rounding, the dual sum for primal–dual, the optimum itself for branch-and-bound.
+    certify it for LP rounding, the dual sum for primal–dual, the
+    optimum itself for branch-and-bound.
     ``None`` means the algorithm proves nothing (greedy).
     """
 

@@ -28,16 +28,15 @@ skips ``linprog``'s input cleaning, format conversions and per-option
 validation: about half of a small LP's wall-clock.  The call skips
 ``milp`` too, passing its arrays straight to the HiGHS wrapper that
 ``milp`` calls, since ``milp`` drops the row duals the wrapper returns.
-Where SciPy lays its HiGHS bindings out differently the call goes
-through ``milp`` and comes back without duals, and the bound falls back
-to primal–dual's ``Σ y_e``.
+That wrapper is private to SciPy; the package requires the SciPy
+releases that lay it out this way (see ``pyproject.toml``).
 
 The lower bound is not ``c·x``.  HiGHS stops once the reduced costs are
 within an absolute tolerance (1e-7) of optimal, so ``c·x`` can exceed
 the relaxation's optimum: on costs far below the tolerance it may even
 exceed OPT twice over.  :func:`dual_bound` instead turns HiGHS's row
-duals into a feasible dual solution and sums it in exact arithmetic;
-weak duality makes the sum a lower bound on OPT with no round-off.
+duals into a feasible dual solution whose value it sums exactly and
+rounds down, so weak duality makes it a lower bound on OPT.
 
 For instances beyond :data:`DEFAULT_SIZE_LIMIT` nonzeros the caller
 should prefer the LP-free primal–dual algorithm in
@@ -52,17 +51,12 @@ from typing import Union
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
+from scipy.optimize import LinearConstraint, OptimizeResult
+from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from repro.exceptions import SolverError
 from repro.setcover.instance import WSCInstance, WSCSolution
-from repro.setcover.primal_dual import primal_dual_wsc
-
-try:
-    from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
-except ImportError:  # another SciPy layout: ``milp``, without duals
-    _highs_wrapper = None
 
 #: Above this many constraint-matrix nonzeros the general solver switches
 #: to the primal–dual algorithm; HiGHS handles more, but wall-clock grows
@@ -107,13 +101,10 @@ class LPRelaxation:
         upper: Union[float, np.ndarray] = 1.0,
     ) -> OptimizeResult:
         """HiGHS's answer: ``success``, ``x``, ``fun``, ``message`` and
-        ``duals``, the row duals ``y_e`` (non-negative up to round-off)."""
+        ``duals``, the row duals ``y_e`` (non-negative up to round-off;
+        ``x`` and ``duals`` are ``None`` unless HiGHS found an optimum)."""
         lower = np.broadcast_to(lower, self.costs.shape).astype(np.float64)
         upper = np.broadcast_to(upper, self.costs.shape).astype(np.float64)
-        if _highs_wrapper is None:
-            result = milp(self.costs, bounds=Bounds(lower, upper), constraints=self.rows)
-            result.duals = None
-            return result
         matrix = self.rows.A
         answer = _highs_wrapper(
             self.costs, matrix.indptr, matrix.indices, matrix.data,
@@ -123,20 +114,20 @@ class LPRelaxation:
         status, message = _highs_to_scipy_status_message(
             answer.get("status"), answer.get("message")
         )
-        x = answer.get("x")
-        duals = answer.get("lambda")
+        if status != 0:
+            return OptimizeResult(success=False, message=message, x=None, fun=None, duals=None)
         return OptimizeResult(
-            success=status == 0,
+            success=True,
             message=message,
-            x=None if x is None else np.array(x),
-            fun=answer.get("fun"),
-            duals=None if duals is None else -np.array(duals),
+            x=np.array(answer["x"]),
+            fun=answer["fun"],
+            duals=-np.array(answer["lambda"]),
         )
 
 
 def solve_relaxation(instance: WSCInstance) -> OptimizeResult:
     """Solve the WSC linear relaxation: the fractional ``x`` and the row
-    ``duals`` (``None`` where SciPy does not hand them back)."""
+    ``duals``."""
     instance.validate_coverable()
     result = LPRelaxation(instance).solve()
     if not result.success:
@@ -168,7 +159,7 @@ def lp_rounding_wsc(instance: WSCInstance, prune: bool = False) -> WSCSolution:
     if prune:
         selected = instance.prune_redundant(selected)
     cost = sum(instance.set_cost(set_id) for set_id in selected)
-    solution = WSCSolution(selected, cost, lower_bound=_bound(instance, relaxation))
+    solution = WSCSolution(selected, cost, lower_bound=dual_bound(instance, relaxation.duals))
     instance.verify_solution(solution)
     return solution
 
@@ -176,46 +167,52 @@ def lp_rounding_wsc(instance: WSCInstance, prune: bool = False) -> WSCSolution:
 def lp_lower_bound(instance: WSCInstance) -> float:
     """The relaxation's optimum as :func:`dual_bound` certifies it: a
     lower bound on OPT (see :func:`~repro.setcover.wsc_lower_bound`)."""
-    return _bound(instance, solve_relaxation(instance))
+    return dual_bound(instance, solve_relaxation(instance).duals)
 
 
-def _bound(instance: WSCInstance, relaxation: OptimizeResult) -> float:
-    if relaxation.duals is None:
-        return primal_dual_wsc(instance).lower_bound
-    return dual_bound(instance, relaxation.duals)
-
-
-#: Every finite double is an integer multiple of ``2**-1074``.
-_FRACTION_BITS = 1074
-
-
-def _fixed(value: float) -> int:
-    """``value * 2**1074``, exactly."""
-    numerator, denominator = value.as_integer_ratio()
-    return numerator << (_FRACTION_BITS + 1 - denominator.bit_length())
+#: :func:`dual_bound` scales the duals by this factor first, so that a
+#: set whose constraint HiGHS left tight, or within its tolerance of
+#: tight, clears its cost by more than the float sums' round-off.
+DUAL_SCALE = 1.0 - 2.0**-30
 
 
 def dual_bound(instance: WSCInstance, duals: np.ndarray) -> float:
     """A lower bound on OPT from any row duals, by weak duality.
 
     The dual of ``min c·x, A·x ≥ 1, 0 ≤ x ≤ 1`` is ``max Σ y_e − Σ z_s``
-    subject to ``Σ_{e ∈ s} y_e − z_s ≤ c_s`` and ``y, z ≥ 0``.  Clipping
-    ``y`` at 0 and taking ``z_s = max(0, Σ_{e ∈ s} y_e − c_s)`` makes any
-    ``y`` feasible, so ``Σ y_e − Σ z_s ≤ LP* ≤ OPT``.  On HiGHS's optimal
-    duals the bound is ``LP*`` up to HiGHS's own tolerances.  The sums
-    run on integers (every double times ``2**1074``) and
-    the result is rounded down, so the returned float never exceeds the
-    bound it stands for.
+    subject to ``Σ_{e ∈ s} y_e − z_s ≤ c_s`` and ``y, z ≥ 0``.  Any
+    ``y ≥ 0`` is feasible with any ``z_s ≥ max(0, Σ_{e ∈ s} y_e − c_s)``,
+    and then ``Σ y_e − Σ z_s ≤ LP* ≤ OPT``.  Here ``y`` is the duals
+    clipped at 0 and scaled by :data:`DUAL_SCALE`, so on HiGHS's optimal
+    duals the bound is ``LP*`` up to HiGHS's tolerances and a relative
+    ``2**-30``.
+
+    Each ``z_s`` is an upper bound computed in floats: a sum of ``n``
+    non-negative doubles is within a factor ``1 + n·2**-52`` of the
+    exact sum, so the float sum scaled by ``1 + n·2**-50`` exceeds the
+    exact one by more than the subtraction of ``c_s`` can round off.
+    The final ``Σ y_e − Σ z_s`` is summed exactly (:func:`math.fsum`)
+    and rounded down, so the returned float never exceeds a true bound.
     """
-    y = [_fixed(value) if value > 0 else 0 for value in duals.tolist()]
-    total = sum(y)
-    for set_id, cost in enumerate(instance.set_costs()):
-        excess = sum(y[e] for e in instance.set_members(set_id)) - _fixed(cost)
-        if excess > 0:
-            total -= excess
-    if total <= 0:
+    y = np.where(duals > 0, duals, 0.0) * DUAL_SCALE
+    members = [instance.set_members(set_id) for set_id in range(instance.num_sets)]
+    sizes = np.fromiter(map(len, members), np.int64, len(members))
+    elements = np.fromiter(chain.from_iterable(members), np.intp, int(sizes.sum()))
+    # bincount adds each set's terms one by one, in member order.
+    sums = np.bincount(
+        np.repeat(np.arange(len(members)), sizes), weights=y[elements], minlength=len(members)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A float difference is <= 0 exactly when the exact one is.
+        excess = sums * (1.0 + sizes * 2.0**-50) - np.array(instance.set_costs())
+    z = excess[excess > 0]
+    if not np.isfinite(z).all():
+        return 0.0  # some set's dual sum left the float range
+    terms = y[y > 0].tolist() + (-z).tolist()
+    try:
+        value = math.fsum(terms)
+        if value > 0 and math.fsum(terms + [-value]) < 0:
+            value = math.nextafter(value, 0.0)
+    except OverflowError:
         return 0.0
-    value = total / (1 << _FRACTION_BITS)
-    if _fixed(value) > total:
-        value = math.nextafter(value, 0.0)
-    return value
+    return max(value, 0.0)

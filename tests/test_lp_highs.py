@@ -34,9 +34,8 @@ from repro.setcover import (
     lp_lower_bound,
     lp_relaxation,
     lp_rounding_wsc,
-    primal_dual_wsc,
 )
-from repro.setcover.lp import dual_bound
+from repro.setcover.lp import DUAL_SCALE, dual_bound
 from tests.strategies import mc3_instances
 from tests.test_setcover import build
 
@@ -205,34 +204,67 @@ class TestDualBound:
             assert lp_rounding_wsc(TINY_COSTS, prune=prune).lower_bound <= optimum
 
     def test_exact_duals_give_the_lp_optimum(self):
-        assert lp_lower_bound(ODD_CYCLE) == 2.5
-        assert dual_bound(ODD_CYCLE, np.full(ODD_CYCLE.universe_size, 0.5)) == 2.5
+        for bound in (
+            lp_lower_bound(ODD_CYCLE),
+            dual_bound(ODD_CYCLE, np.full(ODD_CYCLE.universe_size, 0.5)),
+        ):
+            assert 2.5 * (1 - 2.0**-29) <= bound <= 2.5
 
     def test_rounds_down(self):
-        instance = build([(["a"], 1), (["b"], 1)])
-        value = dual_bound(instance, np.array([0.1, 0.2]))
-        assert 0.1 + 0.2 > Fraction(0.1) + Fraction(0.2) >= Fraction(value)
-        assert value == math.nextafter(0.1 + 0.2, 0.0)
+        instance = build([(["a"], 2), (["b"], 2)])
+        y = [0.3 * DUAL_SCALE, 1.1 * DUAL_SCALE]
+        exact = Fraction(y[0]) + Fraction(y[1])
+        assert Fraction(math.fsum(y)) > exact  # the nearest double is above
+        value = dual_bound(instance, np.array([0.3, 1.1]))
+        assert Fraction(value) <= exact < Fraction(math.nextafter(value, math.inf))
+
+    def test_float_sums_never_hide_an_excess(self):
+        """The float sum of the big set's duals stays at the first one,
+        a quarter ulp at a time, while the exact sum passes the set's
+        cost by two ulps: the bound must still charge the excess."""
+        first = DUAL_SCALE
+        quarter = math.ulp(first) / 4
+        cost = math.nextafter(first, 2.0)
+        elements = [f"e{i}" for i in range(14)]
+        instance = build([(elements, cost)] + [([e], 10.0) for e in elements])
+        exact = Fraction(first) + 13 * Fraction(quarter * DUAL_SCALE)
+        assert exact - Fraction(cost) > 2 * Fraction(math.ulp(cost))
+        duals = np.array([1.0] + [quarter] * 13)
+        assert dual_bound(instance, duals) <= exact_wsc(instance).cost == cost
+
+    def test_sums_beyond_the_float_range_give_zero(self):
+        big = 1e308
+        one_set_overflows = build([(["a", "b"], big), (["a"], big), (["b"], big)])
+        assert dual_bound(one_set_overflows, np.array([big, big])) == 0.0
+        only_the_total_overflows = build([(["a"], big), (["b"], big)])
+        assert dual_bound(only_the_total_overflows, np.array([big, big])) == 0.0
 
     @given(
         degenerate_wsc(),
         st.lists(st.floats(min_value=-1.0, max_value=1e3, allow_nan=False), max_size=8),
     )
     @settings(max_examples=100, deadline=None)
+    @example(build([(["a", "b"], 0), (["a", "c"], 0)]), [-1.0, 1.0, 1.0])
     def test_any_duals_bound_the_optimum(self, instance, values):
         duals = np.zeros(instance.universe_size)
         size = min(len(values), instance.universe_size)
         duals[:size] = values[:size]
-        assert 0.0 <= dual_bound(instance, duals) <= exact_wsc(instance).cost
-
-    @given(degenerate_wsc())
-    @settings(max_examples=30, deadline=None)
-    def test_without_duals_the_bound_is_primal_dual(self, instance):
-        x = lp_relaxation(instance)
-        with mock.patch("repro.setcover.lp._highs_wrapper", None):
-            assert lp_relaxation(instance).tobytes() == x.tobytes()
-            bound = lp_lower_bound(instance)
-        assert bound == primal_dual_wsc(instance).lower_bound
+        bound = dual_bound(instance, duals)
+        assert 0.0 <= bound <= exact_wsc(instance).cost
+        # Exact weak-duality value of the same scaled duals: the float
+        # excesses may only round it down, by far less than its scale.
+        y = [Fraction(v) for v in (np.where(duals > 0, duals, 0.0) * DUAL_SCALE).tolist()]
+        set_sums = [
+            sum((y[e] for e in instance.set_members(s)), Fraction(0))
+            for s in range(instance.num_sets)
+        ]
+        excess = sum(
+            max(Fraction(0), total - Fraction(cost))
+            for total, cost in zip(set_sums, instance.set_costs())
+        )
+        reference = max(Fraction(0), sum(y) - excess)
+        assert Fraction(bound) <= reference
+        assert reference - Fraction(bound) <= Fraction(1e-9) * (1 + sum(set_sums))
 
 
 def test_no_module_reaches_linprog():
