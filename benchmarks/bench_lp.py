@@ -1,16 +1,19 @@
-"""Per-call cost of Algorithm 3's LP arm: ``milp`` against ``linprog``.
+"""Per-call cost of Algorithm 3's LP arm: a direct HiGHS call against
+``linprog``.
 
 The ``f``-approximation arm solves the WSC relaxation through
-:class:`repro.setcover.lp.LPRelaxation`, which hands HiGHS the model
-through ``scipy.optimize.milp``.  This script replays the LPs a planner
-daemon solves: the residual components of 10-query ``private_like``
-plan requests, planned through :class:`IncrementalPlanner` with a memory
-cache, as ``mc3 serve`` plans them.  Every component that
-reaches the LP arm is captured, then solved by
+:class:`repro.setcover.lp.LPRelaxation`, which builds the HiGHS model
+itself and solves it through SciPy's HiGHS bindings.  This script
+replays the LPs a planner daemon solves: the residual components of
+10-query ``private_like`` plan requests, planned through
+:class:`IncrementalPlanner` with no cache, as ``mc3 serve`` plans them.
+Every component that reaches the LP arm is captured, then solved by
 
 * the reference: ``linprog(method="highs")`` on the COO-built sparse
   matrix, the path the package used before ``LPRelaxation``;
-* ``LPRelaxation(instance).solve()``, matrix build included.
+* ``LPRelaxation(instance).solve()``, matrix build included (the
+  instance's cached member arrays are dropped before each call, as a
+  first solve of a fresh instance builds them).
 
 The two ``x`` vectors must be bit-identical (signed zeros included) on
 every instance, or the script fails.  It reports the median time per
@@ -77,14 +80,15 @@ def linprog_relaxation(instance: WSCInstance) -> np.ndarray:
     return result.x
 
 
-def milp_relaxation(instance: WSCInstance) -> np.ndarray:
+def highs_relaxation(instance: WSCInstance) -> np.ndarray:
+    instance._member_arrays = None
     result = LPRelaxation(instance).solve()
     if not result.success:
         raise RuntimeError(f"LPRelaxation failed: {result.message}")
     return result.x
 
 
-PATHS = {"linprog reference": linprog_relaxation, "LPRelaxation": milp_relaxation}
+PATHS = {"linprog reference": linprog_relaxation, "LPRelaxation": highs_relaxation}
 
 
 def daemon_lps(requests: int, seed: int) -> List[WSCInstance]:
@@ -100,7 +104,7 @@ def daemon_lps(requests: int, seed: int) -> List[WSCInstance]:
         captured.append(instance)
         return arm(instance, prune=prune)
 
-    planner = IncrementalPlanner(base.cost, solver_name="mc3-general", cache="memory")
+    planner = IncrementalPlanner(base.cost, solver_name="mc3-general", cache="off")
     general.lp_rounding_wsc = capture
     try:
         for start in range(0, requests * BATCH_SIZE, BATCH_SIZE):
@@ -138,7 +142,7 @@ def main(argv=None) -> int:
         raise RuntimeError("no component reached the LP arm")
     for instance in instances:
         reference = linprog_relaxation(instance)
-        if milp_relaxation(instance).tobytes() != reference.tobytes():
+        if highs_relaxation(instance).tobytes() != reference.tobytes():
             raise RuntimeError(
                 f"x differs on a {instance.universe_size}x{instance.num_sets} LP"
             )

@@ -1,7 +1,7 @@
 """No-fault overhead of the planner service front end.
 
 The daemon (``repro.service``) wraps :class:`IncrementalPlanner` in an
-admission queue, a write-ahead journal, and an asyncio worker.  Its
+admission queue, a write-ahead journal, and an apply thread.  Its
 contract is that a healthy request pays (almost) nothing for the
 crash-safety machinery: this bench drives the same seeded workload
 
@@ -10,7 +10,9 @@ crash-safety machinery: this bench drives the same seeded workload
 * **service** — the full in-process daemon path
   (:class:`PlannerClient` → queue → coalescer → journaled apply),
 
-interleaved round-robin, and asserts
+interleaved in pairs whose order alternates round by round (direct
+first, then service first: ABBA), so neither leg always runs first
+after the round's ``gc.collect()``, and asserts
 
 * bit-identical final planner state (``state_digest``), and
 * daemon overhead **< 5 %** on the median of paired per-round time
@@ -91,7 +93,7 @@ def run_direct(workdir: str, batches: List[List[List[str]]]) -> str:
     """The baseline leg: durability and the same resilience policy,
     called synchronously as a library.  A throwaway (never-started)
     service supplies the identical policy/breaker wiring, so the ratio
-    isolates the daemon machinery — queue, coalescer, executor,
+    isolates the daemon machinery — queue, coalescer, apply thread,
     protocol — not the robustness work both legs must do."""
     path = os.path.join(workdir, "direct.journal")
     template = PlannerService(drill_cost(SEED), config=service_config())
@@ -143,6 +145,13 @@ def paired_overhead(base_rounds, variant_rounds) -> float:
     return median(v / b for b, v in zip(base_rounds, variant_rounds)) - 1.0
 
 
+def timed(leg):
+    """``(seconds, result)`` of one call of ``leg``."""
+    started = time.perf_counter()
+    result = leg()
+    return time.perf_counter() - started, result
+
+
 def run_all(batches: int = BATCHES, repeats: int = REPEATS) -> Dict[str, object]:
     plan = workload(SEED, batches)
     direct_rounds: List[float] = []
@@ -156,14 +165,17 @@ def run_all(batches: int = BATCHES, repeats: int = REPEATS) -> Dict[str, object]
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            for _ in range(repeats):
+            for index in range(repeats):
                 gc.collect()
-                started = time.perf_counter()
-                direct_digest = run_direct(workdir, plan)
-                direct_rounds.append(time.perf_counter() - started)
-                started = time.perf_counter()
-                snapshot = run_service(workdir, plan)
-                service_rounds.append(time.perf_counter() - started)
+                if index % 2 == 0:
+                    direct = timed(lambda: run_direct(workdir, plan))
+                    service = timed(lambda: run_service(workdir, plan))
+                else:
+                    service = timed(lambda: run_service(workdir, plan))
+                    direct = timed(lambda: run_direct(workdir, plan))
+                direct_rounds.append(direct[0])
+                service_rounds.append(service[0])
+                direct_digest, snapshot = direct[1], service[1]
         finally:
             if gc_was_enabled:
                 gc.enable()

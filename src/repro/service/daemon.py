@@ -2,18 +2,17 @@
 
 Request lifecycle::
 
-    client ──JSON line──▶ admission (bounded queue; full ⇒ queue-full)
+    client ──JSON line──▶ admission on the event loop
+                              (bounded queue.Queue; full ⇒ queue-full)
                               │
-                              ▼ worker task (single consumer)
-             drain a window ≤ batch_window, coalesce same-fingerprint
-             batches, derive the group budget from the tightest live
-             deadline
-                              │
-                              ▼ executor thread (sync)
+                              ▼ apply thread (the single consumer)
+             take a window ≤ batch_window, coalesce same-fingerprint
+             requests, derive each group's budget from its tightest
+             live deadline, then per group:
              journal.append_batch (write-ahead, fsync'd)
              planner.add_batch(…, resilience=deadline-budgeted policy)
                               │
-                              ▼ event loop
+                              ▼ loop.call_soon_threadsafe
              resolve every member's future ⇒ replies written
 
 Robustness properties, each with its enforcement point:
@@ -53,6 +52,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import queue
+import threading
 import time  # reprolint: ignore[RPL102] deadline seam: the service's sanctioned clock (see _now)
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -107,14 +108,17 @@ class ServiceConfig:
 
     solver_name: str = "mc3-general"
     solver_kwargs: Dict[str, object] = field(default_factory=dict)
-    #: Component-solution cache spec shared by every batch solve — the
-    #: warm-cache half of the recovery story: replayed batches re-solve
-    #: through the same content-addressed store.
-    cache: Optional[object] = "memory"
+    #: Component-solution cache spec for every batch solve; off by
+    #: default.  A live daemon cannot hit it: ``add_batch`` solves only
+    #: queries the planner has never seen, so no component recurs, and a
+    #: memory store dies with the process.  A disk store pays off in one
+    #: case: a restarted daemon replaying its journal finds the
+    #: components the crashed one solved.
+    cache: Optional[object] = "off"
     #: Admission queue capacity; a full queue sheds load with a typed
     #: ``queue-full`` reply instead of queueing unboundedly.
     queue_depth: int = 64
-    #: Max requests drained per worker wake-up (coalescing window).
+    #: Max requests the apply thread takes per window (coalescing window).
     batch_window: int = 8
     #: Deadline applied to requests that do not carry their own.
     default_deadline_seconds: Optional[float] = None
@@ -234,14 +238,14 @@ class _Pending:
 
 
 class PlannerService:
-    """The daemon: admission queue, worker loop, journal, breakers.
+    """The daemon: admission queue, apply thread, journal, breakers.
 
     Construct, then either drive it in-process (``await start()`` and
     talk through :class:`PlannerClient`) or let
     :meth:`serve_forever` bind a unix/TCP listener and own the signal
-    handling.  All solver work runs in a thread executor so the event
-    loop keeps admitting, shedding, and answering ``stats`` while a
-    batch solves.
+    handling.  All journal and solver work runs on one dedicated apply
+    thread, so the event loop keeps admitting, shedding, timing out
+    deadlines and answering ``stats`` while a batch solves.
     """
 
     def __init__(
@@ -260,7 +264,8 @@ class PlannerService:
             cost,
             solver_name=self.config.solver_name,
             solver_kwargs=solver_kwargs,
-            cache=self.cache,
+            # "off", not None: None would defer to the process default.
+            cache=self.cache if self.cache is not None else "off",
         )
         self.journal: Optional[WorkloadJournal] = None
         if self.config.journal_path is not None:
@@ -271,8 +276,14 @@ class PlannerService:
         self.recovered_batches = 0
         self._seq = 0  # batch counter for journal-less daemons
         self._draining = False
-        self._queue: Optional["asyncio.Queue[_Pending]"] = None
-        self._worker: Optional["asyncio.Task[None]"] = None
+        self._queue: Optional["queue.Queue[Optional[_Pending]]"] = None
+        self._thread: Optional[threading.Thread] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        # Admitted requests not yet answered by the apply thread; drain
+        # waits for ``_idle``, set whenever the count is zero.
+        self._unanswered = 0
+        self._idle = asyncio.Event()
+        self._idle.set()
         self._servers: List[asyncio.AbstractServer] = []
         self._started = False
 
@@ -342,20 +353,24 @@ class PlannerService:
         if self._started:
             return
         self.recover()
-        self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
-        self._worker = asyncio.create_task(self._worker_loop())
+        self._loop = asyncio.get_running_loop()
+        self._queue = queue.Queue(maxsize=self.config.queue_depth)
+        self._thread = threading.Thread(
+            target=self._apply_loop, name="mc3-apply", daemon=True
+        )
+        self._thread.start()
         self._started = True
 
     async def drain(self) -> None:
         """Stop admitting, finish everything already queued, flush."""
         self._draining = True
-        if self._queue is not None:
-            await self._queue.join()
+        await self._idle.wait()
         if self.journal is not None:
             self.journal.flush()
 
     async def stop(self) -> None:
-        """Graceful shutdown: drain, stop the worker, close listeners."""
+        """Graceful shutdown: drain, join the apply thread, close
+        listeners."""
         await self.drain()
         # Let connection handlers flush replies resolved by the drain.
         # Scheduling passes, not wall-clock: a reply is tiny, so once
@@ -363,11 +378,12 @@ class PlannerService:
         # kernel buffer and survive process exit.
         for _ in range(10):
             await asyncio.sleep(0)
-        if self._worker is not None:
-            self._worker.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._worker
-            self._worker = None
+        if self._thread is not None:
+            # Drained: the thread is idle on an empty queue, so the
+            # sentinel goes straight in and the join is immediate.
+            self._queue.put(None)
+            self._thread.join()
+            self._thread = None
         for server in self._servers:
             server.close()
             with contextlib.suppress(Exception):
@@ -469,7 +485,7 @@ class PlannerService:
         )
         try:
             self._queue.put_nowait(pending)
-        except asyncio.QueueFull:
+        except queue.Full:
             self.stats.shed += 1
             return protocol.error_reply(
                 request_id,
@@ -478,6 +494,8 @@ class PlannerService:
                 "shedding load",
             )
         self.stats.admitted += 1
+        self._unanswered += 1
+        self._idle.clear()
         if deadline is None:
             return await pending.future
         try:
@@ -526,32 +544,42 @@ class PlannerService:
         }
 
     # ------------------------------------------------------------------
-    # Worker: batching, coalescing, journaled apply
+    # Apply thread: batching, coalescing, journaled apply
     # ------------------------------------------------------------------
 
-    async def _worker_loop(self) -> None:
+    def _apply_loop(self) -> None:
+        """The apply thread: take a window of queued requests, apply it
+        group by group, post each group's replies to the event loop;
+        return at :meth:`stop`'s ``None`` sentinel."""
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
-            first = await self._queue.get()
-            window = [first]
-            while len(window) < self.config.batch_window:
-                try:
-                    window.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
+            item = self._queue.get()
+            window: List[_Pending] = []
+            while item is not None:
+                window.append(item)
+                if len(window) >= self.config.batch_window:
                     break
-            try:
-                if len(window) > 1:
-                    groups = await loop.run_in_executor(
-                        None, self._coalesce, window
-                    )
-                else:
-                    groups = [window]
-                for group in groups:
-                    await self._apply_group(loop, group)
-            finally:
-                for _ in window:
-                    self._queue.task_done()
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+            for group in self._coalesce(window):
+                replies = self._apply_group(group)
+                with contextlib.suppress(RuntimeError):  # the loop is gone
+                    self._loop.call_soon_threadsafe(self._deliver, group, replies)
+            if item is None:
+                return
+
+    def _deliver(
+        self, group: List[_Pending], replies: List[Dict[str, object]]
+    ) -> None:
+        """Resolve one group's futures (runs on the event loop)."""
+        for pending, reply in zip(group, replies):
+            if not pending.future.done():
+                pending.future.set_result(reply)
+        self._unanswered -= len(replies)
+        if not self._unanswered:
+            self._idle.set()
 
     def _batch_key(self, queries: Tuple[Query, ...]) -> Tuple[str, ...]:
         """Content key for request coalescing.
@@ -574,7 +602,10 @@ class PlannerService:
         return tuple(sorted(keys))
 
     def _coalesce(self, window: List[_Pending]) -> List[List[_Pending]]:
-        """Group the drained window by batch fingerprint (order kept)."""
+        """Group the window by batch fingerprint (order kept); a lone
+        request is its own group, unkeyed."""
+        if len(window) == 1:
+            return [window]
         groups: List[List[_Pending]] = []
         by_key: Dict[Tuple[str, ...], List[_Pending]] = {}
         for pending in window:
@@ -593,25 +624,22 @@ class PlannerService:
             bucket.append(pending)
         return groups
 
-    async def _apply_group(
-        self, loop: asyncio.AbstractEventLoop, group: List[_Pending]
-    ) -> None:
+    def _apply_group(self, group: List[_Pending]) -> List[Dict[str, object]]:
+        """Apply one coalesced group; every member's reply, in order."""
         now = _now()
         live = [p for p in group if p.deadline is None or p.deadline > now]
         if not live:
             # Nobody is waiting anymore: turn the work away un-applied
             # (and un-journaled) instead of planning for the void.
             self.stats.expired_unapplied += len(group)
-            for pending in group:
-                self._resolve(
-                    pending,
-                    protocol.error_reply(
-                        pending.request_id,
-                        "deadline-exceeded",
-                        "deadline expired before the batch was applied",
-                    ),
+            return [
+                protocol.error_reply(
+                    pending.request_id,
+                    "deadline-exceeded",
+                    "deadline expired before the batch was applied",
                 )
-            return
+                for pending in group
+            ]
         budget: Optional[float] = None
         deadlines = [p.deadline for p in live if p.deadline is not None]
         if deadlines:
@@ -619,47 +647,32 @@ class PlannerService:
             budget = max(  # reprolint: sanitize deadline→budget seam: resolved once, journaled, replayed verbatim
                 MIN_BUDGET_SECONDS, remaining * BUDGET_FRACTION
             )
-        representative = live[0]
         for pending in group:
             self.stats.rings["queue_wait"].record(now - pending.admitted_at)
         self.stats.coalesced += len(group) - 1
         try:
-            payload = await loop.run_in_executor(
-                None, self._apply_batch, representative.queries, budget
-            )
+            payload = self._apply_batch(live[0].queries, budget)
         except protocol.PlannerServiceError as exc:
-            self.stats.failed += len(group)
-            for pending in group:
-                self._resolve(
-                    pending,
-                    protocol.error_reply(pending.request_id, exc.code, str(exc)),
-                )
-            return
+            code, message = exc.code, str(exc)
         except Exception as exc:  # solver/journal bug: reply, keep serving
-            self.stats.failed += len(group)
-            for pending in group:
-                self._resolve(
-                    pending,
-                    protocol.error_reply(
-                        pending.request_id,
-                        "internal",
-                        f"{type(exc).__name__}: {exc}",
-                    ),
+            code, message = "internal", f"{type(exc).__name__}: {exc}"
+        else:
+            finish = _now()
+            replies = []
+            for position, pending in enumerate(group):
+                self.stats.rings["total"].record(finish - pending.admitted_at)
+                self.stats.completed += 1
+                replies.append(
+                    protocol.ok_reply(
+                        pending.request_id, {**payload, "coalesced": position > 0}
+                    )
                 )
-            return
-        finish = _now()
-        for position, pending in enumerate(group):
-            self.stats.rings["total"].record(finish - pending.admitted_at)
-            reply_payload = dict(payload)
-            reply_payload["coalesced"] = position > 0
-            self.stats.completed += 1
-            self._resolve(
-                pending, protocol.ok_reply(pending.request_id, reply_payload)
-            )
-
-    def _resolve(self, pending: _Pending, reply: Dict[str, object]) -> None:
-        if not pending.future.done():
-            pending.future.set_result(reply)
+            return replies
+        self.stats.failed += len(group)
+        return [
+            protocol.error_reply(pending.request_id, code, message)
+            for pending in group
+        ]
 
     def _strike(self, seam: str, seq: int) -> None:
         if self.chaos is not None:
@@ -668,7 +681,7 @@ class PlannerService:
     def _apply_batch(
         self, queries: Tuple[Query, ...], budget: Optional[float]
     ) -> Dict[str, object]:
-        """Journal then apply one batch (runs in the executor thread)."""
+        """Journal then apply one batch (runs on the apply thread)."""
         seq = self.journal.next_seq if self.journal is not None else self._seq
         self._strike("pre-journal", seq)
         if self.journal is not None:

@@ -10,11 +10,11 @@ handful of nodes where the combinatorial search would enumerate
 thousands.
 
 Node LPs go through :class:`repro.setcover.lp.LPRelaxation`: the
-constraint matrix is built once per instance and each node hands HiGHS
-(through the wrapper ``scipy.optimize.milp`` calls) the same model
-under its own column bounds.  SciPy's interface keeps no HiGHS model between calls, so each
-node pays a fresh solve with no warm start — the engine targets
-hundreds of sets, not the synthetic 100k loads.
+HiGHS model is built once per instance and each node hands a fresh
+HiGHS solver that model under its own column bounds.  No solver state
+is kept between nodes, so each node pays a fresh solve with no warm
+start — the engine targets hundreds of sets, not the synthetic 100k
+loads.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ and the *degree* ``Δ`` (cardinality of the largest set).
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import InvalidInstanceError, UncoverableQueryError
 
@@ -58,6 +61,7 @@ class WSCInstance:
         self._set_costs: List[float] = []
         self._element_sets: List[List[int]] = []  # element id -> set ids
         self._member_masks: Optional[List[int]] = None  # lazy, see member_masks()
+        self._member_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None  # lazy
 
     # ------------------------------------------------------------------
     # Construction
@@ -91,6 +95,7 @@ class WSCInstance:
         for element_id in member_ids:
             self._element_sets[element_id].append(set_id)
         self._member_masks = None
+        self._member_arrays = None
         return set_id
 
     def add_set_ids(self, label: Hashable, member_ids: Iterable[int], cost: float) -> int:
@@ -117,6 +122,7 @@ class WSCInstance:
         for element_id in ordered:
             self._element_sets[element_id].append(set_id)
         self._member_masks = None
+        self._member_arrays = None
         return set_id
 
     # ------------------------------------------------------------------
@@ -176,6 +182,22 @@ class WSCInstance:
                 masks.append(int.from_bytes(buf, "little"))
             self._member_masks = masks
         return self._member_masks
+
+    def member_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every set's member ids in compressed-column form: set ``s``
+        holds ``indices[indptr[s]:indptr[s + 1]]``, ascending (both
+        ``int32``).
+
+        Built lazily and cached until the instance grows, so the LP
+        relaxation and its dual bound share one build.
+        """
+        if self._member_arrays is None:
+            members = self._set_members
+            starts = list(accumulate(map(len, members), initial=0))
+            indptr = np.array(starts, dtype=np.int32)
+            indices = np.fromiter(chain.from_iterable(members), np.int32, starts[-1])
+            self._member_arrays = (indptr, indices)
+        return self._member_arrays
 
     def solution_labels(self, solution: WSCSolution) -> List[Hashable]:
         """Labels of the selected sets (deterministic order)."""

@@ -14,22 +14,23 @@ variables are inflated by at most ``f``, giving ``f · OPT_LP ≤ f · OPT``
 
 Every relaxation in the package — this module's and the node LPs of
 :mod:`repro.setcover.exact_lp` — goes through :class:`LPRelaxation`,
-which hands HiGHS the model as :func:`scipy.optimize.milp` does with no
-integer variables.  The model is the one ``linprog(method="highs")``
-passed: costs ``c``, column bounds ``[0, 1]``, rows ``−inf ≤ −A·x ≤ −1``,
-with ``A`` built straight into CSC form from
-:meth:`WSCInstance.set_members` (sorted and de-duplicated, so the arrays
-equal those ``linprog``'s COO → CSR → CSC conversions produced).  The
-options are the same too: HiGHS's default presolve (``choose``) runs
-presolve as ``linprog``'s ``presolve=True`` did, and its default
-simplex strategy is the dual simplex ``linprog`` set explicitly.  So
-``x`` comes back bit for bit as ``linprog`` returned it, and the call
-skips ``linprog``'s input cleaning, format conversions and per-option
-validation: about half of a small LP's wall-clock.  The call skips
-``milp`` too, passing its arrays straight to the HiGHS wrapper that
-``milp`` calls, since ``milp`` drops the row duals the wrapper returns.
-That wrapper is private to SciPy; the package requires the SciPy
-releases that lay it out this way (see ``pyproject.toml``).
+which calls HiGHS through SciPy's bindings (``scipy.optimize._highspy.
+_core``) directly.  It hands a fresh ``_Highs`` object the model that
+``linprog(method="highs")`` passed: costs ``c``, column bounds
+``[0, 1]``, rows ``−inf ≤ −A·x ≤ −1``, with ``A`` in CSC form straight
+from :meth:`WSCInstance.member_arrays` (sorted and de-duplicated, so the
+arrays equal those ``linprog``'s COO → CSR → CSC conversions produced),
+and an all-continuous integrality list, as SciPy's own HiGHS wrapper
+fills it in.  The one option set is ``log_to_console=False``, as that
+wrapper sets it: HiGHS's default presolve (``choose``) runs presolve as
+``linprog``'s ``presolve=True`` did, and its default simplex strategy
+is the dual simplex ``linprog`` set explicitly.  So ``x`` comes back bit
+for bit as ``linprog`` returned it.  Only ``x``, the row duals and the
+objective are read back; the call skips ``linprog``'s input cleaning
+and format conversions and the wrapper's per-option validation, basis
+read and marginal loop.  The bindings are private to SciPy; the package
+requires the SciPy releases that lay them out this way (see
+``pyproject.toml``).
 
 The lower bound is not ``c·x``.  HiGHS stops once the reduced costs are
 within an absolute tolerance (1e-7) of optimal, so ``c·x`` can exceed
@@ -46,14 +47,11 @@ should prefer the LP-free primal–dual algorithm in
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
 from typing import Union
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import LinearConstraint, OptimizeResult
-from scipy.optimize._highspy._highs_wrapper import _highs_wrapper
-from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as highs
 
 from repro.exceptions import SolverError
 from repro.setcover.instance import WSCInstance, WSCSolution
@@ -63,6 +61,10 @@ from repro.setcover.instance import WSCInstance, WSCSolution
 #: steeply and the guarantee is identical.
 DEFAULT_SIZE_LIMIT = 2_000_000
 
+#: The options every solve passes: HiGHS's defaults, silenced.
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.log_to_console = False
+
 
 def lp_nonzeros(instance: WSCInstance) -> int:
     """Number of nonzeros the LP constraint matrix would have."""
@@ -70,30 +72,31 @@ def lp_nonzeros(instance: WSCInstance) -> int:
 
 
 class LPRelaxation:
-    """The WSC relaxation ``min c·x, A·x ≥ 1, lower ≤ x ≤ upper`` in the
-    form HiGHS receives it; built once, solved under any column bounds."""
+    """The WSC relaxation ``min c·x, A·x ≥ 1, lower ≤ x ≤ upper`` as a
+    HiGHS model; built once, solved under any column bounds."""
 
-    __slots__ = ("costs", "rows", "_integrality")
+    __slots__ = ("_model",)
 
     def __init__(self, instance: WSCInstance):
-        members = [instance.set_members(set_id) for set_id in range(instance.num_sets)]
-        starts = list(accumulate(map(len, members), initial=0))
-        nonzeros = starts[-1]
-        indptr = np.array(starts, dtype=np.int32)
-        indices = np.fromiter(chain.from_iterable(members), np.int32, nonzeros)
+        indptr, indices = instance.member_arrays()
+        num_rows, num_cols = instance.universe_size, instance.num_sets
+        model = highs.HighsLp()
+        model.num_col_ = num_cols
+        model.num_row_ = num_rows
+        model.col_cost_ = np.array(instance.set_costs(), dtype=np.float64)
         # The rows ``linprog`` made of ``A_ub x <= b_ub``, −inf ≤ −A·x ≤ −1,
         # kept as they were so that HiGHS is handed the identical model.
-        matrix = sparse.csc_array(
-            (np.full(nonzeros, -1.0), indices, indptr),
-            shape=(instance.universe_size, instance.num_sets),
-        )
-        self.costs = np.array(instance.set_costs(), dtype=np.float64)
-        self.rows = LinearConstraint(
-            matrix,
-            np.full(instance.universe_size, -np.inf),
-            np.full(instance.universe_size, -1.0),
-        )
-        self._integrality = np.zeros(instance.num_sets, dtype=np.uint8)
+        model.row_lower_ = np.full(num_rows, -np.inf)
+        model.row_upper_ = np.full(num_rows, -1.0)
+        matrix = model.a_matrix_
+        matrix.num_col_ = num_cols
+        matrix.num_row_ = num_rows
+        matrix.format_ = highs.MatrixFormat.kColwise
+        matrix.start_ = indptr
+        matrix.index_ = indices
+        matrix.value_ = np.full(len(indices), -1.0)
+        model.integrality_ = [highs.HighsVarType.kContinuous] * num_cols
+        self._model = model
 
     def solve(
         self,
@@ -102,26 +105,29 @@ class LPRelaxation:
     ) -> OptimizeResult:
         """HiGHS's answer: ``success``, ``x``, ``fun``, ``message`` and
         ``duals``, the row duals ``y_e`` (non-negative up to round-off;
-        ``x`` and ``duals`` are ``None`` unless HiGHS found an optimum)."""
-        lower = np.broadcast_to(lower, self.costs.shape).astype(np.float64)
-        upper = np.broadcast_to(upper, self.costs.shape).astype(np.float64)
-        matrix = self.rows.A
-        answer = _highs_wrapper(
-            self.costs, matrix.indptr, matrix.indices, matrix.data,
-            self.rows.lb, self.rows.ub, lower, upper, self._integrality,
-            {"log_to_console": False, "mip_max_nodes": None},
+        ``x``, ``fun`` and ``duals`` are ``None`` unless HiGHS found an
+        optimum)."""
+        model = self._model
+        shape = (model.num_col_,)
+        model.col_lower_ = np.broadcast_to(lower, shape).astype(np.float64)
+        model.col_upper_ = np.broadcast_to(upper, shape).astype(np.float64)
+        solver = highs._Highs()
+        solver.passOptions(_OPTIONS)
+        ran = (
+            solver.passModel(model) != highs.HighsStatus.kError
+            and solver.run() != highs.HighsStatus.kError
         )
-        status, message = _highs_to_scipy_status_message(
-            answer.get("status"), answer.get("message")
-        )
-        if status != 0:
+        status = solver.getModelStatus()
+        message = solver.modelStatusToString(status)
+        if not ran or status != highs.HighsModelStatus.kOptimal:
             return OptimizeResult(success=False, message=message, x=None, fun=None, duals=None)
+        solution = solver.getSolution()
         return OptimizeResult(
             success=True,
             message=message,
-            x=np.array(answer["x"]),
-            fun=answer["fun"],
-            duals=-np.array(answer["lambda"]),
+            x=np.array(solution.col_value),
+            fun=solver.getInfo().objective_function_value,
+            duals=-np.array(solution.row_dual),
         )
 
 
@@ -193,14 +199,17 @@ def dual_bound(instance: WSCInstance, duals: np.ndarray) -> float:
     exact one by more than the subtraction of ``c_s`` can round off.
     The final ``Σ y_e − Σ z_s`` is summed exactly (:func:`math.fsum`)
     and rounded down, so the returned float never exceeds a true bound.
+
+    The set sums read the member arrays :class:`LPRelaxation` was built
+    from (:meth:`WSCInstance.member_arrays`, cached on the instance), so
+    a bound after a solve rebuilds nothing.
     """
     y = np.where(duals > 0, duals, 0.0) * DUAL_SCALE
-    members = [instance.set_members(set_id) for set_id in range(instance.num_sets)]
-    sizes = np.fromiter(map(len, members), np.int64, len(members))
-    elements = np.fromiter(chain.from_iterable(members), np.intp, int(sizes.sum()))
+    indptr, indices = instance.member_arrays()
+    sizes = np.diff(indptr)
     # bincount adds each set's terms one by one, in member order.
     sums = np.bincount(
-        np.repeat(np.arange(len(members)), sizes), weights=y[elements], minlength=len(members)
+        np.repeat(np.arange(len(sizes)), sizes), weights=y[indices], minlength=len(sizes)
     )
     with np.errstate(over="ignore", invalid="ignore"):
         # A float difference is <= 0 exactly when the exact one is.

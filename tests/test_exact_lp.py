@@ -1,11 +1,16 @@
 """Tests for the LP-based exact WSC engine."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SolverError
 from repro.setcover import exact_wsc, exact_wsc_lp
+from repro.setcover.exact_lp import _NodeLP
+from repro.setcover.lp import LPRelaxation
 from repro.solvers import ExactSolver
 from tests.conftest import random_instance
 from tests.test_setcover import build, random_wsc
@@ -49,6 +54,29 @@ class TestExactLP:
         instance = random_wsc(7, num_elements=16, num_sets=40)
         solution = exact_wsc_lp(instance, node_limit=500)
         instance.verify_solution(solution)
+
+    def test_node_fixings_that_leave_an_element_uncoverable(self):
+        """Fixing both sets that hold ``c`` to 0 makes the node LP
+        infeasible: HiGHS reports no optimum, the node is dropped, and
+        the search still returns the optimum."""
+        instance = build(
+            [(["a", "b"], 2), (["b", "c"], 2), (["a", "c"], 2), (["c"], 1), (["a"], 1)]
+        )
+        upper = np.ones(instance.num_sets)
+        upper[[1, 2, 3]] = 0.0
+        result = LPRelaxation(instance).solve(0.0, upper)
+        assert result.success is False
+        assert result.x is None and result.fun is None and result.duals is None
+        assert _NodeLP(instance).solve({1: 0, 2: 0, 3: 0}) is None
+        assert _NodeLP(instance).solve({1: 0, 2: 0}) is not None
+        brute = min(
+            sum(instance.set_cost(s) for s in chosen)
+            for size in range(1, instance.num_sets + 1)
+            for chosen in combinations(range(instance.num_sets), size)
+            if {e for s in chosen for e in instance.set_members(s)}
+            == set(range(instance.universe_size))
+        )
+        assert exact_wsc_lp(instance).cost == brute == 3.0
 
 
 class TestExactSolverEngine:

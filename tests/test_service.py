@@ -11,7 +11,9 @@ Structure:
 * protocol: message codec, payload validation, the typed-error mapping;
 * daemon end-to-end through the in-process client: plan/stats/ping,
   queue-full shedding, deadline-exceeded (typed, daemon stays live),
-  same-fingerprint coalescing, drain semantics;
+  same-fingerprint coalescing, drain semantics, the apply thread (the
+  loop answers during a stall, no lost counts, joined on stop), the
+  cache-off default and a disk cache serving journal replay;
 * crash recovery: in-process kill/replay equivalence via
   ``state_digest`` (including a damaged tail), plus one subprocess
   drill run with a real SIGKILL (the CI ``service-chaos`` job runs the
@@ -22,12 +24,18 @@ from __future__ import annotations
 
 import asyncio
 import os
+import queue
 import signal
 import subprocess
 import sys
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 
+import repro.engine.cache as engine_cache
+import repro.engine.engine as engine_module
 from repro.core import TableCost, UniformCost
 from repro.core.costs import HashCost
 from repro.devtools.chaos import (
@@ -37,6 +45,7 @@ from repro.devtools.chaos import (
     corrupt_journal_tail,
     truncate_journal_tail,
 )
+from repro.engine.cache import CacheConfig, DiskSolutionCache
 from repro.exceptions import SolverError
 from repro.service import (
     BreakerBoard,
@@ -396,9 +405,9 @@ class TestDaemon:
     def test_queue_full_sheds_with_typed_error(self):
         async def scenario():
             service = PlannerService(plain_cost(), ServiceConfig(queue_depth=2))
-            # No worker: the queue stays exactly as stuffed, so the shed
-            # path is deterministic (admission is synchronous put_nowait).
-            service._queue = asyncio.Queue(maxsize=2)
+            # No apply thread: the queue stays exactly as stuffed, so the
+            # shed path is deterministic (admission is put_nowait).
+            service._queue = queue.Queue(maxsize=2)
             loop = asyncio.get_running_loop()
             for i in range(2):
                 service._queue.put_nowait(
@@ -421,19 +430,21 @@ class TestDaemon:
 
     def test_expired_requests_not_journaled(self, tmp_path):
         async def scenario():
+            # Batch 0 stalls after its journal entry; the late request
+            # queues behind it and expires before the apply thread
+            # reaches it.
+            chaos = ServiceChaos(plan={("post-journal", 0): "stall"}, stall_seconds=0.4)
             config = ServiceConfig(journal_path=str(tmp_path / "w.journal"))
-            service = PlannerService(plain_cost(), config)
+            service = PlannerService(plain_cost(), config, chaos=chaos)
             await service.start()
-            loop = asyncio.get_running_loop()
-            pending = _Pending(
-                "late",
-                (frozenset({"a"}),),
-                deadline=-1.0,
-                admitted_at=0.0,
-                future=loop.create_future(),
+            client = PlannerClient(service)
+            blocker = asyncio.create_task(client.plan(["c"]))
+            await asyncio.sleep(0.1)  # the apply thread is now stalled
+            reply = await service.handle_request(
+                {"op": "plan", "id": "late", "queries": ["a"], "deadline_seconds": 0.05}
             )
-            service._queue.put_nowait(pending)
-            reply = await pending.future
+            await blocker
+            await service.drain()
             stats = service.snapshot()
             await service.stop()
             return reply, stats
@@ -441,7 +452,105 @@ class TestDaemon:
         reply, stats = run(scenario())
         assert reply["error"]["code"] == "deadline-exceeded"
         assert stats["requests"]["expired_unapplied"] == 1
-        assert read_journal(str(tmp_path / "w.journal")).records == ()
+        assert stats["requests"]["deadline_exceeded"] == 1
+        records = read_journal(str(tmp_path / "w.journal")).records
+        assert [record.queries for record in records] == [(("c",),)]
+
+    def test_loop_answers_while_a_batch_stalls(self):
+        async def scenario():
+            stall = 0.8
+            chaos = ServiceChaos(plan={("post-journal", 0): "stall"}, stall_seconds=stall)
+            service = PlannerService(plain_cost(), ServiceConfig(), chaos=chaos)
+            await service.start()
+            client = PlannerClient(service)
+            started = time.monotonic()
+            blocker = asyncio.create_task(client.plan(["a"]))
+            await asyncio.sleep(0.05)
+            stats = await client.stats()
+            pong = await client.ping()
+            answered = time.monotonic() - started
+            await blocker
+            await service.stop()
+            return stall, answered, stats, pong
+
+        stall, answered, stats, pong = run(scenario())
+        assert answered < stall / 2
+        assert pong["pong"] is True
+        assert stats["requests"]["admitted"] == 1
+        assert stats["requests"]["completed"] == 0
+
+    def test_stalled_batch_queues_one_then_sheds(self):
+        async def scenario():
+            chaos = ServiceChaos(plan={("post-journal", 0): "stall"}, stall_seconds=0.4)
+            service = PlannerService(
+                plain_cost(), ServiceConfig(queue_depth=1), chaos=chaos
+            )
+            await service.start()
+            client = PlannerClient(service)
+            blocker = asyncio.create_task(client.plan(["a"]))
+            await asyncio.sleep(0.1)  # taken off the queue, now stalled
+            queued = asyncio.create_task(client.plan(["b"]))
+            await asyncio.sleep(0)  # admitted: the queue is full
+            depth = service.snapshot()["queue_depth"]
+            with pytest.raises(QueueFullError):
+                await client.plan(["c"])
+            results = await asyncio.gather(blocker, queued)
+            stats = await client.stats()
+            await service.stop()
+            return depth, results, stats
+
+        depth, (blocker, queued), stats = run(scenario())
+        assert depth == 1
+        assert (blocker["seq"], queued["seq"]) == (0, 1)
+        assert stats["requests"]["shed"] == 1
+        assert stats["requests"]["admitted"] == 2
+        assert stats["requests"]["completed"] == 2
+
+    def test_concurrent_clients_lose_no_update(self):
+        """Many clients at once while the apply thread switches often:
+        every admitted request is answered and counted exactly once."""
+        specs = [["a"], ["b"], ["c"], ["a b"], [["c", "d"]], ["d"]]
+
+        async def scenario():
+            service = PlannerService(
+                plain_cost(), ServiceConfig(queue_depth=256, batch_window=4)
+            )
+            await service.start()
+            client = PlannerClient(service)
+            replies = await asyncio.wait_for(
+                asyncio.gather(*(client.plan(specs[i % 6]) for i in range(60))), 60
+            )
+            stats = await client.stats()
+            await service.stop()
+            return replies, stats
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            replies, stats = run(scenario())
+        finally:
+            sys.setswitchinterval(previous)
+        requests = stats["requests"]
+        assert len(replies) == requests["admitted"] == requests["completed"] == 60
+        assert requests["completed"] == requests["batches_applied"] + requests["coalesced"]
+        assert stats["workload"]["batches"] == requests["batches_applied"]
+
+    def test_stop_joins_the_apply_thread(self):
+        def apply_threads():
+            return [t for t in threading.enumerate() if t.name == "mc3-apply"]
+
+        async def scenario():
+            service = PlannerService(plain_cost(), ServiceConfig())
+            await service.start()
+            running = apply_threads()
+            await PlannerClient(service).plan(["a"])
+            await service.stop()
+            return running
+
+        before = apply_threads()
+        running = run(scenario())
+        assert len(running) == len(before) + 1
+        assert apply_threads() == before
 
     def test_deadline_exceeded_is_typed_and_daemon_survives(self):
         async def scenario():
@@ -638,6 +747,67 @@ class TestRecovery:
             ServiceChaos(plan={("mid-air", 0): "kill"})
         with pytest.raises(SolverError):
             ServiceChaos(plan={("pre-journal", 0): "meteor"})
+
+
+class TestDaemonCache:
+    def test_default_daemon_runs_no_cache(self, monkeypatch):
+        fingerprinted = []
+        fingerprint = engine_module.component_fingerprint
+
+        def counting(*args, **kwargs):
+            fingerprinted.append(args)
+            return fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "component_fingerprint", counting)
+        # "off" is explicit: a process-wide default cache does not leak in.
+        monkeypatch.setattr(engine_cache, "_PROCESS_CONFIG", CacheConfig("memory"))
+
+        async def scenario():
+            service = PlannerService(plain_cost(), ServiceConfig())
+            await service.start()
+            client = PlannerClient(service)
+            await client.plan(["a b", "c"])
+            await client.plan([["c", "d"], "b"])
+            stats = await client.stats()
+            await service.stop()
+            return stats
+
+        stats = run(scenario())
+        assert stats["cache"] is None
+        assert stats["requests"]["completed"] == 2
+        assert fingerprinted == []
+
+    def test_disk_cache_serves_journal_replay(self, tmp_path):
+        path = str(tmp_path / "w.journal")
+        cost = drill_cost(2)
+        batches = [workload_batch(2, index) for index in range(6)]
+        live_cache = DiskSolutionCache(str(tmp_path / "cache"))
+        config = ServiceConfig(journal_path=path, journal_fsync=False, cache=live_cache)
+
+        async def scenario():
+            service = PlannerService(cost, config)
+            await service.start()
+            client = PlannerClient(service)
+            for batch in batches:
+                await client.plan(batch)
+            digest = service.planner.state_digest()
+            await service.stop()
+            return digest
+
+        live_digest = run(scenario())
+        assert live_cache.stats()["inserts"] > 0
+        restarted_cache = DiskSolutionCache(str(tmp_path / "cache"))
+        restarted = PlannerService(
+            cost, replace(config, cache=restarted_cache)
+        )
+        assert restarted.recover() == len(batches)
+        assert restarted_cache.stats()["hits"] > 0
+        reference = replay_reference(
+            cost, replace(config, cache="off"), read_journal(path).records
+        )
+        assert restarted.planner.state_digest() == live_digest
+        assert restarted.planner.state_digest() == reference.state_digest()
+        restarted.journal.close()
 
 
 # ----------------------------------------------------------------------
