@@ -1,7 +1,7 @@
 """Micro-benchmarks for the bitset property-space rewrite.
 
 Times the rewritten hot paths — dominated pruning, the single-query
-min-cover DP, greedy WSC (plain + bucketed), the coverage walk and the
+min-cover DP, greedy WSC, the coverage walk and the
 canonical classifier sum — against the verbatim pre-change
 implementations kept in :mod:`repro.core.reference`, asserting
 bit-identical outputs before any timing is trusted.  The coverage and
@@ -41,22 +41,20 @@ sys.path.insert(
 
 from repro.core import CallableCost, MC3Instance, OverlayCost, TableCost  # noqa: E402
 from repro.core.coverage import CoverageChecker  # noqa: E402
+from repro.core.kernels.pyjit import DominatedPruner, greedy_wsc  # noqa: E402
 from repro.core.mincover import min_cover  # noqa: E402
 from repro.core.properties import canonical_sum, iter_nonempty_subsets  # noqa: E402
 from repro.core.reference import (  # noqa: E402
     ReferenceCoverageChecker,
     ReferenceDominatedPruner,
     patch_reference_kernels,
-    reference_bucket_greedy_wsc,
     reference_greedy_wsc,
     reference_min_cover,
     reference_sorted_sum,
 )
+from repro.core.wsc import WSCInstance  # noqa: E402
 from repro.datasets import bestbuy_like, private_like  # noqa: E402
 from repro.exceptions import ReductionError, SolverError  # noqa: E402
-from repro.preprocess.dominated import DominatedPruner  # noqa: E402
-from repro.setcover import bucket_greedy_wsc, greedy_wsc  # noqa: E402
-from repro.setcover.instance import WSCInstance  # noqa: E402
 from repro.solvers import available_solvers, make_solver  # noqa: E402
 
 
@@ -259,25 +257,6 @@ def bench_greedy(repeats: int, num_elements: int, num_sets: int) -> Dict:
     )
 
 
-def bench_bucket_greedy(repeats: int, num_elements: int, num_sets: int) -> Dict:
-    instance = wsc_workload(num_elements, num_sets)
-    ref = reference_bucket_greedy_wsc(instance, epsilon=0.1)
-
-    def identical(new) -> bool:
-        return new.set_ids == ref.set_ids and new.cost == ref.cost
-
-    return workload_entry(
-        {"elements": num_elements, "sets": num_sets, "epsilon": 0.1},
-        lambda: bucket_greedy_wsc(instance, epsilon=0.1),
-        median_seconds(
-            lambda: reference_bucket_greedy_wsc(instance, epsilon=0.1), repeats
-        ),
-        repeats,
-        identical,
-        {"cost": ref.cost, "sets": len(ref.set_ids)},
-    )
-
-
 def bench_coverage(repeats: int, instance: MC3Instance, plan, calls: int) -> Dict:
     """The whole plan (all covered) and half of it (some uncovered):
     the walk must return the reference's queries in the same order.
@@ -358,20 +337,17 @@ def run_all(smoke: bool = False, repeats: int = 5) -> Dict:
             "pruning": (10, 6),
             "mincover": 7,
             "greedy": (200, 400),
-            "bucket_greedy": (200, 400),
         }
     else:
         sizes = {
             "pruning": (14, 12),
             "mincover": 10,
             "greedy": (2000, 3000),
-            "bucket_greedy": (2000, 3000),
         }
     workloads = {
         "dominated_pruning": bench_pruning(repeats, *sizes["pruning"]),
         "min_cover_dp": bench_mincover(repeats, sizes["mincover"]),
         "greedy_wsc": bench_greedy(repeats, *sizes["greedy"]),
-        "bucket_greedy_wsc": bench_bucket_greedy(repeats, *sizes["bucket_greedy"]),
     }
     for load, (instance, plan) in plan_workloads(smoke).items():
         # A request's plan takes microseconds: time a batch of calls.

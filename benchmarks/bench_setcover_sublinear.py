@@ -7,8 +7,8 @@ on sampled elements and repairs the residual exactly.  Two claims:
 
 * **wall-clock** — at the 1M-element tier it must be at least
   ``SPEEDUP_FLOOR``x faster than materializing the workload and running
-  the bucket greedy, while its cover costs at most ``RATIO_CEILING``x
-  the bucket greedy's;
+  Chvátal's greedy on it, while its cover costs at most
+  ``RATIO_CEILING``x the greedy's;
 * **memory** — under an address-space cap that kills the materializing
   path outright, the sampled solver still finishes, which the memory-cap
   legs demonstrate in a capped subprocess.
@@ -40,11 +40,7 @@ sys.path.insert(
 )
 
 from repro.datasets.scale import ScaleTierWorkload  # noqa: E402
-from repro.setcover import (  # noqa: E402
-    bucket_greedy_wsc,
-    greedy_wsc,
-    sampled_greedy_wsc,
-)
+from repro.setcover import greedy_wsc, sampled_greedy_wsc  # noqa: E402
 
 FULL_TIER = "1m"
 FULL_N = 1_000_000
@@ -96,7 +92,7 @@ def timed(fn, repeats: int = 1):
     return median(rounds), result
 
 
-def run_tier(n: int, include_exact_greedy: bool) -> Dict[str, object]:
+def run_tier(n: int) -> Dict[str, object]:
     workload = ScaleTierWorkload(n, seed=SEED)
     tier: Dict[str, object] = {
         "n": n,
@@ -114,13 +110,15 @@ def run_tier(n: int, include_exact_greedy: bool) -> Dict[str, object]:
 
     # The conventional path pays for materialization *and* the solve; the
     # sampled solver replaces both, so the honest baseline is their sum.
+    # The greedy time is its first solve on the fresh instance, so it
+    # includes the instance's one-time lazy set-up (member masks).
     materialize_seconds, instance = timed(workload.wsc_instance)
-    bucket_seconds, bucket = timed(lambda: bucket_greedy_wsc(instance))
-    instance.verify_solution(bucket)
-    baseline_seconds = materialize_seconds + bucket_seconds
+    greedy_seconds, greedy = timed(lambda: greedy_wsc(instance))
+    instance.verify_solution(greedy)
+    baseline_seconds = materialize_seconds + greedy_seconds
 
     speedup = baseline_seconds / sampled_seconds if sampled_seconds > 0 else float("inf")
-    ratio = sampled.cost / bucket.cost if bucket.cost else 1.0
+    ratio = sampled.cost / greedy.cost if greedy.cost else 1.0
 
     tier.update(
         {
@@ -129,23 +127,17 @@ def run_tier(n: int, include_exact_greedy: bool) -> Dict[str, object]:
             "sampled_sets": len(sampled.set_ids),
             "sampled_stats": sampled_stats,
             "materialize_seconds": materialize_seconds,
-            "bucket_seconds": bucket_seconds,
+            "greedy_seconds": greedy_seconds,
             "baseline_seconds": baseline_seconds,
-            "bucket_cost": bucket.cost,
+            "greedy_cost": greedy.cost,
             "sampled_speedup": speedup,
             "sampled_cost_ratio": ratio,
         }
     )
 
-    if include_exact_greedy:
-        greedy_seconds, greedy = timed(lambda: greedy_wsc(instance))
-        instance.verify_solution(greedy)
-        tier["greedy_seconds"] = greedy_seconds
-        tier["greedy_cost"] = greedy.cost
-
     print(
         f"n={n}: sampled {sampled_seconds:.3f}s (cost {sampled.cost:.0f}), "
-        f"materialize+bucket {baseline_seconds:.3f}s (cost {bucket.cost:.0f}) "
+        f"materialize+greedy {baseline_seconds:.3f}s (cost {greedy.cost:.0f}) "
         f"-> speedup {speedup:.1f}x, cost ratio {ratio:.4f}"
     )
     return tier
@@ -169,7 +161,7 @@ def _memcap_child(leg: str, n: int, cap_bytes: int) -> int:
     try:
         if leg == "materialize":
             instance = workload.wsc_instance()
-            solution = bucket_greedy_wsc(instance)
+            solution = greedy_wsc(instance)
         else:
             solution = sampled_greedy_wsc(workload, seed=SEED)
             check_cover(workload, solution)
@@ -211,11 +203,11 @@ def run_memcap(n: int, cap_bytes: int) -> Dict[str, object]:
 def run_all(mode: str) -> Dict[str, object]:
     n = FULL_N if mode == "full" else SMOKE_N
     tier_name = FULL_TIER if mode == "full" else "100k"
-    tier = run_tier(n, include_exact_greedy=(mode != "full"))
+    tier = run_tier(n)
 
     results: Dict[str, object] = {
         "benchmark": "setcover_sublinear",
-        "schema": 2,
+        "schema": 3,
         "python": sys.version.split()[0],
         "mode": mode,
         "speedup_floor": SPEEDUP_FLOOR,
@@ -227,12 +219,12 @@ def run_all(mode: str) -> Dict[str, object]:
     # are claims about the production tier, so full mode only.
     assert tier["sampled_cost_ratio"] <= RATIO_CEILING, (
         f"sampled cost ratio {tier['sampled_cost_ratio']:.4f} exceeds "
-        f"{RATIO_CEILING}x bucket-greedy"
+        f"{RATIO_CEILING}x greedy"
     )
     if mode == "full":
         assert tier["sampled_speedup"] >= SPEEDUP_FLOOR, (
             f"sampled speedup {tier['sampled_speedup']:.1f}x below the "
-            f"{SPEEDUP_FLOOR:.0f}x floor vs materialize+bucket"
+            f"{SPEEDUP_FLOOR:.0f}x floor vs materialize+greedy"
         )
         memcap = run_memcap(n, MEMCAP_BYTES)
         results["memcap"] = memcap

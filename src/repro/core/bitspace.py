@@ -13,10 +13,10 @@ lexicographically) and represents every query and classifier as a plain
 ``int`` mask.  Subset testing becomes ``a & ~b == 0``, union ``a | b``,
 "freshly covered" a popcount — single machine-word operations for the
 component sizes preprocessing produces (the same dense-id trick
-:class:`~repro.setcover.instance.WSCInstance` uses for elements).
+:class:`~repro.core.wsc.WSCInstance` uses for elements).
 
 Interning is scoped to one component: each ``solve_component`` (and
-each :class:`~repro.preprocess.dominated.DominatedPruner`) builds its
+each :class:`~repro.core.kernels.pyjit.DominatedPruner`) builds its
 own space, so masks stay as wide as the *component's* property count,
 not the instance's.  Because bit order mirrors lexicographic property
 order, mask enumeration helpers reproduce the deterministic orders of

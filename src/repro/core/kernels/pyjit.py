@@ -1,9 +1,8 @@
 """The mask kernels: every bitmask hot path of the solvers, in one module.
 
-Five kernels take interned integer bitmasks in and hand deterministic
+Four kernels take interned integer bitmasks in and hand deterministic
 decisions back: dominated-classifier pruning (Algorithm 1 step 3,
 :class:`DominatedPruner`), Chvátal greedy WSC (:func:`greedy_wsc`), the
-bucketed greedy of [CKW'10] (:func:`bucket_greedy_wsc`), the
 single-query min-cover subset DP (:func:`min_cover_dp`) and the
 sampled greedy's gain counts (:func:`sampled_gains`).  Each is
 bit-identical to its frozenset original in :mod:`repro.core.reference`
@@ -51,8 +50,8 @@ from repro.core import mincover
 from repro.core.bitspace import PropertySpace, mask_union
 from repro.core.costs import OverlayCost
 from repro.core.properties import Classifier, Query
-from repro.exceptions import InvalidInstanceError, SolverError
-from repro.setcover.instance import WSCInstance, WSCSolution
+from repro.core.wsc import WSCInstance, WSCSolution
+from repro.exceptions import SolverError
 
 # ----------------------------------------------------------------------
 # Dominated-pruning tuning constants
@@ -537,75 +536,6 @@ def greedy_wsc(instance: WSCInstance) -> WSCSolution:
     return WSCSolution(selected, total_cost)
 
 
-def bucket_greedy_wsc(instance: WSCInstance, epsilon: float = 0.1) -> WSCSolution:
-    """Bucketed greedy for WSC [Cormode, Karloff & Wirth, CIKM 2010].
-
-    Sets live in geometric ratio buckets ``[(1+ε)^k, (1+ε)^{k+1})``,
-    processed best to worst; a set whose recomputed ratio still falls in
-    the current bucket is selected immediately, otherwise it migrates.
-    ``epsilon`` trades quality for movement (``(1+ε)(ln Δ + 1)``
-    guarantee).
-    """
-    if epsilon <= 0:
-        raise InvalidInstanceError(f"epsilon must be > 0, got {epsilon}")
-    instance.validate_coverable()
-    base = 1.0 + epsilon
-    log_base = math.log(base)
-
-    def bucket_of(ratio: float) -> int:
-        if ratio <= 0:
-            return -(10**9)  # zero-cost sets: always the best bucket
-        return math.floor(math.log(ratio) / log_base)
-
-    universe_size = instance.universe_size
-    member_masks = instance.member_masks()
-    covered = 0
-    num_covered = 0
-    selected: List[int] = []
-    total_cost = 0.0
-
-    buckets: Dict[int, List[int]] = {}
-
-    def push(set_id: int, ratio: float) -> None:
-        key = bucket_of(ratio)
-        if key not in buckets:
-            buckets[key] = []
-        buckets[key].append(set_id)
-
-    for set_id in range(instance.num_sets):
-        size = len(instance.set_members(set_id))
-        if size == 0:
-            continue  # degenerate empty set: nothing to cover, no ratio
-        push(set_id, instance.set_cost(set_id) / size)
-
-    while num_covered < universe_size:
-        if not buckets:
-            raise SolverError("bucket greedy ran out of sets")
-        current_key = min(buckets)
-        queue = buckets.pop(current_key)
-        for set_id in queue:
-            # One masked popcount replaces the count-then-mark scans.
-            fresh_mask = member_masks[set_id] & ~covered
-            fresh = fresh_mask.bit_count()
-            if fresh == 0:
-                continue  # fully stale: drop for good
-            ratio = instance.set_cost(set_id) / fresh
-            if bucket_of(ratio) > current_key:
-                push(set_id, ratio)  # migrated to a worse bucket
-                continue
-            # Within (1+epsilon) of the best current ratio: take it.
-            selected.append(set_id)
-            total_cost += instance.set_cost(set_id)
-            covered |= fresh_mask
-            num_covered += fresh
-            if num_covered == universe_size:
-                break
-
-    solution = WSCSolution(selected, total_cost)
-    instance.verify_solution(solution)
-    return solution
-
-
 def admissible_tables(
     full: int, usable: Sequence[Tuple[int, float]]
 ) -> Optional[Tuple[List[float], float]]:
@@ -696,7 +626,7 @@ def min_cover_dp(full: int, usable: Sequence[Tuple[int, float]]) -> MinCoverOutc
     """Bound-pruned mask-native min-cover DP.
 
     Same contract, tie-breaks, and outputs as the historical exhaustive
-    ``min_cover_local`` sweep: ``usable`` holds ``(mask, weight)`` pairs
+    sweep (:func:`~repro.core.reference.reference_min_cover`): ``usable`` holds ``(mask, weight)`` pairs
     over query-local bits, the return is ``(cost, chosen indices)`` in
     selection order or ``None`` when ``full`` is unreachable, and ties
     break toward fewer sets then earliest ``usable`` order.  The only

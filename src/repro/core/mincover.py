@@ -12,11 +12,12 @@ This primitive backs:
 * preprocessing step 3's forced-cover detection; and
 * the exact solver's per-component enumeration on tiny components.
 
-The DP and the irredundant-cover enumeration run on query-local bit
-masks.  :func:`min_cover_local` / :func:`enumerate_covers_local` expose
-that mask-native core directly so mask-based callers (the bitset
-dominated pruner) skip the frozenset marshalling the public
-:func:`min_cover` / :func:`enumerate_covers` wrappers still provide.
+The DP (:func:`~repro.core.kernels.pyjit.min_cover_dp`) and the
+irredundant-cover enumeration run on query-local bit masks.
+:func:`enumerate_covers_local` exposes the enumeration's mask-native
+core directly so mask-based callers (the bitset dominated pruner) skip
+the frozenset marshalling the public :func:`min_cover` /
+:func:`enumerate_covers` wrappers provide.
 """
 
 from __future__ import annotations
@@ -45,25 +46,6 @@ class QueryCover:
         return f"<QueryCover cost={self.cost} via [{labels}]>"
 
 
-def min_cover_local(
-    full: int,
-    usable: Sequence[Tuple[int, float]],
-) -> Optional[Tuple[float, List[int]]]:
-    """Mask-native min-cover DP (the :mod:`~repro.core.kernels.pyjit`
-    kernel).
-
-    ``usable`` holds ``(mask, weight)`` pairs over query-local bits
-    (``full`` is the all-ones target mask); the caller guarantees masks
-    are non-empty submasks of ``full`` with finite weights.  Returns
-    ``(cost, chosen indices)`` — indices into ``usable`` in selection
-    order — or ``None`` when ``full`` is unreachable.  Ties break toward
-    fewer sets, then earliest ``usable`` order, exactly as the public
-    wrapper always has; the bound-pruned DP reproduces the historical
-    exhaustive sweep bit for bit.
-    """
-    return pyjit.min_cover_dp(full, usable)
-
-
 def min_cover(
     q: Query,
     candidates: Iterable[Tuple[Classifier, float]],
@@ -90,7 +72,7 @@ def min_cover(
     classifiers and then deterministic enumeration order.
     """
     full, usable, payload = _compress_candidates(q, candidates)
-    outcome = min_cover_local(full, usable)
+    outcome = pyjit.min_cover_dp(full, usable)
     if outcome is None:
         if required:
             raise UncoverableQueryError(q)

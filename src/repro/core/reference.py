@@ -31,6 +31,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from repro.core.costs import OverlayCost
 from repro.core.instance import MC3Instance
+from repro.core.kernels.pyjit import (
+    FORCED_COVER_MAX_CANDIDATES,
+    FORCED_COVER_MAX_LENGTH,
+    FORCED_COVER_NODE_BUDGET,
+    FULL_ENUMERATION_MAX_LENGTH,
+)
 from repro.core.mincover import QueryCover
 from repro.core.properties import (
     Classifier,
@@ -41,14 +47,8 @@ from repro.core.properties import (
     iter_two_covers,
     iter_two_partitions,
 )
+from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import SolverError, UncoverableQueryError
-from repro.preprocess.dominated import (
-    FORCED_COVER_MAX_CANDIDATES,
-    FORCED_COVER_MAX_LENGTH,
-    FORCED_COVER_NODE_BUDGET,
-    FULL_ENUMERATION_MAX_LENGTH,
-)
-from repro.setcover.instance import WSCInstance, WSCSolution
 
 # ----------------------------------------------------------------------
 # Single-query min cover (pre-change core of repro.core.mincover)
@@ -186,7 +186,7 @@ def reference_enumerate_covers(
 
 class ReferenceDominatedPruner:
     """Original frozenset step-3 pass; drop-in for
-    :class:`~repro.preprocess.dominated.DominatedPruner`."""
+    :class:`~repro.core.kernels.pyjit.DominatedPruner`."""
 
     def __init__(
         self,
@@ -419,7 +419,7 @@ def reference_mc3_to_wsc(instance: MC3Instance, space=None) -> WSCInstance:
 
 
 # ----------------------------------------------------------------------
-# Greedy WSC (pre-change repro.setcover.greedy / bucket_greedy)
+# Greedy WSC (pre-change repro.setcover.greedy)
 # ----------------------------------------------------------------------
 
 
@@ -461,68 +461,6 @@ def reference_greedy_wsc(instance: WSCInstance) -> WSCSolution:
                 num_covered += 1
 
     return WSCSolution(selected, total_cost)
-
-
-def reference_bucket_greedy_wsc(
-    instance: WSCInstance, epsilon: float = 0.1
-) -> WSCSolution:
-    """Original per-element-scan bucketed greedy [CKW'10]."""
-    from repro.exceptions import InvalidInstanceError
-
-    if epsilon <= 0:
-        raise InvalidInstanceError(f"epsilon must be > 0, got {epsilon}")
-    instance.validate_coverable()
-    base = 1.0 + epsilon
-    log_base = math.log(base)
-
-    def bucket_of(ratio: float) -> int:
-        if ratio <= 0:
-            return -(10**9)
-        return math.floor(math.log(ratio) / log_base)
-
-    universe_size = instance.universe_size
-    covered = [False] * universe_size
-    num_covered = 0
-    selected: List[int] = []
-    total_cost = 0.0
-
-    buckets: Dict[int, List[int]] = {}
-
-    def push(set_id: int, ratio: float) -> None:
-        key = bucket_of(ratio)
-        if key not in buckets:
-            buckets[key] = []
-        buckets[key].append(set_id)
-
-    for set_id in range(instance.num_sets):
-        size = len(instance.set_members(set_id))
-        push(set_id, instance.set_cost(set_id) / size)
-
-    while num_covered < universe_size:
-        if not buckets:
-            raise SolverError("bucket greedy ran out of sets")
-        current_key = min(buckets)
-        queue = buckets.pop(current_key)
-        for set_id in queue:
-            fresh = sum(1 for e in instance.set_members(set_id) if not covered[e])
-            if fresh == 0:
-                continue
-            ratio = instance.set_cost(set_id) / fresh
-            if bucket_of(ratio) > current_key:
-                push(set_id, ratio)
-                continue
-            selected.append(set_id)
-            total_cost += instance.set_cost(set_id)
-            for element_id in instance.set_members(set_id):
-                if not covered[element_id]:
-                    covered[element_id] = True
-                    num_covered += 1
-            if num_covered == universe_size:
-                break
-
-    solution = WSCSolution(selected, total_cost)
-    instance.verify_solution(solution)
-    return solution
 
 
 # ----------------------------------------------------------------------
@@ -617,7 +555,6 @@ def patch_reference_kernels():
         (robust, "mc3_to_wsc", reference_mc3_to_wsc),
         (multivalued, "mc3_to_wsc", reference_mc3_to_wsc),
         (setcover, "greedy_wsc", reference_greedy_wsc),
-        (setcover, "bucket_greedy_wsc", reference_bucket_greedy_wsc),
         (baselines, "min_cover", reference_min_cover),
         (refined, "min_cover", reference_min_cover),
         (partial_cover, "min_cover", reference_min_cover),

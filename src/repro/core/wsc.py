@@ -8,6 +8,10 @@ directly; internally everything is dense integer ids.
 The instance exposes the two parameters the paper's bounds are stated
 in: the *frequency* ``f`` (max number of sets any element belongs to)
 and the *degree* ``Δ`` (cardinality of the largest set).
+
+A leaf module: the kernel module (:mod:`repro.core.kernels.pyjit`) and
+the :mod:`repro.setcover` package both import it, and it imports
+neither.
 """
 
 from __future__ import annotations

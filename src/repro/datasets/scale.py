@@ -3,7 +3,7 @@
 The paper's synthetic sweep stops at n = 100,000 queries; the ROADMAP
 north star asks for two orders of magnitude more.  No eager generator
 survives that — at 10M queries even the id lists of a materialised
-:class:`~repro.setcover.instance.WSCInstance` run to gigabytes — so the
+:class:`~repro.core.wsc.WSCInstance` run to gigabytes — so the
 scale tiers are *dual-access* set systems defined by arithmetic instead
 of storage:
 
@@ -35,6 +35,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.costs import HashCost
 from repro.core.properties import Classifier, Query, canonical_sum
+from repro.core.wsc import WSCInstance
 from repro.datasets.synthetic import (
     COST_HIGH,
     COST_LOW,
@@ -42,7 +43,6 @@ from repro.datasets.synthetic import (
     SyntheticQueryStream,
 )
 from repro.exceptions import DatasetError
-from repro.setcover.instance import WSCInstance
 
 #: Named tiers: workload name → universe size.  The 100k tier matches
 #: the paper's largest synthetic sweep point (used for smoke runs); the

@@ -54,9 +54,9 @@ class FrozensetInMaskModuleRule(Rule):
         "outside the PropertySpace boundary"
     )
     rationale = (
-        "core/mincover, preprocess/dominated, preprocess/decompose, "
-        "reductions/mc3_to_wsc, setcover/greedy and setcover/"
-        "bucket_greedy run on interned bitmasks (PR 2); a frozenset "
+        "core/mincover, core/kernels/pyjit (dominated pruning and the "
+        "greedy set cover), preprocess/decompose and "
+        "reductions/mc3_to_wsc run on interned bitmasks; a frozenset "
         "construction, set-method call, or frozenset enumerator "
         "reintroduced there bypasses the interning and silently "
         "forfeits both the speedup and the bit-identical equivalence "

@@ -39,11 +39,8 @@ DETERMINISM_DIRS = (
 MASK_MODULES = (
     "core/mincover.py",
     "core/kernels/pyjit.py",
-    "preprocess/dominated.py",
     "preprocess/decompose.py",
     "reductions/mc3_to_wsc.py",
-    "setcover/greedy.py",
-    "setcover/bucket_greedy.py",
 )
 
 #: The frozen pre-bitset oracle (see module docstring).

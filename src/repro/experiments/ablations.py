@@ -66,7 +66,7 @@ def wsc_methods(
     """Algorithm 3's inner WSC algorithm: greedy vs LP vs primal–dual vs
     best-of (the paper runs greedy + LP and keeps the cheaper)."""
     instance = private_like(n, seed=seed)
-    methods = ["greedy", "bucket_greedy", "lp", "primal_dual", "best_of"]
+    methods = ["greedy", "lp", "primal_dual", "best_of"]
     cost_points: List[Tuple[float, float]] = []
     time_points: List[Tuple[float, float]] = []
     for index, method in enumerate(methods):

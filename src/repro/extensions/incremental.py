@@ -133,6 +133,15 @@ class IncrementalPlanner:
     def batches(self) -> Tuple[BatchOutcome, ...]:
         return tuple(self._batches)
 
+    def counts(self) -> Dict[str, int]:
+        """How many ``batches``, ``queries`` and ``built_classifiers``
+        there are, without copying them as those properties do."""
+        return {
+            "batches": len(self._batches),
+            "queries": len(self._queries),
+            "built_classifiers": len(self._built),
+        }
+
     def state_digest(self) -> str:
         """Content digest of the planner's workload state.
 

@@ -37,11 +37,11 @@ from typing import (
 from repro.core.costs import CostModel, OverlayCost
 from repro.core.coverage import CoverageChecker
 from repro.core.instance import MC3Instance
+from repro.core.kernels.pyjit import DominatedPruner
 from repro.core.properties import Classifier, Query, canonical_sum
 from repro.core.solution import Solution
 from repro.exceptions import UncoverableQueryError
 from repro.preprocess.decompose import partition_queries
-from repro.preprocess.dominated import DominatedPruner
 from repro.preprocess.k2_prune import prune_k2_singletons
 from repro.preprocess.report import PreprocessReport
 

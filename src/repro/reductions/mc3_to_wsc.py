@@ -13,7 +13,7 @@ classifiers are masks in a per-call (or caller-supplied)
 weight is looked up once per mask instead of once per ``(query,
 classifier)`` occurrence, and set members are accumulated as dense
 element ids — skipping the label round-trips of the original reduction
-while producing an identical :class:`~repro.setcover.instance.WSCInstance`
+while producing an identical :class:`~repro.core.wsc.WSCInstance`
 (same element ids, set ids, labels, and costs; see
 :mod:`repro.core.reference`).
 """

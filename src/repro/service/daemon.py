@@ -535,9 +535,7 @@ class PlannerService:
             "recovered_batches": self.recovered_batches,
             "lower_bound": self.stats.bound_summary(),
             "workload": {
-                "batches": len(self.planner.batches),
-                "queries": len(self.planner.queries),
-                "built_classifiers": len(self.planner.built_classifiers),
+                **self.planner.counts(),
                 "total_cost": self.planner.total_cost,
                 "state_digest": self.planner.state_digest(),
             },

@@ -5,6 +5,8 @@ optimality certificate built on it."""
 
 from typing import Optional
 
+from repro.core.kernels.pyjit import greedy_wsc
+from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import SolverError
 from repro.setcover.best_of import (
     BestOf,
@@ -12,11 +14,8 @@ from repro.setcover.best_of import (
     f_approximation_wsc,
     wsc_lower_bound,
 )
-from repro.setcover.bucket_greedy import bucket_greedy_wsc
 from repro.setcover.exact import DEFAULT_NODE_LIMIT, certify_optimal, exact_wsc
 from repro.setcover.exact_lp import exact_wsc_lp
-from repro.setcover.greedy import greedy_wsc
-from repro.setcover.instance import WSCInstance, WSCSolution
 from repro.setcover.multicover import (
     exact_multicover,
     greedy_multicover,
@@ -52,8 +51,6 @@ def solve_wsc(
     -------
     ``greedy``
         Chvátal greedy, ``ln Δ + 1`` guarantee.
-    ``bucket_greedy``
-        Bucketed greedy [CKW'10], ``(1+ε)(ln Δ + 1)`` guarantee.
     ``lp``
         LP rounding, ``f`` guarantee.
     ``primal_dual``
@@ -78,8 +75,6 @@ def solve_wsc(
     """
     if method == "greedy":
         return greedy_wsc(instance)
-    if method == "bucket_greedy":
-        return bucket_greedy_wsc(instance)
     if method == "sampled":
         return sampled_greedy_wsc(instance, seed=seed)
     if method == "lp":
@@ -104,7 +99,6 @@ __all__ = [
     "WSCInstance",
     "WSCSolution",
     "best_of_wsc",
-    "bucket_greedy_wsc",
     "certify_optimal",
     "derive_seed",
     "sampled_greedy_wsc",

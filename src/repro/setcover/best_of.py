@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional, Tuple
 
+from repro.core.kernels.pyjit import greedy_wsc
+from repro.core.wsc import WSCInstance, WSCSolution
 from repro.setcover.exact import certify_optimal
-from repro.setcover.greedy import greedy_wsc
-from repro.setcover.instance import WSCInstance, WSCSolution
 from repro.setcover.lp import (
     DEFAULT_SIZE_LIMIT,
     lp_lower_bound,

@@ -11,7 +11,7 @@ exponential in the worst case.
 Search strategy:
 
 * coverage state is one bitmask over element ids
-  (:meth:`~repro.setcover.instance.WSCInstance.member_masks`);
+  (:meth:`~repro.core.wsc.WSCInstance.member_masks`);
 * branch on the uncovered element with the fewest candidate sets
   (fail-first, lowest id on ties), trying candidates cheapest-first;
 * admissible lower bound on the cost still to pay: the larger of the
@@ -32,10 +32,10 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
+from repro.core.kernels.pyjit import greedy_wsc
 from repro.core.properties import EXACT_INTEGER_SUM
+from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import SolverError
-from repro.setcover.greedy import greedy_wsc
-from repro.setcover.instance import WSCInstance, WSCSolution
 
 #: Hard cap on branch-and-bound nodes; exceeded means the instance is too
 #: large for the exact oracle and callers should use an approximation.
@@ -61,6 +61,15 @@ CERTIFY_MAX_ELEMENTS = 32
 _BOUND_SLACK = 1e-9
 
 
+def improvement_ceiling(cost: float) -> float:
+    """The ceiling a cover must get under to beat one costing ``cost``:
+    ``cost`` less 1e-12, or less ``cost · 2**-40`` where that is smaller.
+    A cover that ties ``cost`` but for float round-off never counts as
+    cheaper, and no slack is larger than a relative ``2**-40``, so tiny
+    costs cannot push the optimum above the ceiling."""
+    return cost - min(1e-12, cost * 2.0**-40)
+
+
 class _NodeLimit(Exception):
     """The search visited more nodes than its cap."""
 
@@ -75,9 +84,9 @@ def _search(
 
     Returns the sets of the last cover found, or ``None`` when no cover
     costs less than the ceiling.  In optimisation mode every cover found
-    lowers the ceiling to its own cost (``- 1e-12``); with
-    ``first_improvement`` the search stops at the first one.  Raises
-    :class:`_NodeLimit` past ``node_limit`` nodes.
+    lowers the ceiling to :func:`improvement_ceiling` of its own cost;
+    with ``first_improvement`` the search stops at the first one.
+    Raises :class:`_NodeLimit` past ``node_limit`` nodes.
     """
     masks = instance.member_masks()
     costs = instance.set_costs()
@@ -125,7 +134,7 @@ def _search(
         if not uncovered:
             # A full cover, strictly below the ceiling by the check above.
             found = tuple(chosen)
-            ceiling = spent - 1e-12
+            ceiling = improvement_ceiling(spent)
             return first_improvement
         element = next(e for e in branch_order if uncovered >> e & 1)
         for set_id in candidates[element]:
@@ -149,7 +158,7 @@ def exact_wsc(instance: WSCInstance, node_limit: int = DEFAULT_NODE_LIMIT) -> WS
     instance.validate_coverable()
     incumbent = greedy_wsc(instance)
     try:
-        found = _search(instance, incumbent.cost - 1e-12, node_limit, False)
+        found = _search(instance, improvement_ceiling(incumbent.cost), node_limit, False)
     except _NodeLimit:
         raise SolverError(
             f"exact WSC exceeded the node limit ({node_limit}); "

@@ -20,14 +20,16 @@ loads.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.kernels.pyjit import greedy_wsc
+from repro.core.properties import EXACT_INTEGER_SUM
+from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import SolverError
-from repro.setcover.greedy import greedy_wsc
-from repro.setcover.instance import WSCInstance, WSCSolution
-from repro.setcover.lp import LPRelaxation
+from repro.setcover.lp import LPRelaxation, dual_bound
 
 #: Variables within this distance of an integer are considered integral.
 INTEGRALITY_TOL = 1e-6
@@ -35,16 +37,46 @@ INTEGRALITY_TOL = 1e-6
 DEFAULT_NODE_LIMIT = 10_000
 
 
+#: With non-integer costs, a node is explored only while its bound is
+#: below the incumbent by more than this share of the incumbent's cost.
+#: Relative, so the search is exact to the same precision at every cost
+#: scale.
+RELATIVE_GAP = 1e-9
+
+
 class _NodeLP:
-    """Shared LP data; per-node solves differ only in variable bounds."""
+    """Shared LP data; per-node solves differ only in variable bounds.
+
+    HiGHS's tolerances are absolute (1e-7), and on costs far below them
+    it reports as optimal a vertex that is not.  So when every cost is
+    below 1, the node LPs run on the costs scaled by the power of two
+    that brings the largest into ``[1, 2)``, an exact change of units,
+    and each bound is scaled back.
+    """
 
     def __init__(self, instance: WSCInstance):
+        top = max(instance.set_costs(), default=0.0)
+        self.exponent = 1 - math.frexp(top)[1] if 0 < top < 1 else 0
+        if self.exponent:
+            scaled = WSCInstance()
+            for element_id in range(instance.universe_size):
+                scaled.add_element(element_id)
+            for set_id in range(instance.num_sets):
+                scaled.add_set_ids(
+                    set_id,
+                    instance.set_members(set_id),
+                    math.ldexp(instance.set_cost(set_id), self.exponent),
+                )
+            instance = scaled
+        self.instance = instance
         self.lp = LPRelaxation(instance)
         self.num_sets = instance.num_sets
 
     def solve(self, fixed: Dict[int, int]) -> Optional[Tuple[float, np.ndarray]]:
-        """LP value and solution under the given 0/1 fixings; ``None`` if
-        infeasible."""
+        """A lower bound on every cover under the given 0/1 fixings
+        (:func:`~repro.setcover.lp.dual_bound`, not HiGHS's ``c·x``,
+        which can overshoot on tiny costs) and the LP solution; ``None``
+        if infeasible."""
         lower = np.zeros(self.num_sets)
         upper = np.ones(self.num_sets)
         for set_id, value in fixed.items():
@@ -52,7 +84,9 @@ class _NodeLP:
         result = self.lp.solve(lower, upper)
         if not result.success:
             return None
-        return float(result.fun), result.x
+        bound = math.ldexp(dual_bound(self.instance, result.duals, fixed), -self.exponent)
+        # Scaling back is exact unless it lands below the normal floats.
+        return (bound if bound >= sys.float_info.min else 0.0), result.x
 
 
 def exact_wsc_lp(
@@ -69,6 +103,16 @@ def exact_wsc_lp(
     incumbent = greedy_wsc(instance)
     best_cost = incumbent.cost
     best_sets: Tuple[int, ...] = incumbent.set_ids
+    # Integer costs summing below 2**53 make every cover's float cost
+    # exact, so a cheaper cover costs at least 1 less.
+    costs = instance.set_costs()
+    integral = all(cost.is_integer() for cost in costs) and sum(costs) < EXACT_INTEGER_SUM
+
+    def hopeless(bound: float) -> bool:
+        """No cover under a node with this bound beats the incumbent."""
+        if integral:
+            return bound > best_cost - 1
+        return bound >= best_cost * (1.0 - RELATIVE_GAP)
 
     # Depth-first stack of variable fixings; DFS keeps memory flat and
     # finds improving incumbents early.
@@ -85,7 +129,7 @@ def exact_wsc_lp(
         if solved is None:
             continue
         bound, x = solved
-        if bound >= best_cost - 1e-9:
+        if hopeless(bound):
             continue
         # Most fractional variable.
         fractional = None

@@ -47,14 +47,14 @@ should prefer the LP-free primal–dual algorithm in
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy import _core as highs
 
+from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import SolverError
-from repro.setcover.instance import WSCInstance, WSCSolution
 
 #: Above this many constraint-matrix nonzeros the general solver switches
 #: to the primal–dual algorithm; HiGHS handles more, but wall-clock grows
@@ -182,23 +182,33 @@ def lp_lower_bound(instance: WSCInstance) -> float:
 DUAL_SCALE = 1.0 - 2.0**-30
 
 
-def dual_bound(instance: WSCInstance, duals: np.ndarray) -> float:
-    """A lower bound on OPT from any row duals, by weak duality.
+def dual_bound(
+    instance: WSCInstance,
+    duals: np.ndarray,
+    fixed: Optional[Mapping[int, int]] = None,
+) -> float:
+    """A lower bound, by weak duality, on every cover that agrees with
+    the column fixings ``fixed`` (set id → 0 or 1), from any row duals.
 
-    The dual of ``min c·x, A·x ≥ 1, 0 ≤ x ≤ 1`` is ``max Σ y_e − Σ z_s``
-    subject to ``Σ_{e ∈ s} y_e − z_s ≤ c_s`` and ``y, z ≥ 0``.  Any
-    ``y ≥ 0`` is feasible with any ``z_s ≥ max(0, Σ_{e ∈ s} y_e − c_s)``,
-    and then ``Σ y_e − Σ z_s ≤ LP* ≤ OPT``.  Here ``y`` is the duals
+    For any ``y ≥ 0`` and any ``x`` with ``A·x ≥ 1``,
+    ``c·x ≥ Σ y_e + Σ_s r_s·x_s`` with ``r_s = c_s − Σ_{e ∈ s} y_e``, so
+    ``Σ y_e + Σ_s min(l_s·r_s, u_s·r_s)`` bounds every cover in the box
+    ``l ≤ x ≤ u``.  A free set (``[0, 1]``) adds
+    ``−z_s = min(0, r_s)``, a set fixed to 1 adds ``r_s``, and a set
+    fixed to 0 adds nothing.  With no fixings the bound is
+    ``Σ y_e − Σ z_s ≤ LP* ≤ OPT``.  Here ``y`` is the duals
     clipped at 0 and scaled by :data:`DUAL_SCALE`, so on HiGHS's optimal
-    duals the bound is ``LP*`` up to HiGHS's tolerances and a relative
-    ``2**-30``.
+    duals the bound is the box's LP optimum up to HiGHS's tolerances and
+    a relative ``2**-30``.
 
-    Each ``z_s`` is an upper bound computed in floats: a sum of ``n``
-    non-negative doubles is within a factor ``1 + n·2**-52`` of the
-    exact sum, so the float sum scaled by ``1 + n·2**-50`` exceeds the
-    exact one by more than the subtraction of ``c_s`` can round off.
-    The final ``Σ y_e − Σ z_s`` is summed exactly (:func:`math.fsum`)
-    and rounded down, so the returned float never exceeds a true bound.
+    Each set's dual sum is taken as an upper bound computed in floats: a
+    sum of ``n`` non-negative doubles is within a factor ``1 + n·2**-52``
+    of the exact sum, so the float sum scaled by ``1 + n·2**-50``
+    exceeds the exact one by more than the subtraction of ``c_s`` can
+    round off.  A set fixed to 1 adds ``c_s`` and that negated upper
+    bound as two terms.  All terms are summed exactly
+    (:func:`math.fsum`) and rounded down, so the returned float never
+    exceeds a true bound.
 
     The set sums read the member arrays :class:`LPRelaxation` was built
     from (:meth:`WSCInstance.member_arrays`, cached on the instance), so
@@ -211,13 +221,24 @@ def dual_bound(instance: WSCInstance, duals: np.ndarray) -> float:
     sums = np.bincount(
         np.repeat(np.arange(len(sizes)), sizes), weights=y[indices], minlength=len(sizes)
     )
+    costs = np.array(instance.set_costs())
     with np.errstate(over="ignore", invalid="ignore"):
+        sums_high = sums * (1.0 + sizes * 2.0**-50)
         # A float difference is <= 0 exactly when the exact one is.
-        excess = sums * (1.0 + sizes * 2.0**-50) - np.array(instance.set_costs())
-    z = excess[excess > 0]
+        excess = sums_high - costs
+    free = excess > 0
+    if fixed:
+        free[list(fixed)] = False
+    z = excess[free]
     if not np.isfinite(z).all():
         return 0.0  # some set's dual sum left the float range
     terms = y[y > 0].tolist() + (-z).tolist()
+    if fixed:
+        ones = [set_id for set_id, value in fixed.items() if value]
+        spent = sums_high[ones]
+        if not np.isfinite(spent).all():
+            return 0.0
+        terms += costs[ones].tolist() + (-spent).tolist()
     try:
         value = math.fsum(terms)
         if value > 0 and math.fsum(terms + [-value]) < 0:

@@ -22,8 +22,9 @@ import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import InvalidInstanceError, SolverError, UncoverableQueryError
-from repro.setcover.instance import WSCInstance, WSCSolution
+from repro.setcover.exact import improvement_ceiling
 
 
 def validate_demands(instance: WSCInstance, demands: Sequence[int]) -> List[int]:
@@ -181,7 +182,7 @@ def exact_multicover(
         nodes[0] += 1
         if nodes[0] > node_limit:
             raise SolverError(f"exact multicover exceeded {node_limit} nodes")
-        if cost + lower_bound() >= best_cost - 1e-12:
+        if cost + lower_bound() >= improvement_ceiling(best_cost):
             return
         element = pick_element()
         if element is None:

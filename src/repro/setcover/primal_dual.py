@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.setcover.instance import WSCInstance, WSCSolution
+from repro.core.wsc import WSCInstance, WSCSolution
 
 
 def primal_dual_wsc(

@@ -12,7 +12,7 @@ rather than exact gains ("No need to choose" by Ailon & Karnin is the
 theory anchor for keeping approximation quality under sampling).
 
 Inputs are *set systems*, a duck-typed superset of
-:class:`~repro.setcover.instance.WSCInstance`: anything exposing
+:class:`~repro.core.wsc.WSCInstance`: anything exposing
 ``universe_size``, ``num_sets``, ``set_cost(set_id)``,
 ``set_members(set_id)``, and ``sets_containing(element_id)`` over dense
 integer ids.  Crucially the algorithm touches *only* the members of
@@ -38,10 +38,9 @@ import random
 from hashlib import blake2b
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.kernels import pyjit
+from repro.core.kernels.pyjit import greedy_wsc, sampled_gains
+from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import SolverError, UncoverableQueryError
-from repro.setcover.greedy import greedy_wsc
-from repro.setcover.instance import WSCInstance, WSCSolution
 
 #: Geometric sample schedule: fraction of the universe sampled per
 #: round.  Two rounds keep per-set gain estimates statistically usable
@@ -130,7 +129,7 @@ def _greedy_restricted(
     set_ids = sorted(buffers)
     masks = [int.from_bytes(buffers[set_id], "little") for set_id in set_ids]
     costs = [system.set_cost(set_id) for set_id in set_ids]
-    gains = pyjit.sampled_gains(masks, 0)
+    gains = sampled_gains(masks, 0)
 
     # Lazy-deletion heap, same discipline and tie-breaks as the full
     # greedy kernel: ties on ratio resolve by lowest (global) set id.

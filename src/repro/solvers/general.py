@@ -30,6 +30,7 @@ from repro.engine.cache import DETAILS_VERSION
 from repro.engine.component import ComponentOutcome
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.routing import EXACT_K2_ROUTE, Route, exact_k2_route
+from repro.exceptions import SolverError
 from repro.preprocess import ALL_STEPS
 from repro.reductions import mc3_to_wsc
 from repro.setcover import (
@@ -41,6 +42,9 @@ from repro.setcover import (
     primal_dual_wsc,
 )
 from repro.solvers.base import ComponentSolver
+
+#: The ``wsc_method`` values :class:`GeneralSolver` accepts.
+WSC_METHODS = ("best_of", "greedy", "lp", "primal_dual")
 
 
 class GeneralSolver(ComponentSolver):
@@ -96,6 +100,8 @@ class GeneralSolver(ComponentSolver):
             resilience=resilience,
             cache=cache,
         )
+        if wsc_method not in WSC_METHODS:
+            raise SolverError(f"unknown WSC method {wsc_method!r}")
         self.wsc_method = wsc_method
         self.lp_size_limit = lp_size_limit
         self.prune = prune
@@ -133,10 +139,6 @@ class GeneralSolver(ComponentSolver):
         certified = False
         if self.wsc_method == "greedy":
             wsc_solution = greedy_wsc(wsc)
-        elif self.wsc_method == "bucket_greedy":
-            from repro.setcover import bucket_greedy_wsc
-
-            wsc_solution = bucket_greedy_wsc(wsc)
         elif self.wsc_method == "lp":
             wsc_solution, f_mode = f_approximation_wsc(
                 wsc, self.lp_size_limit, self.prune, **arms

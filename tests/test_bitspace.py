@@ -2,7 +2,7 @@
 
 Every hot path that moved onto interned integer masks —
 :mod:`repro.core.bitspace` helpers, the min-cover DP, dominated
-pruning, the MC³ → WSC reduction, and both greedy set-cover variants —
+pruning, the MC³ → WSC reduction, and the greedy set cover —
 is checked here against the verbatim pre-change implementations kept in
 :mod:`repro.core.reference`.  The promise under test is *bit-identical*
 output: same orders, same tie-breaks, same costs, same solutions, for
@@ -24,7 +24,12 @@ from repro.core.bitspace import (
     mask_union,
     popcount,
 )
-from repro.core.kernels.pyjit import FORCED_COVER_NODE_BUDGET, LOCAL_LATTICES
+from repro.core.kernels.pyjit import (
+    FORCED_COVER_NODE_BUDGET,
+    LOCAL_LATTICES,
+    DominatedPruner,
+    greedy_wsc,
+)
 from repro.core.mincover import (
     enumerate_covers,
     enumerate_covers_local,
@@ -40,16 +45,13 @@ from repro.core.properties import (
 from repro.core.reference import (
     ReferenceDominatedPruner,
     patch_reference_kernels,
-    reference_bucket_greedy_wsc,
     reference_enumerate_covers,
     reference_greedy_wsc,
     reference_mc3_to_wsc,
     reference_min_cover,
 )
 from repro.exceptions import ReductionError, SolverError, UncoverableQueryError
-from repro.preprocess.dominated import DominatedPruner
 from repro.reductions import mc3_to_wsc
-from repro.setcover import bucket_greedy_wsc, greedy_wsc
 from repro.solvers import available_solvers, make_solver
 from tests.strategies import PROPERTY_NAMES, mc3_instances
 from tests.test_setcover import random_wsc
@@ -369,18 +371,6 @@ class TestGreedyEquivalence:
         instance = random_wsc(seed)
         new = greedy_wsc(instance)
         ref = reference_greedy_wsc(instance)
-        assert new.set_ids == ref.set_ids
-        assert new.cost == ref.cost
-
-    @given(
-        st.integers(min_value=0, max_value=400),
-        st.sampled_from([1e-6, 0.1, 0.5]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_bucket_greedy_matches_reference(self, seed, epsilon):
-        instance = random_wsc(seed)
-        new = bucket_greedy_wsc(instance, epsilon=epsilon)
-        ref = reference_bucket_greedy_wsc(instance, epsilon=epsilon)
         assert new.set_ids == ref.set_ids
         assert new.cost == ref.cost
 

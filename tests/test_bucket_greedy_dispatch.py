@@ -1,88 +1,12 @@
-"""Tests for the bucketed greedy [CKW'10] and GeneralSolver's k≤2
-component dispatch."""
-
-import math
+"""Tests for GeneralSolver's k≤2 component dispatch."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MC3Instance, UniformCost
-from repro.exceptions import InvalidInstanceError, UncoverableQueryError
-from repro.setcover import bucket_greedy_wsc, exact_wsc, greedy_wsc, solve_wsc
-from repro.solvers import ExactSolver, GeneralSolver, K2Solver
+from repro.core import MC3Instance
+from repro.solvers import ExactSolver, GeneralSolver
 from tests.conftest import random_instance
-from tests.test_setcover import build, random_wsc
-
-
-class TestBucketGreedy:
-    def test_single_covering_set(self):
-        instance = build([(["a", "b"], 2)])
-        solution = bucket_greedy_wsc(instance)
-        assert solution.set_ids == (0,)
-
-    def test_zero_cost_sets_first(self):
-        instance = build([(["a"], 0), (["a", "b"], 5), (["b"], 1)])
-        solution = bucket_greedy_wsc(instance)
-        instance.verify_solution(solution)
-        assert 0 in solution.set_ids  # the free set is always taken first
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(InvalidInstanceError):
-            bucket_greedy_wsc(build([(["a"], 1)]), epsilon=0)
-
-    def test_uncoverable_raises(self):
-        instance = build([(["a"], 1)])
-        instance.add_element("orphan")
-        with pytest.raises(UncoverableQueryError):
-            bucket_greedy_wsc(instance)
-
-    @given(st.integers(min_value=0, max_value=300))
-    @settings(max_examples=30, deadline=None)
-    def test_feasible_and_near_greedy(self, seed):
-        instance = random_wsc(seed)
-        solution = bucket_greedy_wsc(instance, epsilon=0.1)
-        instance.verify_solution(solution)
-        # The bucketed greedy carries a (1+eps)(ln Δ + 1) guarantee.
-        optimum = exact_wsc(instance).cost
-        bound = 1.1 * (math.log(max(2, instance.degree())) + 1)
-        assert solution.cost <= bound * optimum + 1e-9
-
-    @given(st.integers(min_value=0, max_value=150))
-    @settings(max_examples=15, deadline=None)
-    def test_small_epsilon_is_stepwise_ratio_optimal(self, seed):
-        # With a vanishing epsilon every selection is ratio-optimal at
-        # the moment it is made, up to the (1+eps) bucket width.  The
-        # *final cost* can still differ from plain greedy's: equal
-        # ratios are broken by bucket-queue order rather than lowest
-        # set id, and a tie cascade may select a different cover (seed
-        # 145 yields 10.0 vs. greedy's 7.0).  So the honest invariant
-        # is stepwise, not end-to-end.
-        instance = random_wsc(seed)
-        epsilon = 1e-6
-        bucketed = bucket_greedy_wsc(instance, epsilon=epsilon)
-        instance.verify_solution(bucketed)
-        plain = greedy_wsc(instance)
-        instance.verify_solution(plain)
-        covered = set()
-        for set_id in bucketed.set_ids:
-            fresh = [e for e in instance.set_members(set_id) if e not in covered]
-            assert fresh  # never selects a set covering nothing new
-            available = []
-            for other in range(instance.num_sets):
-                gain = sum(
-                    1 for e in instance.set_members(other) if e not in covered
-                )
-                if gain:
-                    available.append(instance.set_cost(other) / gain)
-            ratio = instance.set_cost(set_id) / len(fresh)
-            assert ratio <= min(available) * (1 + epsilon) + 1e-9
-            covered.update(instance.set_members(set_id))
-
-    def test_available_via_facade(self):
-        instance = random_wsc(3)
-        solution = solve_wsc(instance, method="bucket_greedy")
-        instance.verify_solution(solution)
 
 
 class TestK2Dispatch:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import MC3Instance, TableCost
 from repro.exceptions import SolverError
 from repro.setcover import exact_wsc, exact_wsc_lp
 from repro.setcover.exact_lp import _NodeLP
-from repro.setcover.lp import LPRelaxation
+from repro.setcover.lp import LPRelaxation, dual_bound
 from repro.solvers import ExactSolver
 from tests.conftest import random_instance
 from tests.test_setcover import build, random_wsc
@@ -91,3 +92,66 @@ class TestExactSolverEngine:
     def test_unknown_engine(self):
         with pytest.raises(SolverError):
             ExactSolver(engine="quantum")
+
+
+def _brute_force_wsc(instance):
+    return min(
+        sum(instance.set_cost(s) for s in chosen)
+        for size in range(1, instance.num_sets + 1)
+        for chosen in combinations(range(instance.num_sets), size)
+        if {e for s in chosen for e in instance.set_members(s)}
+        == set(range(instance.universe_size))
+    )
+
+
+def _scaled(instance, scale):
+    """``instance`` with every classifier's cost multiplied by ``scale``."""
+    table = {clf: instance.weight(clf) * scale for clf in instance.classifier_universe()}
+    return MC3Instance(list(instance.queries), TableCost(table))
+
+
+class TestTinyCosts:
+    """Both exact engines stay exact however small the costs are: no
+    absolute slack may prune the optimum, and HiGHS's absolute
+    tolerances may not decide a node."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-10, 1e-12, 1e-13, 1e-300])
+    @pytest.mark.parametrize("solve", [exact_wsc, exact_wsc_lp])
+    def test_four_sets(self, solve, scale):
+        # Greedy takes Z (ratio 0.4) then W: 2.2·s.  X + Y cost 2·s.
+        instance = build(
+            [
+                (["1", "2"], 1 * scale),
+                (["3", "4"], 1 * scale),
+                (["1", "2", "3"], 1.2 * scale),
+                (["4"], 1 * scale),
+            ]
+        )
+        assert solve(instance).cost == _brute_force_wsc(instance) == 2 * scale
+
+    @pytest.mark.parametrize("engine", ["combinatorial", "lp"])
+    def test_random_instances_scaled_down(self, engine):
+        for seed in range(80):
+            instance = random_instance(seed, num_properties=6, num_queries=5, max_length=3)
+            optimum = ExactSolver(cache="off").solve(instance).cost
+            result = ExactSolver(engine=engine, cache="off").solve(_scaled(instance, 1e-12))
+            assert result.cost == pytest.approx(optimum * 1e-12, rel=1e-9), seed
+            bound = result.details["engine"]["lower_bound"]["value"]
+            assert bound <= optimum * 1e-12 * (1 + 1e-9), seed
+
+    def test_dual_bound_with_fixings(self):
+        instance = build(
+            [(["1", "2"], 1), (["3", "4"], 1), (["1", "2", "3"], 1.25), (["4"], 1)]
+        )
+        zero = np.zeros(instance.universe_size)
+        # With y = 0 a cover pays at least for the sets fixed to 1.
+        assert dual_bound(instance, zero) == 0.0
+        assert dual_bound(instance, zero, {0: 0, 2: 1, 3: 1}) == 2.25
+        # The root LP's duals bound every cover by LP* = 2; under the
+        # node LP that fixes the third set to 1 they bound the box's
+        # best cover, 1.25 + 1.
+        root = LPRelaxation(instance).solve().duals
+        assert dual_bound(instance, root) == pytest.approx(2.0)
+        assert dual_bound(instance, root) <= 2.0
+        bound, _ = _NodeLP(instance).solve({2: 1})
+        assert bound == pytest.approx(2.25) and bound <= 2.25

@@ -115,6 +115,23 @@ class TestExactMulticover:
         exact = exact_multicover(instance, demands)
         assert exact.cost <= greedy.cost + 1e-9
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12, 1e-300])
+    def test_tiny_costs_keep_the_optimum(self, scale):
+        # Greedy takes the 1.2 set first and pays 2.2·s; two unit sets
+        # cover all four elements for 2·s.
+        instance = build(
+            [
+                (["1", "2"], 1 * scale),
+                (["3", "4"], 1 * scale),
+                (["1", "2", "3"], 1.2 * scale),
+                (["4"], 1 * scale),
+            ]
+        )
+        demands = [1] * instance.universe_size
+        assert greedy_multicover(instance, demands).cost == pytest.approx(2.2 * scale)
+        exact = exact_multicover(instance, demands)
+        assert exact.cost == brute_force_multicover(instance, demands) == 2 * scale
+
     def test_node_limit(self):
         instance, demands = random_multicover(5, num_elements=5, extra_sets=8)
         with pytest.raises(SolverError):

@@ -116,7 +116,7 @@ PAIRED_FIXTURES = {
         """,
     ),
     "RPL201": (
-        "src/repro/setcover/greedy.py",
+        "src/repro/core/kernels/pyjit.py",
         """
         def greedy_wsc(instance):
             return frozenset(instance.sets)
@@ -138,7 +138,7 @@ PAIRED_FIXTURES = {
             return reference_greedy_wsc(instance)
         """,
         """
-        from repro.setcover.greedy import greedy_wsc
+        from repro.core.kernels.pyjit import greedy_wsc
 
         def solve(instance):
             return greedy_wsc(instance)

@@ -47,6 +47,7 @@ from repro.devtools.chaos import (
 )
 from repro.engine.cache import CacheConfig, DiskSolutionCache
 from repro.exceptions import SolverError
+from repro.extensions.incremental import IncrementalPlanner
 from repro.service import (
     BreakerBoard,
     CircuitBreaker,
@@ -624,6 +625,34 @@ class TestDaemon:
             await service.stop()
 
         run(scenario())
+
+    def test_stats_counts_without_copying_planner_state(self, monkeypatch):
+        async def scenario():
+            service = PlannerService(plain_cost(), ServiceConfig())
+            await service.start()
+            client = PlannerClient(service)
+            await client.plan(["a", "b c"])
+            await client.plan(["b", "a d"])
+
+            def copied(_planner):
+                raise AssertionError("stats copied the planner's state")
+
+            for name in ("batches", "queries", "built_classifiers"):
+                monkeypatch.setattr(IncrementalPlanner, name, property(copied))
+            stats = await client.stats()
+            monkeypatch.undo()
+            planner = service.planner
+            expected = {
+                "batches": len(planner.batches),
+                "queries": len(planner.queries),
+                "built_classifiers": len(planner.built_classifiers),
+            }
+            await service.stop()
+            return stats, expected
+
+        stats, expected = run(scenario())
+        assert {key: stats["workload"][key] for key in expected} == expected
+        assert expected["batches"] == 2 and expected["queries"] == 4
 
     def test_breaker_states_in_stats(self):
         async def scenario():

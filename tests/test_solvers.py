@@ -102,6 +102,11 @@ class TestGeneralSolver:
         assert result.cost >= exact - 1e-9
         assert result.cost <= instance_guarantee(instance) * exact + 1e-6
 
+    def test_unknown_wsc_method_rejected(self):
+        # Before, any unknown value silently ran best-of.
+        with pytest.raises(SolverError, match="unknown WSC method"):
+            GeneralSolver(wsc_method="magic")
+
     @pytest.mark.parametrize("method", ["greedy", "lp", "primal_dual", "best_of"])
     def test_all_methods_feasible(self, method):
         instance = random_instance(33, num_properties=7, num_queries=6, max_length=4)

@@ -37,7 +37,7 @@ from repro.engine.resilience import ResiliencePolicy
 from repro.exceptions import UncoverableQueryError
 from repro.preprocess import ALL_STEPS, preprocess
 from repro.preprocess.decompose import partition_queries
-from repro.preprocess.dominated import DominatedPruner
+from repro.core.kernels.pyjit import DominatedPruner
 from repro.preprocess.k2_prune import prune_k2_singletons
 from repro.preprocess.pipeline import (
     PreprocessResult,
