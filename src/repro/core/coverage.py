@@ -40,58 +40,53 @@ def covering_subset(q: Query, selected: Iterable[Classifier]) -> List[Classifier
 
 
 class CoverageChecker:
-    """Indexed coverage checking for a fixed query load.
+    """Coverage checking for a fixed query load.
 
-    Builds a property → queries inverted index once, then answers
-    "which queries does classifier ``c`` help" and "is the whole load
-    covered" without re-scanning the query list per classifier.
+    Each call indexes the selection once: the selected set itself, the
+    properties of its singletons, and its multi-property classifiers
+    listed by property.  Each query is then tested on its own, so the
+    cost follows the load and the selection, never the ``2^|q|``
+    subsets of a query.
     """
 
     def __init__(self, queries: Iterable[Query]):
         self.queries: List[Query] = list(queries)
-        self._by_property: Dict[str, List[int]] = {}
-        for index, q in enumerate(self.queries):
-            for prop in q:
-                self._by_property.setdefault(prop, []).append(index)
-
-    def queries_with_property(self, prop: str) -> List[int]:
-        """Indices of queries containing ``prop``."""
-        return self._by_property.get(prop, [])
-
-    def applicable_queries(self, clf: Classifier) -> List[int]:
-        """Indices of queries that ``clf`` can help cover (``clf ⊆ q``),
-        ascending.
-
-        Every query ``q ⊇ clf`` holds each of ``clf``'s properties, so
-        the posting list of the rarest one lists all of them: walk it and
-        keep the queries with ``clf <= q``.  A singleton's posting list is
-        the answer as it stands (returned as is, like
-        :meth:`queries_with_property`).
-        """
-        by_property = self._by_property
-        if len(clf) == 1:
-            (prop,) = clf
-            return by_property.get(prop, [])
-        # Which of equally rare lists is walked cannot change the
-        # queries found, so the hash order of ``clf`` is harmless.
-        rarest: List[int] = []
-        for prop in clf:
-            postings = by_property.get(prop)
-            if postings is None:
-                return []
-            if not rarest or len(postings) < len(rarest):
-                rarest = postings
-        queries = self.queries
-        return [index for index in rarest if clf <= queries[index]]
 
     def uncovered_queries(self, selected: Iterable[Classifier]) -> List[Query]:
-        """The queries not covered by ``selected``, in load order."""
-        remaining: List[Set[str]] = [set(q) for q in self.queries]
-        applicable = self.applicable_queries
-        for clf in selected:
-            for index in applicable(clf):
-                remaining[index] -= clf
-        return [self.queries[i] for i, rem in enumerate(remaining) if rem]
+        """The queries not covered by ``selected``, in load order.
+
+        A query is covered when it is selected itself or lies inside the
+        selected singletons.  Otherwise each property the singletons
+        miss must lie in a selected classifier inside the query, and
+        only those properties' multi-property classifiers are walked.
+        """
+        chosen = set(selected)
+        singles: Set[str] = set()
+        by_property: Dict[str, List[Classifier]] = {}
+        # The order only decides which witness a query finds first.
+        for clf in chosen:  # reprolint: ignore[RPL101]
+            if len(clf) == 1:
+                singles |= clf
+            else:
+                for prop in clf:
+                    by_property.setdefault(prop, []).append(clf)
+        missing: List[Query] = []
+        for q in self.queries:
+            if q in chosen or q <= singles:
+                continue
+            left = set(q - singles)
+            for prop in q:
+                if prop in left:
+                    # Every classifier listed under ``prop`` holds it, so
+                    # the first one inside ``q`` settles it.
+                    for clf in by_property.get(prop, ()):
+                        if clf <= q:
+                            left -= clf
+                            break
+                    else:
+                        missing.append(q)
+                        break
+        return missing
 
     def all_covered(self, selected: Iterable[Classifier]) -> bool:
         """Whether every query in the load is covered by ``selected``."""

@@ -12,7 +12,6 @@ import math
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.costs import CostModel, TableCost
-from repro.core.coverage import CoverageChecker
 from repro.core.properties import (
     Classifier,
     PropertySet,
@@ -79,7 +78,6 @@ class MC3Instance:
 
         self._properties: Optional[PropertySet] = None
         self._max_query_length: Optional[int] = None
-        self._coverage: Optional[CoverageChecker] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -113,19 +111,6 @@ class MC3Instance:
         if self._max_query_length is None:
             self._max_query_length = max(len(q) for q in self._queries)
         return self._max_query_length
-
-    def coverage_checker(self) -> CoverageChecker:
-        """The load's posting-list index, built on first use.
-
-        Preprocessing's step-1 coverage pass and :meth:`Solution.verify
-        <repro.core.solution.Solution.verify>` share it, so a solve
-        indexes its window once.  It is still the independent
-        :mod:`repro.core.coverage` oracle: nothing but the queries goes
-        into it, and it never changes after it is built.
-        """
-        if self._coverage is None:
-            self._coverage = CoverageChecker(self._queries)
-        return self._coverage
 
     def weight(self, clf: Classifier) -> float:
         """``W(clf)``, honouring the instance-level length bound."""

@@ -464,7 +464,7 @@ def reference_greedy_wsc(instance: WSCInstance) -> WSCSolution:
 
 
 # ----------------------------------------------------------------------
-# Coverage oracle (pre-walk repro.core.coverage.CoverageChecker)
+# Coverage oracle (per-classifier repro.core.coverage.CoverageChecker)
 # ----------------------------------------------------------------------
 
 

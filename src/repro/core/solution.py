@@ -36,11 +36,7 @@ class Solution:
         """Assert feasibility against the independent coverage checker and
         that the recorded cost matches the instance's pricing.  Returns
         ``self`` so calls chain."""
-        # An MC3Instance shares the index preprocessing built; a duck
-        # load (e.g. a lazy one) gets a fresh one.
-        shared = getattr(instance, "coverage_checker", None)
-        checker = shared() if shared is not None else CoverageChecker(instance.queries)
-        checker.verify(self.classifiers)
+        CoverageChecker(instance.queries).verify(self.classifiers)
         expected = instance.total_weight(self.classifiers)
         if not math.isclose(expected, self.cost, rel_tol=1e-9, abs_tol=1e-9):
             raise InfeasibleSolutionError(

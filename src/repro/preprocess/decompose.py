@@ -39,41 +39,36 @@ def partition_queries(
     index: Dict[str, int] = {}
     parent: List[int] = []
     anchors: List[int] = []
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]  # path halving
-            node = parent[node]
-        return node
-
     for q in queries:
         anchor = -1
         for prop in q:
             if prop in ignore:
                 continue
-            node = index.get(prop)
-            if node is None:
-                node = len(parent)
-                index[prop] = node
-                parent.append(node)
-            root = find(node)
+            root = index.get(prop)
+            if root is None:
+                root = index[prop] = len(parent)
+                parent.append(root)
+            else:
+                # Walk to the root, halving the path on the way.
+                while parent[root] != root:
+                    parent[root] = root = parent[parent[root]]
             if anchor < 0:
                 anchor = root
             elif root != anchor:
-                # Union by attaching to the query's anchor root; tree
-                # depth stays bounded via path halving in find().
+                # Union by attaching to the query's anchor root.
                 parent[root] = anchor
         if anchor < 0:
             anchor = len(parent)
             parent.append(anchor)
         anchors.append(anchor)
 
+    # Dicts keep insertion order: groups come out by first query.
     groups: Dict[int, List[Query]] = {}
-    order: List[int] = []
-    for q, anchor in zip(queries, anchors):
-        root = find(anchor)
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(q)
-    return [groups[root] for root in order]
+    for q, root in zip(queries, anchors):
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        group = groups.get(root)
+        if group is None:
+            group = groups[root] = []
+        group.append(q)
+    return list(groups.values())

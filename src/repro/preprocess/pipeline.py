@@ -257,9 +257,10 @@ def preprocess(
                             report.zero_weight_selected += 1
 
     step1_forced = list(forced)
-    checker = instance.coverage_checker()
     uncovered = (
-        checker.uncovered_queries(step1_forced) if forced else list(instance.queries)
+        CoverageChecker(instance.queries).uncovered_queries(step1_forced)
+        if forced
+        else list(instance.queries)
     )
     report.queries_covered_step1 = instance.n - len(uncovered)
 

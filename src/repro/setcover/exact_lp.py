@@ -29,7 +29,7 @@ from repro.core.kernels.pyjit import greedy_wsc
 from repro.core.properties import EXACT_INTEGER_SUM
 from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import SolverError
-from repro.setcover.lp import LPRelaxation, dual_bound
+from repro.setcover.lp import INFEASIBLE, LPRelaxation, dual_bound
 
 #: Variables within this distance of an integer are considered integral.
 INTEGRALITY_TOL = 1e-6
@@ -76,14 +76,20 @@ class _NodeLP:
         """A lower bound on every cover under the given 0/1 fixings
         (:func:`~repro.setcover.lp.dual_bound`, not HiGHS's ``c·x``,
         which can overshoot on tiny costs) and the LP solution; ``None``
-        if infeasible."""
+        if infeasible.
+
+        Any other status without an optimum (an iteration limit,
+        numerical trouble) raises :class:`SolverError`: pruning such a
+        node as infeasible could drop the optimum unnoticed."""
         lower = np.zeros(self.num_sets)
         upper = np.ones(self.num_sets)
         for set_id, value in fixed.items():
             lower[set_id] = upper[set_id] = float(value)
         result = self.lp.solve(lower, upper)
         if not result.success:
-            return None
+            if result.status in INFEASIBLE:
+                return None
+            raise SolverError(f"node LP ended without an optimum: {result.message}")
         bound = math.ldexp(dual_bound(self.instance, result.duals, fixed), -self.exponent)
         # Scaling back is exact unless it lands below the normal floats.
         return (bound if bound >= sys.float_info.min else 0.0), result.x

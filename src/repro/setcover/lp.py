@@ -65,6 +65,14 @@ DEFAULT_SIZE_LIMIT = 2_000_000
 _OPTIONS = highs.HighsOptions()
 _OPTIONS.log_to_console = False
 
+#: Model statuses that prove a relaxation has no feasible point.  Its
+#: columns are boxed in ``[0, 1]``, so "unbounded or infeasible" can
+#: only mean infeasible.
+INFEASIBLE = (
+    highs.HighsModelStatus.kInfeasible,
+    highs.HighsModelStatus.kUnboundedOrInfeasible,
+)
+
 
 def lp_nonzeros(instance: WSCInstance) -> int:
     """Number of nonzeros the LP constraint matrix would have."""
@@ -103,10 +111,10 @@ class LPRelaxation:
         lower: Union[float, np.ndarray] = 0.0,
         upper: Union[float, np.ndarray] = 1.0,
     ) -> OptimizeResult:
-        """HiGHS's answer: ``success``, ``x``, ``fun``, ``message`` and
-        ``duals``, the row duals ``y_e`` (non-negative up to round-off;
-        ``x``, ``fun`` and ``duals`` are ``None`` unless HiGHS found an
-        optimum)."""
+        """HiGHS's answer: ``success``, ``status`` (the HiGHS model
+        status), ``x``, ``fun``, ``message`` and ``duals``, the row duals
+        ``y_e`` (non-negative up to round-off; ``x``, ``fun`` and
+        ``duals`` are ``None`` unless HiGHS found an optimum)."""
         model = self._model
         shape = (model.num_col_,)
         model.col_lower_ = np.broadcast_to(lower, shape).astype(np.float64)
@@ -120,10 +128,13 @@ class LPRelaxation:
         status = solver.getModelStatus()
         message = solver.modelStatusToString(status)
         if not ran or status != highs.HighsModelStatus.kOptimal:
-            return OptimizeResult(success=False, message=message, x=None, fun=None, duals=None)
+            return OptimizeResult(
+                success=False, status=status, message=message, x=None, fun=None, duals=None
+            )
         solution = solver.getSolution()
         return OptimizeResult(
             success=True,
+            status=status,
             message=message,
             x=np.array(solution.col_value),
             fun=solver.getInfo().objective_function_value,

@@ -69,45 +69,49 @@ class TestCoveringSubset:
 
 
 class TestSharedChecker:
-    def test_preprocessing_and_verification_share_one_index(self, monkeypatch):
+    def test_each_pass_checks_through_the_pipeline_name(self, monkeypatch):
+        """Step 1's pass and the step-3/4 residual pass both build their
+        checker through ``repro.preprocess.pipeline.CoverageChecker``
+        (the name the traced ``preprocess.coverage`` span wraps), and
+        verification builds its own over the whole load."""
         from repro.core import MC3Instance
-        from repro.core import instance as instance_module
+        from repro.core import solution as solution_module
+        from repro.preprocess import pipeline
         from repro.solvers import make_solver
 
-        built = []
+        def counting(calls):
+            class Counting(CoverageChecker):
+                def uncovered_queries(self, selected):
+                    missing = super().uncovered_queries(selected)
+                    calls.append((len(self.queries), len(missing)))
+                    return missing
 
-        class Counting(CoverageChecker):
-            def __init__(self, queries):
-                built.append(len(list(queries)))
-                super().__init__(queries)
+            return Counting
 
-        monkeypatch.setattr(instance_module, "CoverageChecker", Counting)
+        preprocessing, verification = [], []
+        monkeypatch.setattr(pipeline, "CoverageChecker", counting(preprocessing))
+        monkeypatch.setattr(solution_module, "CoverageChecker", counting(verification))
+        # Step 1 selects B and C, which cover "b c" too; steps 3-4 force A
+        # and D+E, which the residual pass finds cover the rest.
         load = MC3Instance(
-            ["a b", "b c", "c", "d e"], {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1}
+            ["a b", "b c", "b", "c", "d e"],
+            {"a": 1, "b": 1, "c": 1, "a b": 3, "b c": 3, "d": 2, "e": 2, "d e": 1},
         )
         result = make_solver("mc3-general", cache="off").solve(load)
-        assert built == [4]
-        assert load.coverage_checker() is load.coverage_checker()
+        assert preprocessing == [(5, 2), (2, 0)]
         result.solution.verify(load)
-        assert built == [4]
+        assert verification[-1] == (5, 0)
 
     def test_verification_stays_complete(self):
         from repro.core import MC3Instance
         from repro.core.solution import Solution
 
         load = MC3Instance(["a b", "c"], {"a": 1, "b": 1, "c": 1})
-        load.coverage_checker()
         with pytest.raises(InfeasibleSolutionError, match="1 query is not covered"):
             Solution([frozenset("ab")], 2.0).verify(load)
 
 
 class TestCoverageChecker:
-    def test_applicable_queries(self):
-        checker = CoverageChecker([frozenset("ab"), frozenset("bc"), frozenset("b")])
-        assert checker.applicable_queries(frozenset("b")) == [0, 1, 2]
-        assert checker.applicable_queries(frozenset("ab")) == [0]
-        assert checker.applicable_queries(frozenset("az")) == []
-
     def test_uncovered_queries(self):
         checker = CoverageChecker([frozenset("ab"), frozenset("c")])
         missing = checker.uncovered_queries([frozenset("ab")])
@@ -127,37 +131,51 @@ class TestCoverageChecker:
             assert (q in missing) == (not is_covered(q, selected))
 
 
-# Classifiers for the walk-vs-reference checks: "x0"/"x1" belong to no
-# query, the empty classifier has no posting list at all, and lists
-# (not sets) let the same classifier arrive twice.
-WALK_CLASSIFIER = st.frozensets(
-    st.sampled_from(PROPS + ["x0", "x1"]), min_size=0, max_size=4
+# Up to 12 properties a query; "x0"/"x1" belong to no query.
+WIDE_PROPS = [f"p{i}" for i in range(14)]
+LONG_QUERY = st.frozensets(st.sampled_from(WIDE_PROPS), min_size=1, max_size=12)
+STRAY_CLASSIFIER = st.frozensets(
+    st.sampled_from(WIDE_PROPS + ["x0", "x1"]), min_size=0, max_size=4
 )
 
 
-class TestCoverageWalk:
-    """``applicable_queries`` walks the rarest property's posting list
-    and ``uncovered_queries`` loops over it; the intersect-and-sort
-    original in ``core/reference.py`` is their oracle: same queries,
-    same order."""
-
-    @given(
-        st.lists(QUERY, max_size=12),
-        st.lists(WALK_CLASSIFIER, max_size=12),
-        st.randoms(use_true_random=False),
+@st.composite
+def loads_and_selections(draw):
+    """A load (duplicates allowed) and a selection (a list, so the same
+    classifier may arrive twice) mixing pieces of its queries with
+    classifiers that may lie inside no query."""
+    queries = draw(st.lists(LONG_QUERY, max_size=10))
+    pieces = [
+        draw(st.frozensets(st.sampled_from(sorted(q)), min_size=1)) for q in queries
+    ]
+    selected = draw(
+        st.lists(st.sampled_from(pieces) | STRAY_CLASSIFIER, max_size=16)
+        if pieces
+        else st.lists(STRAY_CLASSIFIER, max_size=16)
     )
+    return queries, selected
+
+
+class TestCoverageWalk:
+    """``uncovered_queries`` tests each query against an index of the
+    selection; the per-classifier intersect-and-sort original in
+    ``core/reference.py`` and :func:`is_covered` are its oracles: same
+    queries, in load order."""
+
+    @given(loads_and_selections(), st.randoms(use_true_random=False))
     @settings(max_examples=300)
-    def test_walk_matches_reference(self, queries, selected, rng):
-        reference = ReferenceCoverageChecker(queries)
-        expected = reference.uncovered_queries(selected)
+    def test_walk_matches_reference(self, load, rng):
+        queries, selected = load
+        expected = ReferenceCoverageChecker(queries).uncovered_queries(selected)
+        assert expected == [q for q in queries if not is_covered(q, selected)]
         checker = CoverageChecker(queries)
-        for clf in selected:
-            assert checker.applicable_queries(clf) == reference.applicable_queries(clf)
         assert checker.uncovered_queries(selected) == expected
         shuffled = list(selected)
         rng.shuffle(shuffled)
         assert checker.uncovered_queries(shuffled) == expected
         assert checker.uncovered_queries(frozenset(selected)) == expected
+        # A generator can be iterated once only.
+        assert checker.uncovered_queries(clf for clf in selected) == expected
 
     def test_edge_classifiers_match_reference(self):
         queries = [frozenset("ab"), frozenset("bc"), frozenset("b"), frozenset("ab")]
@@ -176,10 +194,21 @@ class TestCoverageWalk:
             assert checker.uncovered_queries(selected) == reference.uncovered_queries(
                 selected
             ), selected
-            for clf in selected:
-                assert checker.applicable_queries(
-                    clf
-                ) == reference.applicable_queries(clf), clf
+
+    def test_long_query_without_subset_enumeration(self):
+        """A 64-property query: its 2^64 subsets could never be walked."""
+        props = [f"p{i:02d}" for i in range(64)]
+        q = frozenset(props)
+        pairs = [frozenset(props[i : i + 2]) for i in range(0, 64, 2)]
+        checker = CoverageChecker([q])
+        assert checker.uncovered_queries(pairs) == []
+        # Dropping one pair leaves two properties that only a classifier
+        # spilling outside the query would hold.
+        spill = frozenset({props[0], props[1], "x"})
+        assert checker.uncovered_queries(pairs[1:] + [spill]) == [q]
+        singles = [frozenset({p}) for p in props]
+        assert checker.uncovered_queries(singles) == []
+        assert checker.uncovered_queries(singles[:-1] + pairs[:-1]) == [q]
 
     def test_order_is_load_order_with_duplicate_queries(self):
         queries = [frozenset("c"), frozenset("ab"), frozenset("c"), frozenset("a")]

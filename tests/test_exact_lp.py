@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as highs
 
 from repro.core import MC3Instance, TableCost
 from repro.exceptions import SolverError
+from repro.reductions import mc3_to_wsc
 from repro.setcover import exact_wsc, exact_wsc_lp
 from repro.setcover.exact_lp import _NodeLP
-from repro.setcover.lp import LPRelaxation, dual_bound
+from repro.setcover.lp import INFEASIBLE, LPRelaxation, dual_bound
 from repro.solvers import ExactSolver
 from tests.conftest import random_instance
+from tests.test_invariants import _tiny_priced
 from tests.test_setcover import build, random_wsc
 
 
@@ -66,7 +70,7 @@ class TestExactLP:
         upper = np.ones(instance.num_sets)
         upper[[1, 2, 3]] = 0.0
         result = LPRelaxation(instance).solve(0.0, upper)
-        assert result.success is False
+        assert result.success is False and result.status in INFEASIBLE
         assert result.x is None and result.fun is None and result.duals is None
         assert _NodeLP(instance).solve({1: 0, 2: 0, 3: 0}) is None
         assert _NodeLP(instance).solve({1: 0, 2: 0}) is not None
@@ -78,6 +82,25 @@ class TestExactLP:
             == set(range(instance.universe_size))
         )
         assert exact_wsc_lp(instance).cost == brute == 3.0
+
+    def test_node_lp_without_an_optimum_raises(self, monkeypatch):
+        """A node LP that HiGHS stops on an iteration limit proves
+        nothing about the node: the search raises rather than prune it
+        as infeasible and return the incumbent."""
+
+        def stopped(self, lower=0.0, upper=1.0):
+            return OptimizeResult(
+                success=False,
+                status=highs.HighsModelStatus.kIterationLimit,
+                message="Iteration limit reached",
+                x=None,
+                fun=None,
+                duals=None,
+            )
+
+        monkeypatch.setattr(LPRelaxation, "solve", stopped)
+        with pytest.raises(SolverError, match="Iteration limit reached"):
+            exact_wsc_lp(random_wsc(1, num_elements=8, num_sets=12))
 
 
 class TestExactSolverEngine:
@@ -138,6 +161,20 @@ class TestTinyCosts:
             assert result.cost == pytest.approx(optimum * 1e-12, rel=1e-9), seed
             bound = result.details["engine"]["lower_bound"]["value"]
             assert bound <= optimum * 1e-12 * (1 + 1e-9), seed
+
+    @pytest.mark.parametrize("engine", ["combinatorial", "lp"])
+    def test_tiny_priced_query(self, engine):
+        """One query whose cheapest covers cost far below HiGHS's
+        absolute tolerance: both engines find the brute-force optimum,
+        and the solver's bound stays at or below it."""
+        instance = _tiny_priced()
+        wsc = mc3_to_wsc(instance)
+        solve = exact_wsc if engine == "combinatorial" else exact_wsc_lp
+        optimum = _brute_force_wsc(wsc)
+        assert solve(wsc).cost == optimum
+        result = ExactSolver(engine=engine, cache="off").solve(instance)
+        assert result.cost == optimum
+        assert result.details["engine"]["lower_bound"]["value"] <= result.cost
 
     def test_dual_bound_with_fixings(self):
         instance = build(

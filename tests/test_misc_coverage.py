@@ -98,7 +98,7 @@ class TestCoverageCheckerEdgeCases:
         from repro.core import CoverageChecker
 
         checker = CoverageChecker([frozenset("ab")])
-        assert checker.applicable_queries(frozenset(("z",))) == []
+        assert checker.uncovered_queries([frozenset(("z",))]) == [frozenset("ab")]
 
     def test_duplicate_queries_tolerated(self):
         from repro.core import CoverageChecker

@@ -84,6 +84,53 @@ class TestStep2:
             assert not (component.properties & seen)
             seen |= component.properties
 
+    @given(
+        st.lists(
+            st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=4),
+            max_size=12,
+        ),
+        st.frozensets(st.sampled_from("abcdefgh"), max_size=4),
+    )
+    @settings(max_examples=200)
+    def test_matches_breadth_first_search(self, queries, ignore):
+        """Component order reaches the plan's output, so the groups,
+        their order (by first query) and the query order inside each
+        are pinned against a plain BFS, with and without ``ignore``."""
+        assert partition_queries(queries) == bfs_partition(queries)
+        groups = partition_queries(queries, ignore=ignore)
+        assert groups == bfs_partition(queries, ignore)
+        alone = [q for q in queries if q <= ignore]
+        assert [g for g in groups if g[0] <= ignore] == [[q] for q in alone]
+
+
+def bfs_partition(queries, ignore=frozenset()):
+    """Breadth-first search over the property graph, linking queries
+    through the properties not in ``ignore``; each group starts at its
+    first query and lists its queries in input order."""
+    holders = {}
+    for index, q in enumerate(queries):
+        for prop in q - ignore:
+            holders.setdefault(prop, []).append(index)
+    group_of = [None] * len(queries)
+    groups = []
+    for start in range(len(queries)):
+        if group_of[start] is not None:
+            continue
+        group_of[start] = len(groups)
+        members, frontier = [start], [start]
+        while frontier:
+            reached = []
+            for index in frontier:
+                for prop in queries[index] - ignore:
+                    for other in holders[prop]:
+                        if group_of[other] is None:
+                            group_of[other] = len(groups)
+                            reached.append(other)
+            members.extend(reached)
+            frontier = reached
+        groups.append([queries[index] for index in sorted(members)])
+    return groups
+
 
 class TestStep3:
     def test_dominated_pair_removed(self):
