@@ -25,7 +25,8 @@ property-disjoint blocks x 8 queries of 4-6 properties each (~2000
 queries, thousands of distinct candidate classifiers), solved by
 ``mc3-general`` with the paper's ``best_of`` WSC method.  Every timed
 variant must return bit-identical classifiers and cost — a cache that
-changes any answer loses, no matter how fast it is.
+changes any answer loses, no matter how fast it is.  Every time is the
+CPU time of the one solving process (``time.process_time``).
 
 Standalone usage (mirrors ``bench_bitspace.py`` / BENCH_core.json)::
 
@@ -113,9 +114,12 @@ def paired_overhead(base_rounds, variant_rounds) -> float:
 
 
 def timed_solve(solver, instance):
-    started = time.perf_counter()
+    """CPU seconds of one in-process solve: unlike wall-clock time, a
+    neighbour's load on a shared host does not enter the paired ratios
+    the overhead gates read."""
+    started = time.process_time()
     result = solver.solve(instance)
-    return time.perf_counter() - started, result
+    return time.process_time() - started, result
 
 
 def run_all(blocks: int = BLOCKS, repeats: int = REPEATS) -> Dict[str, object]:

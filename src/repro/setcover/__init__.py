@@ -1,7 +1,7 @@
 """Weighted Set Cover substrate: instance model, greedy (ln Δ + 1),
 LP-rounding and primal–dual (both f-approximations), Algorithm 3's
-best-of strategy, and an exact branch-and-bound oracle with the greedy
-optimality certificate built on it."""
+best-of strategy, an exact LP branch-and-bound oracle, and the greedy
+optimality certificate."""
 
 from typing import Optional
 
@@ -15,7 +15,6 @@ from repro.setcover.best_of import (
     wsc_lower_bound,
 )
 from repro.setcover.exact import DEFAULT_NODE_LIMIT, certify_optimal, exact_wsc
-from repro.setcover.exact_lp import exact_wsc_lp
 from repro.setcover.multicover import (
     exact_multicover,
     greedy_multicover,
@@ -62,9 +61,7 @@ def solve_wsc(
         keep the cheaper output; the ``f`` arm is skipped when greedy is
         proven optimal.
     ``exact``
-        Combinatorial branch-and-bound optimum (small instances only).
-    ``exact_lp``
-        LP-based branch-and-bound optimum (hundreds of sets).
+        LP branch-and-bound optimum (hundreds of sets), :func:`exact_wsc`.
     ``sampled``
         Sampling-based sub-linear greedy [Indyk et al.]; exact-greedy
         fallback below :data:`DEFAULT_EXACT_THRESHOLD` elements.
@@ -83,8 +80,6 @@ def solve_wsc(
         return primal_dual_wsc(instance, prune=prune)
     if method == "exact":
         return exact_wsc(instance)
-    if method == "exact_lp":
-        return exact_wsc_lp(instance)
     if method == "best_of":
         return best_of_wsc(instance, lp_size_limit, prune).solution
     raise SolverError(f"unknown WSC method {method!r}")
@@ -104,7 +99,6 @@ __all__ = [
     "sampled_greedy_wsc",
     "exact_multicover",
     "exact_wsc",
-    "exact_wsc_lp",
     "f_approximation_wsc",
     "greedy_multicover",
     "greedy_wsc",

@@ -13,7 +13,7 @@ variables are inflated by at most ``f``, giving ``f · OPT_LP ≤ f · OPT``
 (Theorem 2.6, [Vazirani]).
 
 Every relaxation in the package — this module's and the node LPs of
-:mod:`repro.setcover.exact_lp` — goes through :class:`LPRelaxation`,
+:func:`repro.setcover.exact_wsc` — goes through :class:`LPRelaxation`,
 which calls HiGHS through SciPy's bindings (``scipy.optimize._highspy.
 _core``) directly.  It hands a fresh ``_Highs`` object the model that
 ``linprog(method="highs")`` passed: costs ``c``, column bounds

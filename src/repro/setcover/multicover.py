@@ -24,7 +24,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import InvalidInstanceError, SolverError, UncoverableQueryError
-from repro.setcover.exact import improvement_ceiling
+
+
+def improvement_ceiling(cost: float) -> float:
+    """The ceiling a cover must get under to beat one costing ``cost``:
+    ``cost`` less 1e-12, or less ``cost · 2**-40`` where that is smaller.
+    A cover that ties ``cost`` but for float round-off never counts as
+    cheaper, and no slack is larger than a relative ``2**-40``, so tiny
+    costs cannot push the optimum above the ceiling."""
+    return cost - min(1e-12, cost * 2.0**-40)
 
 
 def validate_demands(instance: WSCInstance, demands: Sequence[int]) -> List[int]:

@@ -5,14 +5,14 @@ not change the answer, so :func:`best_of_wsc` must stay bit-identical —
 same sets, same ``float.hex`` cost — to running both arms every time.
 These tests compare it against a test-local always-both-arms reference
 on integer costs (where the certificate fires) and on tenths and random
-floats (where it must decline), and pin the branch-and-bound oracle the
-certificate shares against the search as it was before the share bound.
+floats (where it must decline), and pin the certificate's search order
+against the search as it was before the share bound.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 from unittest import mock
 
 import pytest
@@ -38,6 +38,7 @@ from repro.setcover import (
     solve_wsc,
     wsc_lower_bound,
 )
+from repro.setcover.exact import _search
 from repro.solvers import GeneralSolver
 from tests.strategies import PROPERTY_NAMES
 from tests.test_setcover import random_wsc
@@ -57,16 +58,16 @@ def both_arms(instance: WSCInstance, lp_size_limit=2_000_000, prune=False) -> WS
     return greedy_solution if greedy_solution.cost <= f_solution.cost else f_solution
 
 
-def exact_wsc_before_share_bound(instance: WSCInstance) -> WSCSolution:
-    """The branch-and-bound oracle with its earlier ``max_e min c_s``
-    bound, kept verbatim as the reference for the search order."""
+def first_cover_before_share_bound(
+    instance: WSCInstance, ceiling: float
+) -> Optional[Tuple[int, ...]]:
+    """The certificate's depth-first search with its earlier ``max_e
+    min c_s`` bound, kept verbatim as the reference for the search
+    order: the first cover below ``ceiling``, or ``None``."""
     universe = instance.universe_size
     members = [instance.set_members(s) for s in range(instance.num_sets)]
     costs = [instance.set_cost(s) for s in range(instance.num_sets)]
     containing = [instance.sets_containing(e) for e in range(universe)]
-    incumbent = greedy_wsc(instance)
-    best_cost = incumbent.cost
-    best_sets: Tuple[int, ...] = incumbent.set_ids
     cover_count = [0] * universe
     chosen: List[int] = []
 
@@ -84,26 +85,25 @@ def exact_wsc_before_share_bound(instance: WSCInstance) -> WSCSolution:
                 best_element, best_options = element, len(containing[element])
         return best_element
 
-    def descend(current: float) -> None:
-        nonlocal best_cost, best_sets
-        if current + bound() >= best_cost - 1e-12:
-            return
+    def descend(current: float) -> Optional[Tuple[int, ...]]:
+        if current + bound() >= ceiling:
+            return None
         element = branch_element()
         if element is None:
-            best_cost, best_sets = current, tuple(chosen)
-            return
+            return tuple(chosen)
         for set_id in sorted(containing[element], key=lambda s: costs[s]):
             chosen.append(set_id)
             for member in members[set_id]:
                 cover_count[member] += 1
-            descend(current + costs[set_id])
+            found = descend(current + costs[set_id])
             for member in members[set_id]:
                 cover_count[member] -= 1
             chosen.pop()
+            if found is not None:
+                return found
+        return None
 
-    descend(0.0)
-    pruned = instance.prune_redundant(list(best_sets))
-    return WSCSolution(pruned, sum(costs[s] for s in pruned))
+    return descend(0.0)
 
 
 # ----------------------------------------------------------------------
@@ -118,16 +118,18 @@ COST_KINDS = {
 
 
 @st.composite
-def wsc_components(draw, kind: str) -> WSCInstance:
+def wsc_components(
+    draw, kind: str, max_elements: int = 9, max_sets: int = 10
+) -> WSCInstance:
     """A coverable WSC instance: a unit set per element, then random
     sets over the same elements."""
     costs = COST_KINDS[kind]
-    num_elements = draw(st.integers(min_value=1, max_value=9))
+    num_elements = draw(st.integers(min_value=1, max_value=max_elements))
     elements = [f"e{i}" for i in range(num_elements)]
     instance = WSCInstance()
     for element in elements:
         instance.add_set(("unit", element), [element], draw(costs))
-    num_sets = draw(st.integers(min_value=0, max_value=10))
+    num_sets = draw(st.integers(min_value=0, max_value=max_sets))
     for index in range(num_sets):
         members = draw(
             st.lists(st.sampled_from(elements), min_size=1, max_size=num_elements, unique=True)
@@ -258,27 +260,39 @@ class TestCertificate:
 
 
 # ----------------------------------------------------------------------
-# The oracle the certificate shares
+# The certificate's search order
 # ----------------------------------------------------------------------
 
 
+def ceilings(instance: WSCInstance) -> Tuple[float, float]:
+    """The ceiling :func:`certify_optimal` searches under, ``G − 1``, and
+    one above the greedy cover, so that a first cover always exists."""
+    greedy_cost = greedy_wsc(instance).cost
+    return greedy_cost - 1 + 1e-6, greedy_cost + 1
+
+
 class TestExactSearchOrder:
+    """The share bound prunes only subtrees with no cover below the
+    ceiling, so the certificate's search meets the same first cover as
+    it did under the weaker bound."""
+
     @given(st.integers(min_value=0, max_value=120))
     @settings(max_examples=30, deadline=None)
     def test_same_sets_as_before_share_bound(self, seed):
         for shape in ({"num_elements": 5, "num_sets": 5}, {}):
             instance = random_wsc(seed, **shape)
-            assert exact_wsc(instance).set_ids == exact_wsc_before_share_bound(instance).set_ids
+            for ceiling in ceilings(instance):
+                expected = first_cover_before_share_bound(instance, ceiling)
+                assert _search(instance, ceiling, 10**6) == expected
 
     @pytest.mark.parametrize("kind", sorted(COST_KINDS))
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_same_sets_as_before_share_bound_any_costs(self, kind, data):
         instance = data.draw(wsc_components(kind))
-        got = exact_wsc(instance)
-        expected = exact_wsc_before_share_bound(instance)
-        assert got.set_ids == expected.set_ids
-        assert got.cost.hex() == expected.cost.hex()
+        for ceiling in ceilings(instance):
+            expected = first_cover_before_share_bound(instance, ceiling)
+            assert _search(instance, ceiling, 10**6) == expected
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Tests for the LP-based exact WSC engine."""
-
-from itertools import combinations
+"""Tests for the exact WSC engine, the LP branch-and-bound behind
+``exact_wsc`` and ``ExactSolver``."""
 
 import numpy as np
 import pytest
@@ -10,27 +9,68 @@ from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy import _core as highs
 
 from repro.core import MC3Instance, TableCost
+from repro.datasets import synthetic
 from repro.exceptions import SolverError
 from repro.reductions import mc3_to_wsc
-from repro.setcover import exact_wsc, exact_wsc_lp
-from repro.setcover.exact_lp import _NodeLP
+from repro.setcover import exact_wsc, greedy_wsc, solve_wsc
+from repro.setcover.exact import RELATIVE_GAP, _NodeLP, _search
 from repro.setcover.lp import INFEASIBLE, LPRelaxation, dual_bound
 from repro.solvers import ExactSolver
 from tests.conftest import random_instance
+from tests.test_best_of import COST_KINDS, wsc_components
 from tests.test_invariants import _tiny_priced
-from tests.test_setcover import build, random_wsc
+from tests.test_setcover import brute_force_wsc, build, random_wsc
+
+
+def assert_no_cheaper_cover(instance, cost):
+    """The combinatorial depth-first search that certificates run finds
+    no cover of ``instance`` a relative ``RELATIVE_GAP`` below ``cost``."""
+    assert _search(instance, cost * (1 - RELATIVE_GAP), node_limit=1_000_000) is None
 
 
 class TestExactLP:
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=25, deadline=None)
     def test_matches_combinatorial_exact(self, seed):
+        """The LP search's answer is a cover that neither the
+        combinatorial search nor brute-force enumeration can undercut."""
         instance = random_wsc(seed)
-        assert exact_wsc_lp(instance).cost == pytest.approx(exact_wsc(instance).cost)
+        solution = exact_wsc(instance)
+        instance.verify_solution(solution)
+        assert_no_cheaper_cover(instance, solution.cost)
+        assert solution.cost == brute_force_wsc(instance)
+
+    @pytest.mark.parametrize("kind", sorted(COST_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force_any_costs(self, kind, data):
+        """Exact on integer costs, within a relative ``RELATIVE_GAP`` on
+        tenths and random floats."""
+        instance = data.draw(wsc_components(kind, max_elements=6, max_sets=6))
+        optimum = brute_force_wsc(instance)
+        solution = exact_wsc(instance)
+        if kind == "integer":
+            assert solution.cost == optimum
+        else:
+            assert solution.cost == pytest.approx(optimum, rel=RELATIVE_GAP)
+        assert solution.lower_bound == solution.cost
+
+    def test_beats_an_incumbent_by_a_millionth(self):
+        """Greedy takes Z then W for 2.000002, a relative 1e-6 above the
+        optimum X + Y: far more than ``RELATIVE_GAP``, so the search
+        must not stop at the incumbent."""
+        instance = build(
+            [(["1", "2"], 1), (["3", "4"], 1), (["1", "2", "3"], 1.2), (["4"], 0.800002)]
+        )
+        assert greedy_wsc(instance).cost == pytest.approx(2.000002)
+        assert exact_wsc(instance).cost == 2.0
 
     def test_zero_cost_sets(self):
         instance = build([(["a"], 0), (["b"], 3), (["a", "b"], 2)])
-        assert exact_wsc_lp(instance).cost == 2.0
+        solution = exact_wsc(instance)
+        assert solution.cost == 2.0
+        # The zero-cost set for ``a`` is redundant next to ``a b``.
+        assert solution.set_ids == (2,)
 
     def test_fractional_lp_instance(self):
         """The odd-cycle instance whose LP optimum is fractional (every
@@ -45,19 +85,19 @@ class TestExactLP:
                 (["e34", "e40"], 1),
             ]
         )
-        solution = exact_wsc_lp(instance)
+        solution = exact_wsc(instance)
         assert solution.cost == 3.0  # vertex cover of C5 needs 3 vertices
 
     def test_node_limit(self):
         instance = random_wsc(1, num_elements=8, num_sets=12)
         with pytest.raises(SolverError):
-            exact_wsc_lp(instance, node_limit=0)
+            exact_wsc(instance, node_limit=0)
 
     def test_medium_instance_beyond_combinatorial_comfort(self):
-        """An instance size where the LP engine stays comfortably inside
+        """An instance size where the LP search stays comfortably inside
         its node budget."""
         instance = random_wsc(7, num_elements=16, num_sets=40)
-        solution = exact_wsc_lp(instance, node_limit=500)
+        solution = exact_wsc(instance, node_limit=500)
         instance.verify_solution(solution)
 
     def test_node_fixings_that_leave_an_element_uncoverable(self):
@@ -74,14 +114,7 @@ class TestExactLP:
         assert result.x is None and result.fun is None and result.duals is None
         assert _NodeLP(instance).solve({1: 0, 2: 0, 3: 0}) is None
         assert _NodeLP(instance).solve({1: 0, 2: 0}) is not None
-        brute = min(
-            sum(instance.set_cost(s) for s in chosen)
-            for size in range(1, instance.num_sets + 1)
-            for chosen in combinations(range(instance.num_sets), size)
-            if {e for s in chosen for e in instance.set_members(s)}
-            == set(range(instance.universe_size))
-        )
-        assert exact_wsc_lp(instance).cost == brute == 3.0
+        assert exact_wsc(instance).cost == brute_force_wsc(instance) == 3.0
 
     def test_node_lp_without_an_optimum_raises(self, monkeypatch):
         """A node LP that HiGHS stops on an iteration limit proves
@@ -100,31 +133,33 @@ class TestExactLP:
 
         monkeypatch.setattr(LPRelaxation, "solve", stopped)
         with pytest.raises(SolverError, match="Iteration limit reached"):
-            exact_wsc_lp(random_wsc(1, num_elements=8, num_sets=12))
+            exact_wsc(random_wsc(1, num_elements=8, num_sets=12))
 
 
 class TestExactSolverEngine:
     @given(st.integers(min_value=0, max_value=120))
     @settings(max_examples=12, deadline=None)
     def test_engines_agree(self, seed):
+        """``ExactSolver``, which solves each component apart, agrees
+        with ``exact_wsc`` on the whole instance's set-cover reduction,
+        and the combinatorial search finds nothing cheaper."""
         instance = random_instance(seed, num_properties=6, num_queries=5, max_length=3)
-        combinatorial = ExactSolver(engine="combinatorial").solve(instance).cost
-        lp = ExactSolver(engine="lp").solve(instance).cost
-        assert lp == pytest.approx(combinatorial)
+        wsc = mc3_to_wsc(instance)
+        whole = exact_wsc(wsc).cost
+        assert ExactSolver(cache="off").solve(instance).cost == pytest.approx(whole)
+        assert_no_cheaper_cover(wsc, whole)
 
-    def test_unknown_engine(self):
-        with pytest.raises(SolverError):
-            ExactSolver(engine="quantum")
+    def test_synthetic_300_closes_at_the_root(self):
+        """The LP bound meets the greedy incumbent at the first node, so
+        one node suffices where a search without it runs for minutes."""
+        result = ExactSolver(node_limit=1, cache="off").solve(synthetic(300, seed=0))
+        assert result.cost == 1231
+        assert result.details["engine"]["lower_bound"]["value"] == result.cost
 
 
-def _brute_force_wsc(instance):
-    return min(
-        sum(instance.set_cost(s) for s in chosen)
-        for size in range(1, instance.num_sets + 1)
-        for chosen in combinations(range(instance.num_sets), size)
-        if {e for s in chosen for e in instance.set_members(s)}
-        == set(range(instance.universe_size))
-    )
+def exact_wsc_lp(instance):
+    """The LP branch-and-bound as the ``solve_wsc`` facade reaches it."""
+    return solve_wsc(instance, method="exact")
 
 
 def _scaled(instance, scale):
@@ -134,7 +169,7 @@ def _scaled(instance, scale):
 
 
 class TestTinyCosts:
-    """Both exact engines stay exact however small the costs are: no
+    """The exact engine stays exact however small the costs are: no
     absolute slack may prune the optimum, and HiGHS's absolute
     tolerances may not decide a node."""
 
@@ -150,30 +185,40 @@ class TestTinyCosts:
                 (["4"], 1 * scale),
             ]
         )
-        assert solve(instance).cost == _brute_force_wsc(instance) == 2 * scale
+        assert solve(instance).cost == brute_force_wsc(instance) == 2 * scale
 
-    @pytest.mark.parametrize("engine", ["combinatorial", "lp"])
-    def test_random_instances_scaled_down(self, engine):
+    @pytest.mark.parametrize("check", ["combinatorial", "lp"])
+    def test_random_instances_scaled_down(self, check):
+        """Scaled down to 1e-12, the answer stays optimal: checked by the
+        combinatorial search on the scaled reduction, or against the LP
+        search's unscaled answer, scaled."""
         for seed in range(80):
             instance = random_instance(seed, num_properties=6, num_queries=5, max_length=3)
-            optimum = ExactSolver(cache="off").solve(instance).cost
-            result = ExactSolver(engine=engine, cache="off").solve(_scaled(instance, 1e-12))
-            assert result.cost == pytest.approx(optimum * 1e-12, rel=1e-9), seed
+            scaled = _scaled(instance, 1e-12)
+            result = ExactSolver(cache="off").solve(scaled)
+            if check == "combinatorial":
+                assert_no_cheaper_cover(mc3_to_wsc(scaled), result.cost)
+            else:
+                optimum = ExactSolver(cache="off").solve(instance).cost
+                assert result.cost == pytest.approx(optimum * 1e-12, rel=1e-9), seed
             bound = result.details["engine"]["lower_bound"]["value"]
-            assert bound <= optimum * 1e-12 * (1 + 1e-9), seed
+            assert bound <= result.cost * (1 + 1e-9), seed
 
-    @pytest.mark.parametrize("engine", ["combinatorial", "lp"])
-    def test_tiny_priced_query(self, engine):
+    @pytest.mark.parametrize("check", ["combinatorial", "lp"])
+    def test_tiny_priced_query(self, check):
         """One query whose cheapest covers cost far below HiGHS's
-        absolute tolerance: both engines find the brute-force optimum,
-        and the solver's bound stays at or below it."""
+        absolute tolerance: the engine's answer is optimal, checked by the
+        combinatorial search or by brute force, and the solver's bound
+        stays at or below it."""
         instance = _tiny_priced()
         wsc = mc3_to_wsc(instance)
-        solve = exact_wsc if engine == "combinatorial" else exact_wsc_lp
-        optimum = _brute_force_wsc(wsc)
-        assert solve(wsc).cost == optimum
-        result = ExactSolver(engine=engine, cache="off").solve(instance)
-        assert result.cost == optimum
+        solution = exact_wsc(wsc)
+        if check == "combinatorial":
+            assert_no_cheaper_cover(wsc, solution.cost)
+        else:
+            assert solution.cost == brute_force_wsc(wsc)
+        result = ExactSolver(cache="off").solve(instance)
+        assert result.cost == solution.cost
         assert result.details["engine"]["lower_bound"]["value"] <= result.cost
 
     def test_dual_bound_with_fixings(self):

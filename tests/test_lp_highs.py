@@ -5,7 +5,7 @@
 test-local copy of the old ``linprog`` code bit for bit: the fractional
 ``x``, the rounded set ids, the ``float.hex`` of the lower bound (from
 the row duals, ``linprog``'s ``ineqlin.marginals``), and the optimum
-``exact_wsc_lp`` finds with ``linprog`` node solves.  The
+``exact_wsc`` finds with ``linprog`` node solves.  The
 drawn instances lean on the cases where a difference in model or
 options would show first: equal-cost overlapping sets (degenerate LPs
 with several optimal vertices), zero-cost sets, a one-element universe
@@ -30,7 +30,6 @@ from repro.reductions import mc3_to_wsc
 from repro.setcover import (
     WSCInstance,
     exact_wsc,
-    exact_wsc_lp,
     lp_lower_bound,
     lp_relaxation,
     lp_rounding_wsc,
@@ -70,7 +69,7 @@ def linprog_relaxation(instance: WSCInstance) -> np.ndarray:
 
 
 class LinprogNodeLP:
-    """``exact_lp._NodeLP`` as it was: one ``linprog`` call per node."""
+    """``exact._NodeLP`` as it was: one ``linprog`` call per node."""
 
     def __init__(self, instance: WSCInstance):
         self.costs, self.matrix, self.rhs = linprog_model(instance)
@@ -149,9 +148,9 @@ def assert_same_lp_answers(instance: WSCInstance) -> None:
 
 
 def assert_same_exact_answer(instance: WSCInstance) -> None:
-    with mock.patch("repro.setcover.exact_lp._NodeLP", LinprogNodeLP):
-        old = exact_wsc_lp(instance)
-    new = exact_wsc_lp(instance)
+    with mock.patch("repro.setcover.exact._NodeLP", LinprogNodeLP):
+        old = exact_wsc(instance)
+    new = exact_wsc(instance)
     assert new.set_ids == old.set_ids
     assert new.cost.hex() == old.cost.hex()
 

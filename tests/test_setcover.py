@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import MC3Instance, TableCost
 from repro.exceptions import InvalidInstanceError, SolverError, UncoverableQueryError
+from repro.reductions import mc3_to_wsc
 from repro.setcover import (
     WSCInstance,
     exact_wsc,
@@ -21,6 +23,7 @@ from repro.setcover import (
     primal_dual_wsc,
     solve_wsc,
 )
+from repro.solvers import ExactSolver
 
 
 def build(sets_with_costs):
@@ -201,18 +204,29 @@ class TestPrimalDual:
 
 
 class TestExact:
-    @given(st.integers(min_value=0, max_value=120))
-    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=300))
+    @settings(max_examples=25, deadline=None)
     def test_matches_brute_force(self, seed):
-        instance = random_wsc(seed, num_elements=5, num_sets=5)
-        solution = exact_wsc(instance)
-        assert solution.cost == pytest.approx(brute_force_wsc(instance))
-        assert solution.lower_bound == solution.cost
+        for shape in ({"num_elements": 5, "num_sets": 5}, {}):
+            instance = random_wsc(seed, **shape)
+            solution = exact_wsc(instance)
+            assert solution.cost == brute_force_wsc(instance)
+            assert solution.lower_bound == solution.cost
 
     def test_node_limit_raises(self):
-        instance = random_wsc(0, num_elements=7, num_sets=10)
+        # One query over three properties whose cheap classifiers are the
+        # three pairs at 1.5: the root LP puts every pair at 1/2 (2.25,
+        # below the optimum 3), so the search must branch.  (Priced at 1,
+        # the integer rule would close the root: 1.5 > 2 − 1.)
+        weights = {"a": 9, "b": 9, "c": 9, "a b": 1.5, "b c": 1.5, "a c": 1.5, "a b c": 9}
+        instance = MC3Instance(
+            ["a b c"], TableCost({frozenset(k.split()): v for k, v in weights.items()})
+        )
         with pytest.raises(SolverError):
-            exact_wsc(instance, node_limit=1)
+            exact_wsc(mc3_to_wsc(instance), node_limit=1)
+        with pytest.raises(SolverError):
+            ExactSolver(node_limit=1, cache="off").solve(instance)
+        assert ExactSolver(node_limit=3, cache="off").solve(instance).cost == 3.0
 
 
 class TestSolveFacade:

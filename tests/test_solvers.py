@@ -31,12 +31,16 @@ from tests.conftest import brute_force_optimum, random_instance
 
 
 class TestExactSolver:
-    @given(st.integers(min_value=0, max_value=100))
+    @given(st.integers(min_value=0, max_value=120))
     @settings(max_examples=15, deadline=None)
     def test_matches_brute_force(self, seed):
-        instance = random_instance(seed, num_properties=5, num_queries=3, max_length=3)
-        result = ExactSolver().solve(instance)
-        assert result.cost == pytest.approx(brute_force_optimum(instance))
+        for shape in ((5, 3), (6, 5)):
+            num_properties, num_queries = shape
+            instance = random_instance(
+                seed, num_properties=num_properties, num_queries=num_queries, max_length=3
+            )
+            result = ExactSolver().solve(instance)
+            assert result.cost == brute_force_optimum(instance, max_universe=22)
 
     def test_example_11(self, example11):
         result = ExactSolver().solve(example11)
