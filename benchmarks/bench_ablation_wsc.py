@@ -10,7 +10,7 @@ from conftest import run_once
 from repro.datasets import private_like
 from repro.reductions import mc3_to_wsc
 from repro.preprocess import preprocess
-from repro.setcover import greedy_wsc, lp_rounding_wsc, primal_dual_wsc
+from repro.setcover import primal_dual_wsc
 from repro.solvers import make_solver
 
 N = 1200

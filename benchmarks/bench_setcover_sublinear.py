@@ -33,7 +33,7 @@ import os
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")

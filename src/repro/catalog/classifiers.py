@@ -15,7 +15,7 @@ negative yields no annotation (null), per the paper's footnote 2.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 from repro.catalog.items import Catalog, Item
 from repro.core.costs import CostModel

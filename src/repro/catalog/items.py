@@ -10,7 +10,7 @@ results until classifiers complete them.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Set
 
 from repro.core.properties import PropertySet, property_set
 from repro.exceptions import DatasetError

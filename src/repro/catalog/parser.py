@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.properties import Query
 from repro.exceptions import DatasetError

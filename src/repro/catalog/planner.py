@@ -9,7 +9,7 @@ offline completion, and measure the search-quality gain.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.catalog.classifiers import ClassifierSuite
 from repro.catalog.items import Catalog

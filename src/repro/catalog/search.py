@@ -9,9 +9,9 @@ completion closes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
-from repro.catalog.items import Catalog, Item
+from repro.catalog.items import Catalog
 from repro.core.properties import Query
 
 

@@ -11,11 +11,9 @@ distractor items matching nothing — the Figure 1 world, at scale.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
 
 from repro.catalog.items import Catalog, Item
 from repro.core.instance import MC3Instance
-from repro.core.properties import Query
 from repro.exceptions import DatasetError
 
 

@@ -258,6 +258,7 @@ def component_fingerprint(
     solver_token: Sequence[object] = (),
     route: Optional[str] = None,
     rung: str = PRIMARY_RUNG,
+    ordered: bool = False,
 ) -> str:
     """Canonical content hash of one property-disjoint component.
 
@@ -288,6 +289,12 @@ def component_fingerprint(
     so overlay select/remove state is captured exactly, floats encoded
     bit-for-bit.
 
+    ``ordered=True`` hashes the queries in the component's own order
+    instead: what the engine stores solved outcomes under, because a
+    solver's lower bound is not always order-free (the LP arm numbers
+    the WSC elements by query, and a degenerate relaxation can then
+    return other duals, whose bound differs in its last bits).
+
     ``component`` needs only ``queries``, ``weight`` and
     ``max_classifier_length`` (the :class:`~repro.core.instance.MC3Instance`
     surface).  Nothing hash-seed-dependent is consumed: no ``hash()``,
@@ -302,7 +309,13 @@ def component_fingerprint(
     for name in space.properties:  # already sorted by the interning
         _feed_text(digest, name)
 
-    qmasks = sorted({space.mask_of(q) for q in component.queries})
+    if ordered:
+        # The queries in their own order, domain-separated from the
+        # order-free form (see ``ordered`` above).
+        _feed_text(digest, "queries:ordered")
+        qmasks = [space.mask_of(q) for q in component.queries]
+    else:
+        qmasks = sorted({space.mask_of(q) for q in component.queries})
     _feed_text(digest, str(len(qmasks)))
     for qmask in qmasks:
         _feed_mask(digest, qmask)

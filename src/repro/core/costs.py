@@ -41,7 +41,7 @@ import hashlib
 import math
 import struct
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Set
 
 from repro.core.properties import (
     Classifier,
@@ -365,6 +365,17 @@ class OverlayCost(CostModel):
     def is_removed(self, clf: Classifier) -> bool:
         return self.overrides.get(clf) == INFINITY
 
+    def overrides_in(self, scope: Sequence[str]) -> Dict[Classifier, float]:
+        """The overrides lying inside ``scope``: with the base model's
+        token, all that :meth:`content_token` digests."""
+        inside = frozenset(scope)
+        found: Dict[Classifier, float] = {}
+        for prop in scope:
+            for clf in self._by_lowest.get(prop, ()):
+                if clf <= inside:
+                    found[clf] = self.overrides[clf]
+        return found
+
     def content_token(self, scope: Sequence[str]) -> Optional[bytes]:
         # The base digest plus every override lying inside the scope, in
         # canonical order.  An override reaching outside the scope can
@@ -373,12 +384,10 @@ class OverlayCost(CostModel):
         base = self.base.content_token(scope)
         if base is None:
             return None
-        inside = frozenset(scope)
-        entries: List[Tuple[str, float]] = []
-        for prop in scope:
-            for clf in self._by_lowest.get(prop, ()):
-                if clf <= inside:
-                    entries.append((canonical_label(clf), self.overrides[clf]))
+        entries = [
+            (canonical_label(clf), weight)
+            for clf, weight in self.overrides_in(scope).items()
+        ]
         parts = [b"overlay", base]
         for label, weight in sorted(entries):
             parts.append(label.encode("utf-8"))

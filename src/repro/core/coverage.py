@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set
 
-from repro.core.properties import Classifier, PropertySet, Query
+from repro.core.properties import Classifier, Query
 from repro.exceptions import InfeasibleSolutionError
 
 

@@ -16,7 +16,7 @@ enumeration helpers used throughout the solvers.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Tuple
 
 from repro.exceptions import InvalidInstanceError
 
@@ -54,11 +54,17 @@ def query(spec: object) -> Query:
     Raises :class:`InvalidInstanceError` for empty queries — the model has
     no notion of a query testing zero properties.
     """
-    if isinstance(spec, str):
-        parts: Sequence[object] = spec.split()
+    if type(spec) is frozenset:
+        # Already a set: validate it and keep the object, so a query
+        # passed again (a slid window's log) stays one object, and dict
+        # lookups across plans compare by identity.
+        for prop in spec:
+            validate_property(prop)
+        result = spec
+    elif isinstance(spec, str):
+        result = property_set(spec.split())
     else:
-        parts = list(spec)
-    result = property_set(parts)
+        result = property_set(list(spec))
     if not result:
         raise InvalidInstanceError("a query must test at least one property")
     return result

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.core.coverage import CoverageChecker
 from repro.core.properties import Classifier, canonical_label

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.instance import MC3Instance
 

@@ -10,7 +10,7 @@ exactly the property-sharing structure the MC³ algorithms exploit.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.core.properties import Query
 from repro.datasets.vocab import vocabulary

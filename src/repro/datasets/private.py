@@ -19,7 +19,7 @@ those published marginals:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.instance import MC3Instance
 from repro.core.properties import Query

@@ -7,7 +7,8 @@ composing per-component answers):
 1. **preprocess** — Algorithm 1 forces/removes classifiers and splits
    the residual load into property-disjoint components (with a cache,
    through the store's plan memo, which replays the step-2 groups the
-   previous plan solved, components included);
+   previous plan solved, components included, and the residual
+   components it solved cleanly that this plan's delta left alone);
 2. **schedule** — assign each component to the default component solver
    or to the first matching :class:`~repro.engine.routing.Route`;
 3. **dispatch** — solve components sequentially or across a process
@@ -55,7 +56,7 @@ from repro.engine.resilience import (
 from repro.engine.routing import Route
 from repro.engine.telemetry import EngineTelemetry
 from repro.preprocess import ALL_STEPS, preprocess
-from repro.preprocess.pipeline import PendingGroup
+from repro.preprocess.pipeline import ComponentRecord, PendingGroup, PreprocessResult
 
 # perfbench/spans.py times dispatch through this name as well.
 run_components_resilient = run_components
@@ -98,8 +99,9 @@ class SolveEngine:
         injected faults always exercise the fallback machinery.  The
         store's plan memo (:class:`~repro.engine.cache.Step3Memo`),
         when it has one, replays the step-2 groups this run shares with
-        the previous one whole, solved components included, and the
-        step-3 sub-groups it shares inside the groups that changed.
+        the previous one whole, solved components included, the
+        residual components it shares inside the groups that changed,
+        and the step-3 sub-groups it shares there.
     """
 
     def __init__(
@@ -162,6 +164,9 @@ class SolveEngine:
                 cache_stats.step3_misses = memo.misses
                 cache_stats.group_hits = memo.group_hits
                 cache_stats.group_misses = memo.group_misses
+                cache_stats.carried_groups = memo.carried_groups
+                cache_stats.carried_components = memo.carried_components
+                cache_stats.hits = memo.carried_components
             hits, pending = self._cache_lookup(tasks, cache, cache_stats, fingerprints)
 
         dispatch_started = time.perf_counter()
@@ -169,14 +174,16 @@ class SolveEngine:
         telemetry.solve_seconds = time.perf_counter() - dispatch_started
         telemetry.resilience = report.as_dict()
 
+        inserted: List[ComponentOutcome] = []
         if cache_stats is not None and fingerprints:
-            self._cache_insert(cache, cache_stats, solved, fingerprints)
+            inserted = self._cache_insert(cache, cache_stats, solved, fingerprints)
 
         outcomes = sorted(
             hits + list(solved) + replayed, key=lambda outcome: outcome.index
         )
         if memo is not None:
             self._remember_groups(memo, prep.pending_groups, tasks, outcomes)
+            self._remember_components(memo, prep, tasks, hits + inserted)
             memo.commit()
         if cache_stats is not None:
             telemetry.cache = cache_stats.as_dict(cache.stats())
@@ -270,8 +277,9 @@ class SolveEngine:
         """Store each keyed group whose every component came out clean.
 
         The rule is the cache's insert rule: a first-attempt answer of
-        the primary rung (a cache hit is one), so a replay stands in for
-        exactly what a fresh solve would return.
+        the primary rung (a cache hit is one, and so is a carried
+        component), so a replay stands in for exactly what a fresh solve
+        would return.
         """
         if not pending_groups:
             return
@@ -281,11 +289,33 @@ class SolveEngine:
             solved = [by_index.get(index) for index, _ in group.components]
             if all(
                 outcome is not None
-                and outcome.attempts == 1
-                and outcome.rung == primary[outcome.index]
+                and (
+                    outcome.index not in primary
+                    or (outcome.attempts == 1 and outcome.rung == primary[outcome.index])
+                )
                 for outcome in solved
             ):
-                memo.put_group(group.key, group.outcome(solved))
+                memo.put_group(group.label, group.record(solved))
+
+    @staticmethod
+    def _remember_components(
+        memo: Step3MemoRun,
+        prep: PreprocessResult,
+        tasks: List[ComponentTask],
+        clean: List[ComponentOutcome],
+    ) -> None:
+        """Keep each residual component the cache served or accepted,
+        with the component it was solved as, for the next plan to carry
+        over.  Only first-attempt answers of the primary rung are kept,
+        as for the cache."""
+        if memo.residual is None or not clean:
+            return
+        by_index = {outcome.index: outcome for outcome in clean}
+        for (index, target, component, _), label in zip(tasks, prep.labels):
+            outcome = by_index.get(index)
+            if outcome is None or outcome.attempts != 1 or outcome.rung != target.name:
+                continue
+            memo.put_component(label, ComponentRecord(outcome, component))
 
     # ------------------------------------------------------------------
     # Content-addressed component-solution cache (see repro.engine.cache)
@@ -303,8 +333,10 @@ class SolveEngine:
         A task is cacheable only when its dispatch target exposes a
         cache token (every in-repo solver and route does; custom
         ``SolvesComponents`` objects do not and are never cached).  The
-        fingerprint pins the *primary* rung slot — a hit stands in for
-        the primary solver's clean answer, so the hit outcome carries
+        fingerprint is taken in the component's query order
+        (``ordered=True``) and pins the *primary* rung slot — a hit
+        stands in for the primary solver's clean answer, so the hit
+        outcome carries
         the primary rung name exactly as an uncached clean run would.
         """
         hit_outcomes: List[ComponentOutcome] = []
@@ -321,6 +353,7 @@ class SolveEngine:
                 component,
                 solver_token=token,
                 route=route_name,
+                ordered=True,
             )
             blob = cache.get(fingerprint)
             decoded = decode_entry(blob, fingerprint) if blob is not None else None
@@ -360,8 +393,9 @@ class SolveEngine:
         stats: CacheRunStats,
         solved: List[ComponentOutcome],
         fingerprints: Dict[int, str],
-    ) -> None:
-        """Insert clean first-attempt outcomes only.
+    ) -> List[ComponentOutcome]:
+        """Insert clean first-attempt outcomes only; returns those whose
+        entry encoded, whether or not the store took it.
 
         An outcome that took more than one attempt — a retry, a
         fallback rung, a degraded or skipped component — is never
@@ -370,17 +404,21 @@ class SolveEngine:
         already checked.  Outcomes whose details do not serialize are
         skipped rather than cached lossily.
         """
+        encoded: List[ComponentOutcome] = []
         for outcome in solved:
             fingerprint = fingerprints.get(outcome.index)
             if fingerprint is None or outcome.attempts > 1:
                 continue
             started = time.perf_counter()
             blob = encode_entry(fingerprint, outcome.classifiers, outcome.details)
+            if blob is not None:
+                encoded.append(outcome)
             if blob is not None and cache.put(fingerprint, blob):
                 stats.inserts += 1
             else:
                 stats.insert_skips += 1
             stats.insert_seconds += time.perf_counter() - started
+        return encoded
 
     @staticmethod
     def _aggregate(

@@ -9,7 +9,7 @@ histogram makes that visible without logging every size).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 def size_histogram(sizes: List[int]) -> Dict[str, int]:

@@ -10,11 +10,10 @@ simulated catalog with missing annotations → budgeted classifier plan
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.catalog import ClassifierSuite, SearchEngine
 from repro.catalog.simulate import catalog_for_load
-from repro.core.instance import MC3Instance
 from repro.datasets import private_like
 from repro.experiments.report import FigureResult, Series
 from repro.extensions import greedy_partial_cover

@@ -11,7 +11,6 @@ used for the checked-in results.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets import (
@@ -23,7 +22,7 @@ from repro.datasets import (
     synthetic_k2,
 )
 from repro.experiments.report import FigureResult, Series, cache_hit_table
-from repro.experiments.runner import SolverSpec, SweepResult, subset_order, sweep
+from repro.experiments.runner import SolverSpec, SweepResult, sweep
 from repro.solvers import make_solver
 
 #: Classifier-length bound used for the general-problem synthetic runs

@@ -7,7 +7,7 @@ harness works anywhere and diffs cleanly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -11,7 +11,6 @@ permutation per (dataset, seed) and takes prefixes, so sweeps are nested
 from __future__ import annotations
 
 import random
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import MC3Instance

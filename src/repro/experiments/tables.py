@@ -12,7 +12,7 @@ follow the text (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core.stats import InstanceStats
 from repro.datasets import bestbuy_like, private_like, synthetic

@@ -31,9 +31,9 @@ quantifiable.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.properties import Classifier, PropertySet, Query, iter_nonempty_subsets
+from repro.core.properties import Classifier, Query, iter_nonempty_subsets
 from repro.exceptions import InvalidInstanceError, UncoverableQueryError
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.costs import CostModel, OverlayCost
 from repro.core.coverage import verify_cover

@@ -15,15 +15,13 @@ Two regimes from the paper:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.core.costs import CallableCost, CostModel, TableCost
+from repro.core.costs import TableCost
 from repro.core.instance import MC3Instance
 from repro.core.properties import Classifier, Query
-from repro.core.solution import Solution
-from repro.exceptions import InvalidInstanceError
 from repro.reductions import mc3_to_wsc
-from repro.setcover import WSCInstance, WSCSolution, solve_wsc
+from repro.setcover import WSCInstance, solve_wsc
 
 
 class AttributeSchema:

@@ -26,7 +26,7 @@ carries an approximation guarantee, matching the paper's assessment.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.costs import OverlayCost
 from repro.core.coverage import CoverageChecker

@@ -22,7 +22,7 @@ sharing with feasibility-preserving moves (add / drop / swap-decompose).
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
 
 from repro.core.coverage import CoverageChecker
 from repro.core.instance import MC3Instance

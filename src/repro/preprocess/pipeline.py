@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from typing import (
+    Container,
     Dict,
     FrozenSet,
     Hashable,
@@ -41,7 +42,7 @@ from repro.core.kernels.pyjit import DominatedPruner
 from repro.core.properties import Classifier, Query, canonical_sum
 from repro.core.solution import Solution
 from repro.exceptions import UncoverableQueryError
-from repro.preprocess.decompose import partition_queries
+from repro.preprocess.decompose import NO_PARTITION, Partition, partition_queries
 from repro.preprocess.k2_prune import prune_k2_singletons
 from repro.preprocess.report import PreprocessReport
 
@@ -70,14 +71,80 @@ class GroupOutcome(NamedTuple):
     step3: Tuple[Tuple[Hashable, Step3Outcome], ...]
 
 
+class GroupRecord(NamedTuple):
+    """A step-2 group the plan memo stored: the key it was stored under
+    (see :func:`_group_key`), its sorted properties and its outcome."""
+
+    key: Hashable
+    scope: Tuple[str, ...]
+    outcome: GroupOutcome
+
+
+class ComponentRecord(NamedTuple):
+    """A residual component the plan memo kept: the clean outcome the
+    engine served from the cache or could insert into it, and how the
+    plan's overlay priced the component's sorted properties (``scope``,
+    :func:`component_pricing`).  A record is stored with the component
+    itself and priced only when a later plan first carries it
+    (:meth:`priced`), so a plan whose components never recur pays
+    nothing for it."""
+
+    outcome: object
+    component: Optional[MC3Instance]
+    scope: Tuple[str, ...] = ()
+    pricing: Optional[Tuple[bytes, Dict[Classifier, float]]] = None
+
+    def priced(self) -> "ComponentRecord":
+        """This record with its scope and pricing, the component dropped."""
+        if self.component is None:
+            return self
+        scope = tuple(sorted(self.component.properties))
+        return ComponentRecord(
+            self.outcome, None, scope, component_pricing(self.component.cost, scope)
+        )
+
+
+def component_pricing(
+    overlay: OverlayCost, scope: Sequence[str]
+) -> Optional[Tuple[bytes, Dict[Classifier, float]]]:
+    """What the overlay's token over ``scope`` digests: the base model's
+    token and the overrides inside the scope (``None`` without a base
+    token).  Two of these are equal exactly when the two tokens are, so
+    a carried component compares them instead of hashing."""
+    base = overlay.base.content_token(scope)
+    if base is None:
+        return None
+    return base, overlay.overrides_in(scope)
+
+
+class PlanParts(NamedTuple):
+    """One partition of a plan and what its parts came to, which the
+    next plan may carry over: ``records`` maps a part's label to its
+    :class:`GroupRecord` or :class:`ComponentRecord`, and every record
+    assumes the plan's ``engine`` (steps and engine token) and, for
+    step-2 groups, its step-1 ``free`` properties."""
+
+    partition: Partition
+    engine: Hashable
+    free: Set[str]
+    records: Dict[int, object]
+
+
 class Step3Lookup(Protocol):
-    """What :func:`preprocess` needs of the plan memo: whether a group
-    is worth a key, and lookups in which the ``None`` key (an unkeyed
-    group) always misses.  ``token`` pins what the engine adds to a
-    step-2 group's outcome (solver, routes, rung); ``None`` turns the
-    whole-group granularity off."""
+    """What :func:`preprocess` needs of the plan memo: the previous
+    plan's parts, whether a group is worth a key, and lookups in which
+    the ``None`` key (an unkeyed group) always misses.  ``token`` pins
+    what the engine adds to a step-2 group's outcome (solver, routes,
+    rung); ``None`` turns the whole-group granularity off.  Preprocess
+    sets this plan's uncovered ``queries`` and its ``step2`` and
+    ``residual`` parts."""
 
     token: Optional[Hashable]
+    previous_step2: Optional[PlanParts]
+    previous_residual: Optional[PlanParts]
+    queries: Container[Query]
+    step2: Optional[PlanParts]
+    residual: Optional[PlanParts]
 
     def recurs(self, group: Sequence[Query]) -> bool: ...
 
@@ -85,7 +152,15 @@ class Step3Lookup(Protocol):
 
     def put(self, key: Hashable, outcome: Step3Outcome) -> None: ...
 
-    def get_group(self, key: Optional[Hashable]) -> Optional[GroupOutcome]: ...
+    def get_group(self, key: Optional[Hashable]) -> Optional[GroupRecord]: ...
+
+    def release(self, records: Iterable[GroupRecord]) -> None: ...
+
+    def carried_group(self) -> None: ...
+
+    def carried_component(self) -> None: ...
+
+    def put_component(self, label: Optional[int], record: ComponentRecord) -> None: ...
 
 
 class PendingGroup:
@@ -94,6 +169,8 @@ class PendingGroup:
 
     __slots__ = (
         "key",
+        "scope",
+        "label",
         "size",
         "forced",
         "removed_step3",
@@ -104,8 +181,11 @@ class PendingGroup:
         "step3",
     )
 
-    def __init__(self, key: Hashable, size: int):
+    def __init__(self, key: Hashable, scope: Tuple[str, ...], label: int, size: int):
         self.key = key
+        self.scope = scope
+        #: The group's label in the plan's step-2 partition.
+        self.label = label
         self.size = size
         self.forced: List[Classifier] = []
         self.removed_step3 = 0
@@ -116,8 +196,12 @@ class PendingGroup:
         self.components: List[Tuple[int, Query]] = []
         self.step3: List[Tuple[Hashable, Step3Outcome]] = []
 
+    def record(self, solved: Sequence[object]) -> GroupRecord:
+        """The memo record, given each component's solved outcome."""
+        return GroupRecord(self.key, self.scope, self.outcome(solved))
+
     def outcome(self, solved: Sequence[object]) -> GroupOutcome:
-        """The memo entry, given each component's solved outcome."""
+        """The group's outcome, given each component's solved outcome."""
         return GroupOutcome(
             tuple(self.forced),
             (
@@ -162,8 +246,10 @@ class PreprocessResult:
     ``components`` are the residual components still to be solved and
     ``indices`` their positions in the plan's component order.  With a
     plan memo, ``replayed`` holds ``(position, stored outcome)`` for the
-    components of the step-2 groups replayed whole, and
-    ``pending_groups`` the keyed groups preprocessed afresh.
+    components of the step-2 groups replayed whole and for the residual
+    components carried over, ``pending_groups`` the keyed groups
+    preprocessed afresh, and ``labels`` each component's label in the
+    plan's residual partition (``None`` without one).
     """
 
     def __init__(
@@ -176,6 +262,7 @@ class PreprocessResult:
         indices: Optional[List[int]] = None,
         replayed: Sequence[Tuple[int, object]] = (),
         pending_groups: Sequence[PendingGroup] = (),
+        labels: Optional[List[Optional[int]]] = None,
     ):
         self.instance = instance
         self.forced = forced
@@ -185,6 +272,7 @@ class PreprocessResult:
         self.indices = list(range(len(components))) if indices is None else indices
         self.replayed = list(replayed)
         self.pending_groups = list(pending_groups)
+        self.labels = [None] * len(components) if labels is None else labels
         # Canonical accumulation: float addition is order-sensitive, and
         # ``forced`` is a set — summing in hash order would make the
         # reported base cost depend on the interpreter's hash seed.
@@ -265,10 +353,20 @@ def preprocess(
     report.queries_covered_step1 = instance.n - len(uncovered)
 
     # ------------------------------------------------------------------
-    # Step 2: decomposition into property-disjoint components.
+    # Step 2: decomposition into property-disjoint components.  With a
+    # plan memo, the partition carries over the previous plan's groups
+    # that this plan's delta does not reach (docs/algorithms.md §2).
     # ------------------------------------------------------------------
+    before = memo.previous_step2 if memo is not None else None
+    parts: Optional[Partition] = None
     if 2 in step_set:
-        groups = partition_queries(uncovered) if uncovered else []
+        if memo is None:
+            groups = partition_queries(uncovered) if uncovered else []
+        else:
+            parts = partition_queries(
+                uncovered, previous=before.partition if before else NO_PARTITION
+            )
+            groups = parts.groups
     else:
         groups = [list(uncovered)] if uncovered else []
     report.num_components = len(groups)
@@ -276,28 +374,61 @@ def preprocess(
     # Properties whose singleton step 1 selected: weight 0 from now on.
     free = {next(iter(clf)) for clf in step1_forced if len(clf) == 1}
 
-    # A step-2 group the previous plan stored is replayed whole; the
-    # rest go through steps 3 and 4 (docs/algorithms.md §2).
+    # A step-2 group the previous plan stored is replayed whole: carried
+    # over when the partition carried it and nothing it was keyed on
+    # moved, else found by key.  The rest go through steps 3 and 4.
     token = memo.token if memo is not None else None
     engine = (tuple(sorted(step_set)), token)
     replayed: List[Tuple[Query, object]] = []
     fresh: List[List[Query]] = []
     pending_groups: List[PendingGroup] = []
     owner: Dict[Query, PendingGroup] = {}
-    for group in groups:
-        if token is not None:
-            key = None
-            if memo.recurs(group):
-                key = _group_key(instance, group, free, engine)
-            outcome = memo.get_group(key)
-            if outcome is not None:
-                _replay_group(outcome, forced, report)
-                replayed.extend(outcome.components)
+    records: Dict[int, object] = {}
+    previous: Dict[int, object] = {}
+    carry = False
+    freed: Set[Optional[int]] = set()
+    if memo is not None:
+        memo.queries = parts.position if parts is not None else set(uncovered)
+    if parts is not None:
+        memo.step2 = PlanParts(parts, engine, free, records)
+        if before is not None:
+            previous = before.records
+            carry = token is not None and before.engine == engine
+            if carry:
+                memo.release(previous[label] for label in parts.dropped if label in previous)
+                # A group holding a property that turned free or stopped
+                # being free has another key now.
+                freed = {parts.label_of(prop) for prop in sorted(free ^ before.free)}
+            else:
+                memo.release(previous.values())
+    # Whole groups are memoised by their label in the partition.
+    whole = token is not None and parts is not None
+    for i, group in enumerate(groups):
+        if whole:
+            label = parts.labels[i]
+            record = previous.get(label) if carry and parts.carried[i] else None
+            if record is not None:
+                if label in freed or (
+                    instance.cost_content_token(record.scope) != record.key[0][2]
+                ):
+                    memo.release((record,))
+                    record = None
+                else:
+                    memo.carried_group()
+            if record is None:
+                key = scope = None
+                if memo.recurs(group):
+                    key, scope = _group_key(instance, group, free, engine)
+                record = memo.get_group(key)
+            if record is not None:
+                _replay_group(record.outcome, forced, report)
+                replayed.extend(record.outcome.components)
+                records[label] = record
                 continue
             if key is not None:
-                record = PendingGroup(key, len(group))
-                pending_groups.append(record)
-                owner.update(dict.fromkeys(group, record))
+                pending_group = PendingGroup(key, scope, label, len(group))
+                pending_groups.append(pending_group)
+                owner.update(dict.fromkeys(group, pending_group))
         fresh.append(group)
     pending = uncovered if len(fresh) == len(groups) else [q for g in fresh for q in g]
 
@@ -363,40 +494,73 @@ def preprocess(
         )
     report.queries_covered_step34 += len(pending) - len(final_uncovered)
 
-    residual_groups = (
-        partition_queries(final_uncovered) if 2 in step_set else (
-            [final_uncovered] if final_uncovered else []
-        )
+    # A residual component the previous plan solved cleanly is carried
+    # over when the partition carried it and the overlay prices its
+    # properties as it did then; the rest are built and solved (or
+    # served by the cache).
+    rbefore = memo.previous_residual if memo is not None else None
+    rparts: Optional[Partition] = None
+    if 2 in step_set:
+        if memo is None:
+            residual_groups = partition_queries(final_uncovered)
+        else:
+            rparts = partition_queries(
+                final_uncovered, previous=rbefore.partition if rbefore else NO_PARTITION
+            )
+            residual_groups = rparts.groups
+            memo.residual = PlanParts(rparts, engine, set(), {})
+    else:
+        residual_groups = [final_uncovered] if final_uncovered else []
+    rcarry = (
+        rparts is not None and token is not None
+        and rbefore is not None and rbefore.engine == engine
     )
-    slots: List[Tuple[Query, Optional[List[Query]], object]] = [
-        (group[0], group, None) for group in residual_groups
+    slots: List[Tuple[Query, Optional[List[Query]], object, int]] = [
+        (group[0], group, None, j) for j, group in enumerate(residual_groups)
     ]
     if len(fresh) < len(groups):
         # Components keep the order of their first queries in the load.
-        position = {q: i for i, q in enumerate(uncovered)}
-        slots.extend((first, None, stored) for first, stored in replayed)
+        position = parts.position if parts is not None else {
+            q: i for i, q in enumerate(uncovered)
+        }
+        slots.extend((first, None, stored, -1) for first, stored in replayed)
         slots.sort(key=lambda slot: position[slot[0]])
 
     components: List[MC3Instance] = []
     indices: List[int] = []
+    labels: List[Optional[int]] = []
     replays: List[Tuple[int, object]] = []
-    for index, (first, part, stored) in enumerate(slots):
+    for index, (first, part, stored, j) in enumerate(slots):
         if part is None:
             replays.append((index, stored))
             continue
-        components.append(
-            MC3Instance(
-                part,
-                overlay,
-                max_classifier_length=instance.max_classifier_length,
-                name=f"{instance.name}#c{index}" if instance.name else f"component{index}",
-            )
-        )
-        indices.append(index)
-        record = owner.get(first) if owner else None
+        label = rparts.labels[j] if rparts is not None else None
+        record = rbefore.records.get(label) if rcarry and rparts.carried[j] else None
         if record is not None:
-            record.components.append((index, first))
-            record.residual += len(part)
+            record = record.priced()
+        if record is not None and record.pricing is not None and (
+            component_pricing(overlay, record.scope) == record.pricing
+        ):
+            memo.carried_component()
+            memo.put_component(label, record)
+            replays.append((index, record.outcome))
+        else:
+            components.append(
+                MC3Instance(
+                    part,
+                    overlay,
+                    max_classifier_length=instance.max_classifier_length,
+                    name=(
+                        f"{instance.name}#c{index}" if instance.name else f"component{index}"
+                    ),
+                )
+            )
+            indices.append(index)
+            labels.append(label)
+        pending_group = owner.get(first) if owner else None
+        if pending_group is not None:
+            pending_group.components.append((index, first))
+            pending_group.residual += len(part)
 
     report.elapsed_seconds = time.perf_counter() - started
     return PreprocessResult(
@@ -408,6 +572,7 @@ def preprocess(
         indices=indices,
         replayed=replays,
         pending_groups=pending_groups,
+        labels=labels,
     )
 
 
@@ -486,33 +651,41 @@ def _step3_key(
     before, from those same inputs, and no other sub-group prices a
     classifier inside this scope.
     """
+    return _scoped_key(instance, group, free)[0]
+
+
+def _scoped_key(
+    instance: MC3Instance, group: List[Query], free: Set[str]
+) -> Tuple[Optional[Hashable], Tuple[str, ...]]:
+    """:func:`_step3_key` and the sorted properties it is scoped to."""
     props = set().union(*group)
-    token = instance.cost_content_token(sorted(props))
+    scope = tuple(sorted(props))
+    token = instance.cost_content_token(scope)
     if token is None:
-        return None
-    return (
-        tuple(group),
-        instance.max_classifier_length,
-        token,
-        tuple(sorted(props & free)),
-    )
+        return None, scope
+    key = (tuple(group), instance.max_classifier_length, token, tuple(sorted(props & free)))
+    return key, scope
 
 
 def _group_key(
     instance: MC3Instance, group: List[Query], free: Set[str], engine: Hashable
-) -> Optional[Hashable]:
-    """The memo key of a step-2 group, or ``None`` when its pricing has
-    no content token.
+) -> Tuple[Optional[Hashable], Tuple[str, ...]]:
+    """The memo key of a step-2 group (``None`` when its pricing has no
+    content token) and the sorted properties it is scoped to.
 
     On top of what :func:`_step3_key` pins for the group's queries, it
     pins ``engine``: the steps that run, the solver's cache token, the
     routes and the primary rung, everything a component fingerprint
     pins beyond content.  Steps 3 and 4 and the residual components
     read prices inside the group's properties only, and no other group
-    writes there.
+    writes there.  A group the partition carries over has the same
+    queries in the same order, so its key moves only with the token
+    over its scope (``key[0][2]``, the length cap included), with the
+    free properties in scope, or with ``engine``: exactly what a carried
+    replay checks.
     """
-    content = _step3_key(instance, group, free)
-    return None if content is None else (content, engine)
+    content, scope = _scoped_key(instance, group, free)
+    return (None if content is None else (content, engine)), scope
 
 
 def _may_have_zero_weights(instance: MC3Instance) -> bool:

@@ -14,7 +14,7 @@ the builder enforces this.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.costs import CostModel
 from repro.core.properties import Classifier, Query, classifier_sort_key

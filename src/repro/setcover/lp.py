@@ -15,7 +15,8 @@ variables are inflated by at most ``f``, giving ``f · OPT_LP ≤ f · OPT``
 Every relaxation in the package — this module's and the node LPs of
 :func:`repro.setcover.exact_wsc` — goes through :class:`LPRelaxation`,
 which calls HiGHS through SciPy's bindings (``scipy.optimize._highspy.
-_core``) directly.  It hands a fresh ``_Highs`` object the model that
+_core``) directly.  It hands a ``_Highs`` object (one per thread,
+cleared before each solve) the model that
 ``linprog(method="highs")`` passed: costs ``c``, column bounds
 ``[0, 1]``, rows ``−inf ≤ −A·x ≤ −1``, with ``A`` in CSC form straight
 from :meth:`WSCInstance.member_arrays` (sorted and de-duplicated, so the
@@ -47,6 +48,7 @@ should prefer the LP-free primal–dual algorithm in
 from __future__ import annotations
 
 import math
+import threading
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -64,6 +66,23 @@ DEFAULT_SIZE_LIMIT = 2_000_000
 #: The options every solve passes: HiGHS's defaults, silenced.
 _OPTIONS = highs.HighsOptions()
 _OPTIONS.log_to_console = False
+
+#: One HiGHS handle per thread, cleared before each model: building a
+#: handle costs more than the small LPs most components solve.
+_HANDLES = threading.local()
+
+
+def _handle() -> "highs._Highs":
+    """This thread's HiGHS handle, with no model and no solver state."""
+    solver = getattr(_HANDLES, "solver", None)
+    if solver is None:
+        solver = _HANDLES.solver = highs._Highs()
+        solver.passOptions(_OPTIONS)
+    else:
+        solver.clearModel()
+        solver.clearSolver()
+    return solver
+
 
 #: Model statuses that prove a relaxation has no feasible point.  Its
 #: columns are boxed in ``[0, 1]``, so "unbounded or infeasible" can
@@ -119,8 +138,7 @@ class LPRelaxation:
         shape = (model.num_col_,)
         model.col_lower_ = np.broadcast_to(lower, shape).astype(np.float64)
         model.col_upper_ = np.broadcast_to(upper, shape).astype(np.float64)
-        solver = highs._Highs()
-        solver.passOptions(_OPTIONS)
+        solver = _handle()
         ran = (
             solver.passModel(model) != highs.HighsStatus.kError
             and solver.run() != highs.HighsStatus.kError

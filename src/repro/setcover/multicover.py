@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import InvalidInstanceError, SolverError, UncoverableQueryError

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.costs import OverlayCost
 from repro.core.instance import MC3Instance

@@ -19,7 +19,7 @@ load order and candidate enumeration is the instance's deterministic
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.instance import MC3Instance
 from repro.core.mincover import min_cover

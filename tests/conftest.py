@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import pytest
 

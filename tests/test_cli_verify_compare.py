@@ -1,7 +1,5 @@
 """Tests for the ``mc3 verify`` and ``mc3 compare`` commands."""
 
-import json
-
 import pytest
 
 from repro.cli import main as mc3_main

@@ -5,8 +5,6 @@ tail was made to grow with the log; these tests pin that behaviour so
 it cannot regress silently.
 """
 
-import pytest
-
 from repro.datasets import private_like, private_like_category
 from repro.datasets.private import tail_size_for
 

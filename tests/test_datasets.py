@@ -1,7 +1,6 @@
 """Tests for the dataset generators: published marginals, determinism,
 validity."""
 
-import math
 from collections import Counter
 
 import pytest

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.catalog import SearchEngine, catalog_for_load
-from repro.core import MC3Instance, UniformCost
 from repro.exceptions import DatasetError
 from repro.experiments import budget_recall_curve
 from tests.conftest import random_instance

@@ -20,7 +20,6 @@ from repro.experiments import (
     table_1,
     wsc_methods,
 )
-from repro.datasets import bestbuy_like
 from repro.engine.cache import CacheConfig, set_default_cache
 from repro.experiments.report import cache_hit_table
 from tests.conftest import random_instance

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MC3Instance, TableCost, UniformCost
+from repro.core import MC3Instance, UniformCost
 from repro.extensions import (
     AttributeSchema,
     approximation_guarantee,

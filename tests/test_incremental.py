@@ -13,7 +13,6 @@ from repro.core import TableCost, UniformCost
 from repro.core.costs import HashCost
 from repro.exceptions import InvalidInstanceError, UncoverableQueryError
 from repro.extensions import IncrementalPlanner
-from repro.solvers import ExactSolver
 from tests.conftest import random_instance
 
 

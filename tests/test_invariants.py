@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import CoverageChecker, MC3Instance, TableCost, UniformCost
+from repro.core import CoverageChecker, MC3Instance, TableCost
 from repro.core.properties import classifier_sort_key
 from repro.engine.cache import MemorySolutionCache
 from repro.extensions import instance_guarantee

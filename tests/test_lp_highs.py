@@ -15,8 +15,9 @@ and frequencies up to 5.
 import ast
 import math
 import pathlib
+import threading
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize._highspy import _core as highs
 
 import repro
 from repro.reductions import mc3_to_wsc
@@ -34,7 +36,8 @@ from repro.setcover import (
     lp_relaxation,
     lp_rounding_wsc,
 )
-from repro.setcover.lp import DUAL_SCALE, dual_bound
+from repro.setcover import lp as lp_module
+from repro.setcover.lp import DUAL_SCALE, LPRelaxation, dual_bound
 from tests.strategies import mc3_instances
 from tests.test_setcover import build
 
@@ -279,3 +282,72 @@ def test_no_module_reaches_linprog():
             if imported or (isinstance(node, ast.Attribute) and node.attr == "linprog"):
                 offenders.append(str(path.relative_to(root)))
     assert offenders == []
+
+
+def fresh_handle():
+    """A new HiGHS handle per solve, as :class:`LPRelaxation` once made."""
+    solver = highs._Highs()
+    solver.passOptions(lp_module._OPTIONS)
+    return solver
+
+
+def lp_answer(result) -> Tuple[object, ...]:
+    """The bytes of everything a relaxation solve returns."""
+    if not result.success:
+        return (False, result.status)
+    return (True, result.x.tobytes(), result.duals.tobytes(), float(result.fun).hex())
+
+
+def recorded_solves(instance: WSCInstance, handle) -> Tuple[object, List[object]]:
+    """``exact_wsc``'s answer and every node LP's answer, in order."""
+    answers: List[object] = []
+    solve = LPRelaxation.solve
+
+    def recording(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        answers.append(lp_answer(result))
+        return result
+
+    with mock.patch("repro.setcover.lp._handle", handle), mock.patch.object(
+        LPRelaxation, "solve", recording
+    ):
+        solution = exact_wsc(instance)
+    return (solution.set_ids, solution.cost.hex(), solution.lower_bound.hex()), answers
+
+
+class TestReusedHandle:
+    """Each thread reuses one HiGHS handle, cleared before each model."""
+
+    def test_a_b_a_on_one_handle_gives_the_fresh_bytes(self):
+        a, b = LPRelaxation(ODD_CYCLE), LPRelaxation(FIVE_FOLD)
+        fixed = np.zeros(ODD_CYCLE.num_sets)
+        fixed[0] = 1.0
+        infeasible = np.zeros(FIVE_FOLD.num_sets)
+        runs = [
+            (a, 0.0, 1.0), (b, 0.0, 1.0), (a, fixed, 1.0),
+            (b, 0.0, infeasible), (a, 0.0, 1.0),
+        ]
+        with mock.patch("repro.setcover.lp._handle", fresh_handle):
+            expected = [lp_answer(lp.solve(lo, hi)) for lp, lo, hi in runs]
+        lp_module._HANDLES.__dict__.clear()
+        first = lp_module._handle()
+        answers = [lp_answer(lp.solve(lo, hi)) for lp, lo, hi in runs]
+        assert lp_module._handle() is first
+        assert answers == expected
+        assert expected[3][0] is False and expected[0] == expected[4]
+
+    @given(degenerate_wsc())
+    @settings(max_examples=40, deadline=None)
+    @example(ODD_CYCLE)
+    @example(FIVE_FOLD)
+    def test_exact_node_lps_unchanged(self, instance):
+        fresh = recorded_solves(instance, fresh_handle)
+        reused = recorded_solves(instance, lp_module._handle)
+        assert reused == fresh
+
+    def test_each_thread_has_its_own_handle(self):
+        handles = []
+        worker = threading.Thread(target=lambda: handles.append(lp_module._handle()))
+        worker.start()
+        worker.join()
+        assert handles[0] is not lp_module._handle()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MC3Instance, TableCost
+from repro.core import MC3Instance
 from repro.core.mincover import enumerate_covers, min_cover, min_cover_from_model
 from repro.core.properties import iter_nonempty_subsets
 from repro.exceptions import UncoverableQueryError

@@ -1,12 +1,10 @@
 """Edge-case tests for small utility paths across the package."""
 
-import math
-
 import pytest
 
 from repro.core import MC3Instance, TableCost, UniformCost, materialize_cost
 from repro.core.costs import HashCost
-from repro.exceptions import DatasetError, SolverError
+from repro.exceptions import DatasetError
 from repro.experiments.report import _fmt, render_table
 from repro.experiments.runner import time_solver
 from repro.preprocess.pipeline import _may_have_zero_weights

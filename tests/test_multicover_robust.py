@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MC3Instance, UniformCost
+from repro.core import MC3Instance
 from repro.exceptions import InvalidInstanceError, SolverError, UncoverableQueryError
 from repro.setcover import (
     WSCInstance,

@@ -1,13 +1,11 @@
 """Tests for the budgeted partial-cover extension (the paper's declared
 future work)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MC3Instance, UniformCost
+from repro.core import MC3Instance
 from repro.exceptions import InvalidInstanceError
 from repro.extensions import (
     classifier_greedy_partial_cover,

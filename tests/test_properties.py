@@ -1,6 +1,5 @@
 """Unit and property-based tests for repro.core.properties."""
 
-import math
 from itertools import combinations
 
 import pytest

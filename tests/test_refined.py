@@ -1,6 +1,5 @@
 """Tests for the remove-and-repair refinement solver."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.core import load_instance, load_solution
 from repro.datasets import instance_from_files
 from repro.solvers import make_solver

@@ -25,8 +25,6 @@ from __future__ import annotations
 import asyncio
 import os
 import queue
-import signal
-import subprocess
 import sys
 import threading
 import time
@@ -37,7 +35,6 @@ import pytest
 import repro.engine.cache as engine_cache
 import repro.engine.engine as engine_module
 from repro.core import TableCost, UniformCost
-from repro.core.costs import HashCost
 from repro.devtools.chaos import (
     SERVICE_CHAOS_MODES,
     SERVICE_SEAMS,

@@ -3,10 +3,8 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import MC3Instance, TableCost, UniformCost
+from repro.core import MC3Instance
 from repro.exceptions import InvalidInstanceError
 from repro.extensions import SharedLabelingCost, shared_cost_local_search
 from repro.solvers import GeneralSolver

@@ -1,6 +1,5 @@
 """Tests for Solution/SolverResult and JSON/CSV (de)serialisation."""
 
-import json
 import math
 
 import pytest

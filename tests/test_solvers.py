@@ -1,13 +1,11 @@
 """Tests for every MC³ solver: correctness against the exact oracle and
 the brute-force oracle, approximation guarantees, baselines, registry."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MC3Instance, TableCost, UniformCost
+from repro.core import MC3Instance, UniformCost
 from repro.exceptions import (
     InfeasibleSolutionError,
     ReductionError,

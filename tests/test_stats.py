@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import InstanceStats, MC3Instance, TableCost, UniformCost
+from repro.core import InstanceStats, MC3Instance, UniformCost
 
 
 @pytest.fixture

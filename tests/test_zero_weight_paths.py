@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MC3Instance, TableCost, ZeroedCost, UniformCost
+from repro.core import MC3Instance, TableCost, ZeroedCost
 from repro.flow import FlowNetwork, dinic
 from repro.reductions import mc3_to_bipartite_wvc, solve_bipartite_wvc
 from repro.solvers import ExactSolver, GeneralSolver, K2Solver
