@@ -55,11 +55,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
-    Container,
     Dict,
     FrozenSet,
     Hashable,
-    Iterable,
     List,
     Optional,
     Protocol,
@@ -72,9 +70,8 @@ from repro.core.properties import Classifier, Query, classifier_sort_key
 from repro.exceptions import SolverError
 from repro.preprocess.pipeline import (
     ComponentRecord,
-    GroupOutcome,
     GroupRecord,
-    PlanParts,
+    PlanRecords,
     Step3Outcome,
 )
 
@@ -233,48 +230,34 @@ class _StatCounters:
 class Step3Memo:
     """The plan memo: what the most recent plan decided, kept for the next.
 
-    It holds three things (docs/algorithms.md §2).  The plan's step-2
-    partition, with a :class:`~repro.preprocess.pipeline.GroupRecord`
-    per group it stored: the group's whole outcome, solved components
-    included, under a key (built by
-    :func:`repro.preprocess.pipeline.preprocess`) that pins everything
-    preprocessing and the engine read for it.  The plan's residual
-    partition of the groups it preprocessed afresh, with a
-    :class:`~repro.preprocess.pipeline.ComponentRecord` per component
-    the engine served from the cache or solved cleanly.  And the
-    step-3 outcome of each free-property sub-group the plan pruned or
-    replayed outside a stored group.  A part the next plan's partition
-    carries over replays after the checks its key would make; any other
-    part is looked up by key, and a hit replays exactly what a fresh
-    run would decide.  Each plan works through its own
-    :class:`Step3MemoRun` and, once its components are solved, leaves
-    behind only its own parts and entries: the memo never holds more
-    than one plan, so it needs no budget of its own.  ``len()`` counts
-    sub-group entries outside stored groups.  It lives in the parent
-    process only; workers never see it.  It takes no lock: a key and a
-    carried part's checks pin everything an outcome depends on, so
-    plans that overlap in time can only miss more, never replay a
-    wrong outcome.
+    It holds three granularities (docs/algorithms.md §2), the first two
+    filed under their first query.  A *step-2 group* record
+    (:class:`~repro.preprocess.pipeline.GroupRecord`) is the group's
+    whole outcome, solved components included, with what it was derived
+    from; a *component* record
+    (:class:`~repro.preprocess.pipeline.ComponentRecord`) is a residual
+    component the engine served from the cache or solved cleanly; a
+    *sub-group* entry is the step-3 outcome of one free-property
+    sub-group, under a key that pins what the pruner read.  A record is
+    carried over only when the next plan holds a part with the same
+    queries in the same order and nothing else its outcome was derived
+    from has moved, and a hit replays exactly what a fresh run would
+    decide.  Each plan works through its own :class:`Step3MemoRun` and,
+    once its components are solved, leaves behind only the records and
+    entries it made or used and the queries it saw: the memo never
+    holds more than one plan, so it needs no budget of its own.
+    ``len()`` counts sub-group entries.  It lives in the parent process
+    only; workers never see it.  It takes no lock: a record's checks
+    and a key pin everything an outcome depends on, so plans that
+    overlap in time can only miss more, never replay a wrong outcome.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Hashable, Step3Outcome] = {}
-        self._step2: Optional[PlanParts] = None
-        self._residual: Optional[PlanParts] = None
-        self._queries: Container[Query] = ()
+        self._plan: Optional[PlanRecords] = None
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def _groups(self) -> Dict[Hashable, GroupOutcome]:
-        """The stored group outcomes by key (built on demand, for
-        inspection; plans find them through the partition)."""
-        if self._step2 is None:
-            return {}
-        records = self._step2.records
-        # An inspection view, never key material: labels are ints.
-        return {records[label].key: records[label].outcome for label in sorted(records)}
 
     def open(self, token: Optional[Hashable] = None) -> "Step3MemoRun":
         """A lookup view for one plan; :meth:`Step3MemoRun.commit` ends
@@ -284,86 +267,58 @@ class Step3Memo:
 
     def clear(self) -> int:
         removed = len(self._entries)
-        for parts in (self._step2, self._residual):
-            if parts is not None:
-                removed += len(parts.records)
+        if self._plan is not None:
+            removed += len(self._plan.groups) + len(self._plan.components)
         self._entries = {}
-        self._step2 = None
-        self._residual = None
-        self._queries = ()
+        self._plan = None
         return removed
 
 
 class Step3MemoRun:
     """One plan's view of a :class:`Step3Memo`.
 
-    Hands preprocessing the previous plan's parts, collects this plan's
-    parts and the sub-group entries it hits or stores, and counts hits,
-    misses and carried parts for telemetry.  A group whose first query
-    was not among the previous plan's uncovered queries is not keyed
-    at all (:meth:`recurs`): it cannot be one the previous plan stored,
-    and a load whose queries never recur, like the planner daemon's
-    requests, would pay for keys it never uses.  A carried group keeps
-    its sub-group entries inside its record; a previous group this
-    plan does not carry over is released (:meth:`release`), which
-    makes it and its sub-group entries reachable by key, so they still
+    Hands preprocessing the previous plan's records, collects this
+    plan's records (set up by preprocessing in :attr:`plan`) and the
+    sub-group entries it hits or stores, and counts hits, misses and
+    carried components for telemetry.  A group whose first query was
+    not among the previous plan's uncovered queries is neither stored
+    nor keyed (:meth:`recurs`): a load whose queries never recur, like
+    the planner daemon's requests, would pay for records it never uses.
+    A carried group keeps its sub-group entries alive, so they still
     serve the plan in which the group changes.
     """
 
     __slots__ = (
         "_memo",
         "token",
-        "previous_step2",
-        "previous_residual",
+        "previous",
+        "plan",
         "_previous",
-        "_previous_groups",
-        "_recurring",
         "_kept",
-        "queries",
-        "step2",
-        "residual",
         "hits",
         "misses",
         "group_hits",
         "group_misses",
-        "carried_groups",
         "carried_components",
     )
 
     def __init__(self, memo: Step3Memo, token: Optional[Hashable] = None):
         self._memo = memo
         self.token = token
-        self.previous_step2 = memo._step2
-        self.previous_residual = memo._residual
+        self.previous = memo._plan
+        self.plan: Optional[PlanRecords] = None
         self._previous = memo._entries
-        self._previous_groups: Dict[Hashable, GroupRecord] = {}
-        self._recurring = memo._queries
         self._kept: Dict[Hashable, Step3Outcome] = {}
-        #: Set by preprocessing: this plan's uncovered queries and parts.
-        self.queries: Container[Query] = ()
-        self.step2: Optional[PlanParts] = None
-        self.residual: Optional[PlanParts] = None
         self.hits = 0
         self.misses = 0
         self.group_hits = 0
         self.group_misses = 0
-        self.carried_groups = 0
         self.carried_components = 0
 
     def recurs(self, group: Sequence[Query]) -> bool:
         """Whether ``group``'s first query was uncovered in the previous
         plan."""
-        return group[0] in self._recurring
-
-    def release(self, records: Iterable[GroupRecord]) -> None:
-        """Make previous-plan group records this plan does not carry
-        over reachable by key, with their sub-group entries."""
-        for record in records:
-            self._previous_groups[record.key] = record
-            if record.outcome.step3:
-                if self._previous is self._memo._entries:
-                    self._previous = dict(self._previous)
-                self._previous.update(record.outcome.step3)
+        return self.previous is not None and group[0] in self.previous.queries
 
     def get(self, key: Optional[Hashable]) -> Optional[Step3Outcome]:
         """The stored sub-group outcome; the ``None`` key (a sub-group
@@ -379,41 +334,31 @@ class Step3MemoRun:
     def put(self, key: Hashable, outcome: Step3Outcome) -> None:
         self._kept[key] = outcome
 
-    def get_group(self, key: Optional[Hashable]) -> Optional[GroupRecord]:
-        """The released group record stored under ``key``; the ``None``
-        key always misses."""
-        record = self._previous_groups.get(key) if key is not None else None
-        if record is None:
-            self.group_misses += 1
-        else:
-            self.group_hits += 1
-        return record
-
-    def carried_group(self) -> None:
-        """Count a group replayed by carrying it over (a group hit)."""
+    def carry_group(self, record: GroupRecord) -> None:
+        """Keep a step-2 group carried over, with its sub-group entries
+        (a group hit)."""
         self.group_hits += 1
-        self.carried_groups += 1
+        self.plan.groups[record.queries[0]] = record
+        self._kept.update(record.outcome.step3)
 
-    def carried_component(self) -> None:
-        """Count a residual component replayed by carrying it over."""
+    def put_group(self, record: GroupRecord) -> None:
+        """Store a step-2 group this plan preprocessed."""
+        self.plan.groups[record.queries[0]] = record
+
+    def carry_component(self, record: ComponentRecord) -> None:
+        """Keep a residual component carried over (a component hit)."""
         self.carried_components += 1
+        self.plan.components[record.queries[0]] = record
 
-    def put_group(self, label: int, record: GroupRecord) -> None:
-        """Store a group this plan preprocessed, under its label."""
-        if self.step2 is not None:
-            self.step2.records[label] = record
-
-    def put_component(self, label: Optional[int], record: ComponentRecord) -> None:
-        """Keep a residual component's clean outcome, under its label."""
-        if self.residual is not None and label is not None:
-            self.residual.records[label] = record
+    def put_component(self, record: ComponentRecord) -> None:
+        """Keep a residual component this plan's engine solved cleanly
+        or served from the cache."""
+        self.plan.components[record.queries[0]] = record
 
     def commit(self) -> None:
-        """Make this plan's parts and entries the memo's whole content."""
+        """Make this plan's records and entries the memo's whole content."""
         self._memo._entries = self._kept
-        self._memo._step2 = self.step2
-        self._memo._residual = self.residual
-        self._memo._queries = self.queries
+        self._memo._plan = self.plan
 
 
 class MemorySolutionCache:
@@ -862,10 +807,10 @@ class CacheRunStats:
     ``details["engine"]["cache"]``; the backend's lifetime counters are
     attached as the ``store`` sub-dict.  ``step3_hits``/``step3_misses``
     and ``group_hits``/``group_misses`` count the run's
-    :class:`Step3Memo` lookups per sub-group and per step-2 group.
-    ``carried_groups`` counts the group hits that were carried over
-    without a key, and ``carried_components`` the component hits that
-    were carried over without a fingerprint or a store lookup."""
+    :class:`Step3Memo` lookups per sub-group and per step-2 group; every
+    group hit is a group carried over whole.  ``carried_components``
+    counts the component hits that were carried over without a
+    fingerprint or a store lookup (they are in ``hits`` too)."""
 
     __slots__ = (
         "kind",
@@ -880,7 +825,6 @@ class CacheRunStats:
         "step3_misses",
         "group_hits",
         "group_misses",
-        "carried_groups",
         "carried_components",
     )
 
@@ -897,7 +841,6 @@ class CacheRunStats:
         self.step3_misses = 0
         self.group_hits = 0
         self.group_misses = 0
-        self.carried_groups = 0
         self.carried_components = 0
 
     def as_dict(self, store: Optional[Dict[str, object]] = None) -> Dict[str, object]:
@@ -916,7 +859,6 @@ class CacheRunStats:
             "step3_misses": self.step3_misses,
             "group_hits": self.group_hits,
             "group_misses": self.group_misses,
-            "carried_groups": self.carried_groups,
             "carried_components": self.carried_components,
         }
         if store is not None:

@@ -56,7 +56,7 @@ from repro.engine.resilience import (
 from repro.engine.routing import Route
 from repro.engine.telemetry import EngineTelemetry
 from repro.preprocess import ALL_STEPS, preprocess
-from repro.preprocess.pipeline import ComponentRecord, PendingGroup, PreprocessResult
+from repro.preprocess.pipeline import ComponentRecord, PendingGroup
 
 # perfbench/spans.py times dispatch through this name as well.
 run_components_resilient = run_components
@@ -164,7 +164,6 @@ class SolveEngine:
                 cache_stats.step3_misses = memo.misses
                 cache_stats.group_hits = memo.group_hits
                 cache_stats.group_misses = memo.group_misses
-                cache_stats.carried_groups = memo.carried_groups
                 cache_stats.carried_components = memo.carried_components
                 cache_stats.hits = memo.carried_components
             hits, pending = self._cache_lookup(tasks, cache, cache_stats, fingerprints)
@@ -183,7 +182,7 @@ class SolveEngine:
         )
         if memo is not None:
             self._remember_groups(memo, prep.pending_groups, tasks, outcomes)
-            self._remember_components(memo, prep, tasks, hits + inserted)
+            self._remember_components(memo, tasks, hits + inserted)
             memo.commit()
         if cache_stats is not None:
             telemetry.cache = cache_stats.as_dict(cache.stats())
@@ -295,27 +294,24 @@ class SolveEngine:
                 )
                 for outcome in solved
             ):
-                memo.put_group(group.label, group.record(solved))
+                memo.put_group(group.record(solved))
 
     @staticmethod
     def _remember_components(
-        memo: Step3MemoRun,
-        prep: PreprocessResult,
-        tasks: List[ComponentTask],
-        clean: List[ComponentOutcome],
+        memo: Step3MemoRun, tasks: List[ComponentTask], clean: List[ComponentOutcome]
     ) -> None:
         """Keep each residual component the cache served or accepted,
         with the component it was solved as, for the next plan to carry
         over.  Only first-attempt answers of the primary rung are kept,
         as for the cache."""
-        if memo.residual is None or not clean:
+        if memo.token is None or memo.plan is None or not clean:
             return
         by_index = {outcome.index: outcome for outcome in clean}
-        for (index, target, component, _), label in zip(tasks, prep.labels):
+        for index, target, component, _ in tasks:
             outcome = by_index.get(index)
             if outcome is None or outcome.attempts != 1 or outcome.rung != target.name:
                 continue
-            memo.put_component(label, ComponentRecord(outcome, component))
+            memo.put_component(ComponentRecord(component, outcome))
 
     # ------------------------------------------------------------------
     # Content-addressed component-solution cache (see repro.engine.cache)

@@ -13,67 +13,18 @@ components are identical (a query's path connects exactly its
 properties), but the pass allocates no adjacency lists and does no
 string-keyed BFS, which matters on the 100k-query synthetic loads where
 decomposition runs before every solve.
-
-A re-plan over a slid window can hand the previous call's
-:class:`Partition` back as ``previous``: the parts the window's delta
-does not reach are carried over as they are, and only the other
-queries are union-found (docs/algorithms.md §2).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Container, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Container, Dict, List, Sequence
 
 from repro.core.properties import Query
 
 
-class Partition(NamedTuple):
-    """A partition kept so that the next call can carry its parts over.
-
-    ``groups`` are what :func:`partition_queries` returns without
-    ``previous``.  ``labels[i]`` names group ``i`` for as long as later
-    calls carry it over, and ``carried[i]`` says whether this call did.
-    ``dropped`` lists the labels of the previous partition's groups this
-    call did not carry, and ``position`` maps each query to its index in
-    the list.  :meth:`label_of` finds the group of a
-    property that is not ignored: ``owner`` holds the properties of the
-    carried groups, and ``forest`` (property → node, node → parent,
-    root → label) the union-find this call ran over the others.
-    """
-
-    ignore: Set[str]
-    groups: List[List[Query]]
-    labels: List[int]
-    carried: List[bool]
-    dropped: List[int]
-    position: Dict[Query, int]
-    owner: Dict[str, int]
-    forest: Tuple[Dict[str, int], List[int], Dict[int, int]]
-    next_label: int
-
-    def label_of(self, prop: str) -> Optional[int]:
-        """The label of the group holding ``prop``, if one does."""
-        label = self.owner.get(prop)
-        if label is None:
-            index, parent, roots = self.forest
-            node = index.get(prop)
-            if node is not None:
-                while parent[node] != node:
-                    node = parent[node]
-                label = roots[node]
-        return label
-
-
-#: The partition of nothing: pass it as ``previous`` to start a chain.
-NO_PARTITION = Partition(set(), [], [], [], [], {}, {}, ({}, [], {}), 0)
-
-
 def partition_queries(
-    queries: Sequence[Query],
-    ignore: Container[str] = (),
-    previous: Optional[Partition] = None,
-):
+    queries: Sequence[Query], ignore: Container[str] = ()
+) -> List[List[Query]]:
     """Partition queries into property-disjoint groups.
 
     Deterministic: groups are ordered by the first query that touches
@@ -84,32 +35,7 @@ def partition_queries(
     and may share ignored ones (preprocessing splits step 3 at its free
     properties this way, docs/algorithms.md §2).  A query whose every
     property is ignored forms a group of its own.
-
-    Without ``previous`` the result is the list of groups.  With it
-    (``NO_PARTITION`` or an earlier call's result; the queries must then
-    be distinct), the result is a :class:`Partition` whose ``groups``
-    are exactly those same groups, in the same order.  A previous group
-    is carried over, without being walked again, when every query of it
-    is still in the list, in the same relative order, and no query new
-    to the list shares a property with it that is not ignored: it is
-    then still a whole component, since the other previous groups never
-    shared one.  Under another ``ignore`` set nothing is carried.
     """
-    if previous is None:
-        return _union_find(queries, ignore)
-    return _repartition(queries, set(ignore), previous)
-
-
-def _union_find(queries: Iterable[Query], ignore: Container[str]) -> List[List[Query]]:
-    return list(_components(queries, ignore)[0].values())
-
-
-def _components(
-    queries: Iterable[Query], ignore: Container[str]
-) -> Tuple[Dict[int, List[Query]], Dict[str, int], List[int]]:
-    """Union-find over ``queries``: the groups by root, in first-query
-    order, and the forest (property → node, node → parent)."""
-    queries = list(queries)
     index: Dict[str, int] = {}
     parent: List[int] = []
     anchors: List[int] = []
@@ -145,70 +71,4 @@ def _components(
         if group is None:
             group = groups[root] = []
         group.append(q)
-    return groups, index, parent
-
-
-def _repartition(queries: Sequence[Query], ignore: Set[str], previous: Partition) -> Partition:
-    position = dict(zip(queries, range(len(queries))))
-    if len(position) < len(queries):
-        raise ValueError("carrying parts over needs distinct queries")
-    first = previous.next_label
-    dropped: List[int] = []
-    if ignore != previous.ignore:
-        # Parts under another ignore set are not parts here.
-        dropped = list(previous.labels)
-        previous = NO_PARTITION
-
-    # Queries new to the list: the parts they reach are not carried.
-    seen = previous.position
-    new = [q for q in queries if q not in seen]
-    label_of = previous.label_of
-    touched = {label_of(prop) for q in new for prop in q} if previous.groups else set()
-
-    kept: List[Tuple[int, List[Query], int, bool]] = []
-    owner = dict(previous.owner)
-    rest = new
-    for group, label, was_carried in zip(previous.groups, previous.labels, previous.carried):
-        if label not in touched:
-            last = -1
-            for q in group:
-                at = position.get(q, -1)
-                if at <= last:
-                    break
-                last = at
-            else:
-                kept.append((position[group[0]], group, label, True))
-                if not was_carried:
-                    # Its properties move from the old forest to owner.
-                    for q in group:
-                        for prop in q:
-                            if prop not in ignore:
-                                owner[prop] = label
-                continue
-        dropped.append(label)
-        rest.extend([q for q in group if q in position])
-        if was_carried:
-            for q in group:
-                for prop in q:
-                    owner.pop(prop, None)
-    if previous.groups:
-        rest.sort(key=position.__getitem__)
-    groups, index, parent = _components(rest, ignore)
-    roots = dict(zip(groups, range(first, first + len(groups))))
-    kept.extend(
-        (position[group[0]], group, roots[root], False) for root, group in groups.items()
-    )
-    # First positions are distinct, so the sort never compares groups.
-    kept.sort(key=itemgetter(0))
-    _, ordered, labels, carried = zip(*kept) if kept else ((), (), (), ())
-    return Partition(
-        ignore,
-        list(ordered),
-        list(labels),
-        list(carried),
-        dropped,
-        position,
-        owner,
-        (index, parent, roots),
-        first + len(groups),
-    )
+    return list(groups.values())

@@ -42,7 +42,7 @@ from repro.core.kernels.pyjit import DominatedPruner
 from repro.core.properties import Classifier, Query, canonical_sum
 from repro.core.solution import Solution
 from repro.exceptions import UncoverableQueryError
-from repro.preprocess.decompose import NO_PARTITION, Partition, partition_queries
+from repro.preprocess.decompose import partition_queries
 from repro.preprocess.k2_prune import prune_k2_singletons
 from repro.preprocess.report import PreprocessReport
 
@@ -72,35 +72,58 @@ class GroupOutcome(NamedTuple):
 
 
 class GroupRecord(NamedTuple):
-    """A step-2 group the plan memo stored: the key it was stored under
-    (see :func:`_group_key`), its sorted properties and its outcome."""
+    """A step-2 group the plan memo stored, filed under its first query:
+    its queries in order, their properties (``props``, sorted in
+    ``scope``), the token of the plan's pricing over the scope (the
+    length cap included) and the group's outcome.  With the plan's
+    steps, engine token and free properties, that is everything the
+    outcome was derived from (see :func:`_carries`)."""
 
-    key: Hashable
+    queries: List[Query]
+    props: FrozenSet[str]
     scope: Tuple[str, ...]
+    token: bytes
     outcome: GroupOutcome
 
 
-class ComponentRecord(NamedTuple):
-    """A residual component the plan memo kept: the clean outcome the
-    engine served from the cache or could insert into it, and how the
-    plan's overlay priced the component's sorted properties (``scope``,
-    :func:`component_pricing`).  A record is stored with the component
-    itself and priced only when a later plan first carries it
-    (:meth:`priced`), so a plan whose components never recur pays
-    nothing for it."""
+class ComponentRecord:
+    """A residual component the plan memo kept, filed under its first
+    query: the clean outcome the engine served from the cache or could
+    insert into it, and the component it was solved as.
 
-    outcome: object
-    component: Optional[MC3Instance]
-    scope: Tuple[str, ...] = ()
-    pricing: Optional[Tuple[bytes, Dict[Classifier, float]]] = None
+    Its pricing over the component's sorted properties (``scope``,
+    :func:`component_pricing`) is read only when a later plan first
+    tries to carry it, so a plan whose components never recur pays
+    nothing for it.  The base model's part of it is the token the
+    component's fingerprint read when it was solved
+    (:meth:`_InstanceCost.token_read`), not a fresh one: a caller's cost
+    model that changed in place since must not pass for the old one.
+    The overrides are the plan's own overlay's, which nothing edits
+    after its plan."""
 
-    def priced(self) -> "ComponentRecord":
-        """This record with its scope and pricing, the component dropped."""
-        if self.component is None:
-            return self
-        scope = tuple(sorted(self.component.properties))
-        return ComponentRecord(
-            self.outcome, None, scope, component_pricing(self.component.cost, scope)
+    __slots__ = ("queries", "outcome", "_component", "_scope", "_pricing")
+
+    def __init__(self, component: MC3Instance, outcome: object):
+        self.queries = component.queries
+        self.outcome = outcome
+        self._component: Optional[MC3Instance] = component
+        self._scope: Tuple[str, ...] = ()
+        self._pricing: Optional[Tuple[bytes, Dict[Classifier, float]]] = None
+
+    def carries(self, part: List[Query], overlay: OverlayCost) -> bool:
+        """Whether ``part``, priced by ``overlay``, is this component:
+        the same queries in the same order, priced the same in scope."""
+        if self.queries != tuple(part):
+            return False
+        component = self._component
+        if component is not None:
+            self._component = None
+            self._scope = scope = tuple(sorted(component.properties))
+            base = component.cost.base.token_read(scope)
+            if base is not None:
+                self._pricing = base, component.cost.overrides_in(scope)
+        return self._pricing is not None and (
+            component_pricing(overlay, self._scope) == self._pricing
         )
 
 
@@ -117,34 +140,35 @@ def component_pricing(
     return base, overlay.overrides_in(scope)
 
 
-class PlanParts(NamedTuple):
-    """One partition of a plan and what its parts came to, which the
-    next plan may carry over: ``records`` maps a part's label to its
-    :class:`GroupRecord` or :class:`ComponentRecord`, and every record
-    assumes the plan's ``engine`` (steps and engine token) and, for
-    step-2 groups, its step-1 ``free`` properties."""
+class PlanRecords(NamedTuple):
+    """What one plan leaves the next to carry over: its stored step-2
+    groups and its kept residual components, each by first query.
+    Every record assumes the plan's ``engine`` (steps and engine
+    token), and the groups its step-1 ``free`` properties; ``queries``
+    holds the plan's uncovered queries (see
+    :meth:`~repro.engine.cache.Step3MemoRun.recurs`)."""
 
-    partition: Partition
     engine: Hashable
     free: Set[str]
-    records: Dict[int, object]
+    queries: Container[Query]
+    groups: Dict[Query, GroupRecord]
+    components: Dict[Query, ComponentRecord]
 
 
 class Step3Lookup(Protocol):
     """What :func:`preprocess` needs of the plan memo: the previous
-    plan's parts, whether a group is worth a key, and lookups in which
-    the ``None`` key (an unkeyed group) always misses.  ``token`` pins
-    what the engine adds to a step-2 group's outcome (solver, routes,
-    rung); ``None`` turns the whole-group granularity off.  Preprocess
-    sets this plan's uncovered ``queries`` and its ``step2`` and
-    ``residual`` parts."""
+    plan's records, whether a group is worth a record or a key, and
+    sub-group lookups in which the ``None`` key (an unkeyed sub-group)
+    always misses.  ``token`` pins what the engine adds to a step-2
+    group's outcome (solver, routes, rung); ``None`` turns the
+    whole-group and component granularities off.  Preprocessing sets
+    ``plan``, this plan's records, and counts the step-2 groups it does
+    not carry over in ``group_misses``."""
 
     token: Optional[Hashable]
-    previous_step2: Optional[PlanParts]
-    previous_residual: Optional[PlanParts]
-    queries: Container[Query]
-    step2: Optional[PlanParts]
-    residual: Optional[PlanParts]
+    previous: Optional[PlanRecords]
+    plan: Optional[PlanRecords]
+    group_misses: int
 
     def recurs(self, group: Sequence[Query]) -> bool: ...
 
@@ -152,25 +176,21 @@ class Step3Lookup(Protocol):
 
     def put(self, key: Hashable, outcome: Step3Outcome) -> None: ...
 
-    def get_group(self, key: Optional[Hashable]) -> Optional[GroupRecord]: ...
+    def carry_group(self, record: GroupRecord) -> None: ...
 
-    def release(self, records: Iterable[GroupRecord]) -> None: ...
-
-    def carried_group(self) -> None: ...
-
-    def carried_component(self) -> None: ...
-
-    def put_component(self, label: Optional[int], record: ComponentRecord) -> None: ...
+    def carry_component(self, record: ComponentRecord) -> None: ...
 
 
 class PendingGroup:
-    """A keyed step-2 group this plan preprocessed, with its share of the
-    report; the engine stores it once its components are solved."""
+    """A step-2 group this plan preprocessed and may store, with its
+    share of the report; the engine stores it once its components are
+    solved."""
 
     __slots__ = (
-        "key",
+        "queries",
+        "props",
         "scope",
-        "label",
+        "token",
         "size",
         "forced",
         "removed_step3",
@@ -181,12 +201,14 @@ class PendingGroup:
         "step3",
     )
 
-    def __init__(self, key: Hashable, scope: Tuple[str, ...], label: int, size: int):
-        self.key = key
+    def __init__(
+        self, queries: List[Query], props: FrozenSet[str], scope: Tuple[str, ...], token: bytes
+    ):
+        self.queries = queries
+        self.props = props
         self.scope = scope
-        #: The group's label in the plan's step-2 partition.
-        self.label = label
-        self.size = size
+        self.token = token
+        self.size = len(queries)
         self.forced: List[Classifier] = []
         self.removed_step3 = 0
         self.forced_covers_step3 = 0
@@ -198,7 +220,9 @@ class PendingGroup:
 
     def record(self, solved: Sequence[object]) -> GroupRecord:
         """The memo record, given each component's solved outcome."""
-        return GroupRecord(self.key, self.scope, self.outcome(solved))
+        return GroupRecord(
+            self.queries, self.props, self.scope, self.token, self.outcome(solved)
+        )
 
     def outcome(self, solved: Sequence[object]) -> GroupOutcome:
         """The group's outcome, given each component's solved outcome."""
@@ -226,6 +250,7 @@ class _InstanceCost(CostModel):
     def __init__(self, instance: MC3Instance):
         self._instance = instance
         self._cache: Dict[Classifier, float] = {}
+        self._tokens: Dict[Tuple[str, ...], Optional[bytes]] = {}
 
     def cost(self, clf: Classifier) -> float:
         cached = self._cache.get(clf)
@@ -237,7 +262,15 @@ class _InstanceCost(CostModel):
     def content_token(self, scope):
         # Memoisation never changes pricing, so the adapter is exactly
         # as content-addressable as the instance it wraps.
-        return self._instance.cost_content_token(scope)
+        token = self._instance.cost_content_token(scope)
+        self._tokens[tuple(scope)] = token
+        return token
+
+    def token_read(self, scope: Tuple[str, ...]) -> Optional[bytes]:
+        """The token :meth:`content_token` last returned for ``scope``,
+        ``None`` if it was never asked: what the instance's pricing was
+        then, whatever it is now."""
+        return self._tokens.get(scope)
 
 
 class PreprocessResult:
@@ -246,10 +279,9 @@ class PreprocessResult:
     ``components`` are the residual components still to be solved and
     ``indices`` their positions in the plan's component order.  With a
     plan memo, ``replayed`` holds ``(position, stored outcome)`` for the
-    components of the step-2 groups replayed whole and for the residual
-    components carried over, ``pending_groups`` the keyed groups
-    preprocessed afresh, and ``labels`` each component's label in the
-    plan's residual partition (``None`` without one).
+    components of the step-2 groups carried over whole and for the
+    residual components carried over, and ``pending_groups`` the groups
+    preprocessed afresh that the memo may store.
     """
 
     def __init__(
@@ -262,7 +294,6 @@ class PreprocessResult:
         indices: Optional[List[int]] = None,
         replayed: Sequence[Tuple[int, object]] = (),
         pending_groups: Sequence[PendingGroup] = (),
-        labels: Optional[List[Optional[int]]] = None,
     ):
         self.instance = instance
         self.forced = forced
@@ -272,7 +303,6 @@ class PreprocessResult:
         self.indices = list(range(len(components))) if indices is None else indices
         self.replayed = list(replayed)
         self.pending_groups = list(pending_groups)
-        self.labels = [None] * len(components) if labels is None else labels
         # Canonical accumulation: float addition is order-sensitive, and
         # ``forced`` is a set — summing in hash order would make the
         # reported base cost depend on the interpreter's hash seed.
@@ -304,10 +334,11 @@ def preprocess(
     steps 1 and 2 both run, step 3 runs per free-property sub-group
     (docs/algorithms.md §2).  ``memo`` (a
     :class:`~repro.engine.cache.Step3MemoRun`) replays what the previous
-    plan stored: whole step-2 groups, with their solved components
-    (handed back in :attr:`PreprocessResult.replayed`), and the step-3
-    outcome of each sub-group of the groups it did not replay.  The
-    result is the same either way.
+    plan kept: whole step-2 groups, with their solved components, and
+    the residual components it solved cleanly (both handed back in
+    :attr:`PreprocessResult.replayed`), and the step-3 outcome of each
+    sub-group of the groups it did not replay.  The result is the same
+    either way.
     """
     started = time.perf_counter()
     step_set = set(steps)
@@ -353,20 +384,10 @@ def preprocess(
     report.queries_covered_step1 = instance.n - len(uncovered)
 
     # ------------------------------------------------------------------
-    # Step 2: decomposition into property-disjoint components.  With a
-    # plan memo, the partition carries over the previous plan's groups
-    # that this plan's delta does not reach (docs/algorithms.md §2).
+    # Step 2: decomposition into property-disjoint components.
     # ------------------------------------------------------------------
-    before = memo.previous_step2 if memo is not None else None
-    parts: Optional[Partition] = None
     if 2 in step_set:
-        if memo is None:
-            groups = partition_queries(uncovered) if uncovered else []
-        else:
-            parts = partition_queries(
-                uncovered, previous=before.partition if before else NO_PARTITION
-            )
-            groups = parts.groups
+        groups = partition_queries(uncovered) if uncovered else []
     else:
         groups = [list(uncovered)] if uncovered else []
     report.num_components = len(groups)
@@ -374,61 +395,42 @@ def preprocess(
     # Properties whose singleton step 1 selected: weight 0 from now on.
     free = {next(iter(clf)) for clf in step1_forced if len(clf) == 1}
 
-    # A step-2 group the previous plan stored is replayed whole: carried
-    # over when the partition carried it and nothing it was keyed on
-    # moved, else found by key.  The rest go through steps 3 and 4.
+    # A step-2 group the previous plan stored is carried over whole when
+    # nothing its outcome was derived from has moved (docs/algorithms.md
+    # §2); the rest go through steps 3 and 4.
     token = memo.token if memo is not None else None
     engine = (tuple(sorted(step_set)), token)
+    position: Dict[Query, int] = {}
+    previous: Optional[PlanRecords] = None
+    if memo is not None:
+        position = dict(zip(uncovered, range(len(uncovered))))
+        memo.plan = PlanRecords(engine, free, position, {}, {})
+        if token is not None and memo.previous is not None:
+            if memo.previous.engine == engine:
+                previous = memo.previous
+    # Properties that turned free or stopped being free since.
+    changed = free ^ previous.free if previous is not None else set()
     replayed: List[Tuple[Query, object]] = []
     fresh: List[List[Query]] = []
     pending_groups: List[PendingGroup] = []
     owner: Dict[Query, PendingGroup] = {}
-    records: Dict[int, object] = {}
-    previous: Dict[int, object] = {}
-    carry = False
-    freed: Set[Optional[int]] = set()
-    if memo is not None:
-        memo.queries = parts.position if parts is not None else set(uncovered)
-    if parts is not None:
-        memo.step2 = PlanParts(parts, engine, free, records)
-        if before is not None:
-            previous = before.records
-            carry = token is not None and before.engine == engine
-            if carry:
-                memo.release(previous[label] for label in parts.dropped if label in previous)
-                # A group holding a property that turned free or stopped
-                # being free has another key now.
-                freed = {parts.label_of(prop) for prop in sorted(free ^ before.free)}
-            else:
-                memo.release(previous.values())
-    # Whole groups are memoised by their label in the partition.
-    whole = token is not None and parts is not None
-    for i, group in enumerate(groups):
-        if whole:
-            label = parts.labels[i]
-            record = previous.get(label) if carry and parts.carried[i] else None
-            if record is not None:
-                if label in freed or (
-                    instance.cost_content_token(record.scope) != record.key[0][2]
-                ):
-                    memo.release((record,))
-                    record = None
-                else:
-                    memo.carried_group()
-            if record is None:
-                key = scope = None
-                if memo.recurs(group):
-                    key, scope = _group_key(instance, group, free, engine)
-                record = memo.get_group(key)
-            if record is not None:
+    for group in groups:
+        if token is not None:
+            record = previous.groups.get(group[0]) if previous is not None else None
+            if record is not None and _carries(record, group, changed, instance):
+                memo.carry_group(record)
                 _replay_group(record.outcome, forced, report)
                 replayed.extend(record.outcome.components)
-                records[label] = record
                 continue
-            if key is not None:
-                pending_group = PendingGroup(key, scope, label, len(group))
-                pending_groups.append(pending_group)
-                owner.update(dict.fromkeys(group, pending_group))
+            memo.group_misses += 1
+            if memo.recurs(group):
+                props = frozenset().union(*group)
+                scope = tuple(sorted(props))
+                scoped = instance.cost_content_token(scope)
+                if scoped is not None:
+                    pending_group = PendingGroup(group, props, scope, scoped)
+                    pending_groups.append(pending_group)
+                    owner.update(dict.fromkeys(group, pending_group))
         fresh.append(group)
     pending = uncovered if len(fresh) == len(groups) else [q for g in fresh for q in g]
 
@@ -494,56 +496,35 @@ def preprocess(
         )
     report.queries_covered_step34 += len(pending) - len(final_uncovered)
 
-    # A residual component the previous plan solved cleanly is carried
-    # over when the partition carried it and the overlay prices its
-    # properties as it did then; the rest are built and solved (or
-    # served by the cache).
-    rbefore = memo.previous_residual if memo is not None else None
-    rparts: Optional[Partition] = None
-    if 2 in step_set:
-        if memo is None:
-            residual_groups = partition_queries(final_uncovered)
-        else:
-            rparts = partition_queries(
-                final_uncovered, previous=rbefore.partition if rbefore else NO_PARTITION
-            )
-            residual_groups = rparts.groups
-            memo.residual = PlanParts(rparts, engine, set(), {})
-    else:
-        residual_groups = [final_uncovered] if final_uncovered else []
-    rcarry = (
-        rparts is not None and token is not None
-        and rbefore is not None and rbefore.engine == engine
+    residual_groups = (
+        partition_queries(final_uncovered) if 2 in step_set else (
+            [final_uncovered] if final_uncovered else []
+        )
     )
-    slots: List[Tuple[Query, Optional[List[Query]], object, int]] = [
-        (group[0], group, None, j) for j, group in enumerate(residual_groups)
+    slots: List[Tuple[Query, Optional[List[Query]], object]] = [
+        (group[0], group, None) for group in residual_groups
     ]
     if len(fresh) < len(groups):
         # Components keep the order of their first queries in the load.
-        position = parts.position if parts is not None else {
-            q: i for i, q in enumerate(uncovered)
-        }
-        slots.extend((first, None, stored, -1) for first, stored in replayed)
+        slots.extend((first, None, stored) for first, stored in replayed)
         slots.sort(key=lambda slot: position[slot[0]])
 
+    # A residual component the previous plan solved cleanly is carried
+    # over when it has the same queries in the same order and the
+    # overlay prices its properties as it did then; the rest are built
+    # and solved (or served by the cache).
+    kept = previous.components if previous is not None else {}
     components: List[MC3Instance] = []
     indices: List[int] = []
-    labels: List[Optional[int]] = []
     replays: List[Tuple[int, object]] = []
-    for index, (first, part, stored, j) in enumerate(slots):
+    for index, (first, part, stored) in enumerate(slots):
         if part is None:
             replays.append((index, stored))
             continue
-        label = rparts.labels[j] if rparts is not None else None
-        record = rbefore.records.get(label) if rcarry and rparts.carried[j] else None
-        if record is not None:
-            record = record.priced()
-        if record is not None and record.pricing is not None and (
-            component_pricing(overlay, record.scope) == record.pricing
-        ):
-            memo.carried_component()
-            memo.put_component(label, record)
-            replays.append((index, record.outcome))
+        carried = kept.get(first) if kept else None
+        if carried is not None and carried.carries(part, overlay):
+            memo.carry_component(carried)
+            replays.append((index, carried.outcome))
         else:
             components.append(
                 MC3Instance(
@@ -556,7 +537,6 @@ def preprocess(
                 )
             )
             indices.append(index)
-            labels.append(label)
         pending_group = owner.get(first) if owner else None
         if pending_group is not None:
             pending_group.components.append((index, first))
@@ -572,7 +552,6 @@ def preprocess(
         indices=indices,
         replayed=replays,
         pending_groups=pending_groups,
-        labels=labels,
     )
 
 
@@ -651,41 +630,38 @@ def _step3_key(
     before, from those same inputs, and no other sub-group prices a
     classifier inside this scope.
     """
-    return _scoped_key(instance, group, free)[0]
-
-
-def _scoped_key(
-    instance: MC3Instance, group: List[Query], free: Set[str]
-) -> Tuple[Optional[Hashable], Tuple[str, ...]]:
-    """:func:`_step3_key` and the sorted properties it is scoped to."""
     props = set().union(*group)
-    scope = tuple(sorted(props))
-    token = instance.cost_content_token(scope)
+    token = instance.cost_content_token(sorted(props))
     if token is None:
-        return None, scope
-    key = (tuple(group), instance.max_classifier_length, token, tuple(sorted(props & free)))
-    return key, scope
+        return None
+    return (
+        tuple(group),
+        instance.max_classifier_length,
+        token,
+        tuple(sorted(props & free)),
+    )
 
 
-def _group_key(
-    instance: MC3Instance, group: List[Query], free: Set[str], engine: Hashable
-) -> Tuple[Optional[Hashable], Tuple[str, ...]]:
-    """The memo key of a step-2 group (``None`` when its pricing has no
-    content token) and the sorted properties it is scoped to.
+def _carries(
+    record: GroupRecord, group: List[Query], changed: Set[str], instance: MC3Instance
+) -> bool:
+    """Whether a stored step-2 group stands for ``group`` in this plan.
 
-    On top of what :func:`_step3_key` pins for the group's queries, it
-    pins ``engine``: the steps that run, the solver's cache token, the
-    routes and the primary rung, everything a component fingerprint
-    pins beyond content.  Steps 3 and 4 and the residual components
-    read prices inside the group's properties only, and no other group
-    writes there.  A group the partition carries over has the same
-    queries in the same order, so its key moves only with the token
-    over its scope (``key[0][2]``, the length cap included), with the
-    free properties in scope, or with ``engine``: exactly what a carried
-    replay checks.
+    The caller has checked the steps and the engine token (the solver's
+    cache token, the routes and the primary rung: everything a component
+    fingerprint pins beyond content).  What is left is what
+    :func:`_step3_key` pins for the group's queries: the queries in
+    order, the pricing over their properties with the length cap, and
+    the free properties among them, unchanged when none of the
+    properties whose freedom ``changed`` is one of them.  Steps 3 and 4
+    and the residual components read prices inside the group's
+    properties only, and no other group writes there.
     """
-    content, scope = _scoped_key(instance, group, free)
-    return (None if content is None else (content, engine)), scope
+    return (
+        record.queries == group
+        and changed.isdisjoint(record.props)
+        and instance.cost_content_token(record.scope) == record.token
+    )
 
 
 def _may_have_zero_weights(instance: MC3Instance) -> bool:

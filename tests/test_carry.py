@@ -1,14 +1,15 @@
 """Drift re-plans carry the previous plan's untouched parts over.
 
-The plan memo keeps the last plan's step-2 partition with its stored
-groups and its residual partition with its clean components; a re-plan
-carries a part over when the partition carries it and nothing its key
-or fingerprint would pin has moved (docs/algorithms.md §2).  Whatever
+The plan memo keeps the last plan's stored step-2 groups and its clean
+residual components, each by first query; a re-plan carries a part
+over when it has the same queries in the same order and nothing its
+key or fingerprint would pin has moved (docs/algorithms.md §2).  Whatever
 is carried, every plan must equal a cache-off solve of its window:
 classifiers, cost bits, the engine's lower bound and
 ``details["preprocess"]`` without times — also when a length-1 query
 enters and leaves (its property turns free and back), when the cost
-model is swapped between two plans, and when a window is reordered.
+model is swapped between two plans or edited in place, and when a
+window is reordered.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ import math
 import random
 from typing import Dict, FrozenSet, List
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MC3Instance, TableCost
+from repro.core.costs import OverlayCost
 from repro.core.properties import iter_nonempty_subsets
 from repro.datasets import bestbuy_like
 from repro.engine.cache import MemorySolutionCache
+from repro.preprocess import preprocess
 from repro.solvers import make_solver
 
 NAMES = [f"p{i}" for i in range(9)]
@@ -118,9 +122,8 @@ class TestCarriedReplans:
             result = served.solve(instance)
             assert signature(result) == signature(plain.solve(instance))
             section = result.details["engine"]["cache"]
-            assert section["carried_groups"] <= section["group_hits"]
             assert section["carried_components"] <= section["hits"]
-            carried_groups += section["carried_groups"]
+            carried_groups += section["group_hits"]
             carried_components += section["carried_components"]
         assert carried_groups > 0 and carried_components > 0
 
@@ -144,3 +147,51 @@ def test_a_component_is_not_served_across_query_orders():
     served = make_solver("mc3-general", cache=MemorySolutionCache())
     served.solve(first)
     assert signature(served.solve(second)) == signature(plain.solve(second))
+
+
+@pytest.mark.parametrize("edit", ["select", "remove"])
+def test_a_cost_model_changed_in_place_is_not_carried_over(edit):
+    """A caller's :class:`OverlayCost` edited between two plans of the
+    same window: a component kept from the first plan must be priced as
+    it was solved, not as the model reads now."""
+    base = bestbuy_like(n=300, seed=4)
+    served_cost, plain_cost = OverlayCost(base.cost), OverlayCost(base.cost)
+    window = list(base.queries)[:200]
+    served = make_solver("mc3-general", cache=MemorySolutionCache())
+    plain = make_solver("mc3-general", cache="off")
+    first = served.solve(MC3Instance(window, served_cost))
+    assert signature(first) == signature(plain.solve(MC3Instance(window, plain_cost)))
+    # Edit classifiers the first plan's residual components chose.
+    prep = preprocess(MC3Instance(window, served_cost))
+    chosen = sorted(
+        (
+            clf
+            for clf in first.solution.classifiers - prep.forced
+            if any(clf <= component.properties for component in prep.components)
+        ),
+        key=sorted,
+    )
+    assert chosen
+    for cost in (served_cost, plain_cost):
+        for clf in chosen:
+            getattr(cost, edit)(clf)
+    for _ in range(2):
+        result = served.solve(MC3Instance(window, served_cost))
+        assert signature(result) == signature(plain.solve(MC3Instance(window, plain_cost)))
+
+
+def test_a_load_without_step_2_is_carried_as_one_part():
+    base = bestbuy_like(n=300, seed=2)
+    log = list(base.queries)
+    steps = (1, 3, 4)
+    served = make_solver("mc3-general", cache=MemorySolutionCache(), preprocess_steps=steps)
+    plain = make_solver("mc3-general", cache="off", preprocess_steps=steps)
+    windows = [MC3Instance(log[start : start + 200], base.cost) for start in (0, 0, 0, 20)]
+    sections = []
+    for instance in windows:
+        result = served.solve(instance)
+        assert signature(result) == signature(plain.solve(instance))
+        sections.append(result.details["engine"]["cache"])
+    # The second plan stores the one group, the third carries it over.
+    assert sections[2]["group_hits"] == 1 and sections[2]["group_misses"] == 0
+    assert sections[3]["group_hits"] == 0

@@ -183,10 +183,10 @@ class TestScope:
         solver = make_solver("mc3-general", cache=store)
         instance = window_log()[0]
         first = solver.solve(instance).details["engine"]["cache"]
-        assert first["group_hits"] == 0 and not store.step3_memo._groups
+        assert first["group_hits"] == 0
+        # Its queries were all new, so the first plan stored no group.
         groups = solver.solve(instance).details["engine"]["cache"]
         assert groups["group_hits"] == 0 and groups["group_misses"] > 0
-        assert len(store.step3_memo._groups) == groups["group_misses"]
         replay = solver.solve(instance)
         section = replay.details["engine"]["cache"]
         assert section["group_hits"] == groups["group_misses"]
@@ -202,14 +202,20 @@ class TestScope:
         store = MemorySolutionCache()
         solver = make_solver("mc3-general", cache=store)
         first, second = bestbuy_like(n=120, seed=1), bestbuy_like(n=120, seed=5)
-        for instance in (first, first, second, second):
-            solver.solve(instance)
-        queries = set(second.queries)
-        assert store.step3_memo._groups
-        # A group key opens with its sub-group key, which opens with the
-        # group's queries.
-        assert all(set(key[0][0]) <= queries for key in store.step3_memo._groups)
-        assert store.clear() >= 0 and not store.step3_memo._groups
+        for instance in (first, first, second, second, second):
+            section = solver.solve(instance).details["engine"]["cache"]
+        assert section["group_hits"] > 0
+        # Back on the first load, the memo carries over what a memo that
+        # only ever saw the second load would: nothing older is left.
+        fresh = make_solver("mc3-general", cache=MemorySolutionCache())
+        for instance in (second, second):
+            fresh.solve(instance)
+        expected = fresh.solve(first).details["engine"]["cache"]
+        section = solver.solve(first).details["engine"]["cache"]
+        assert section["group_hits"] == expected["group_hits"]
+        assert section["carried_components"] == expected["carried_components"]
+        assert store.clear() > 0
+        assert solver.solve(first).details["engine"]["cache"]["group_hits"] == 0
 
     def test_unclean_components_are_never_stored(self):
         class FlakyOnce:
@@ -239,11 +245,11 @@ class TestScope:
         section = details["engine"]["cache"]
         # Only the groups preprocessing covered whole, with no component
         # to retry, were stored and replayed.
-        stored = store.step3_memo._groups.values()
-        assert section["group_hits"] == len(stored) > 0
-        assert section["group_misses"] > 0
-        assert all(outcome.components == () for outcome in stored)
-        assert details["engine"]["cache"]["inserts"] == 0
+        assert section["group_hits"] > 0 and section["group_misses"] > 0
+        # Every component of the last run was solved in it: none came
+        # back with a replayed group or carried on its own.
+        assert len(solver.seen) == details["components"]
+        assert section["carried_components"] == section["inserts"] == 0
 
     def test_uncacheable_solver_memoises_sub_groups_only(self):
         class Plain:
@@ -259,7 +265,6 @@ class TestScope:
         section = details["engine"]["cache"]
         assert section["group_hits"] == section["group_misses"] == 0
         assert section["step3_hits"] > 0
-        assert not store.step3_memo._groups
 
 
 @pytest.mark.parametrize("steps", [ALL_STEPS, (1, 2, 3)])

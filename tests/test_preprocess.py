@@ -15,7 +15,6 @@ from repro.preprocess import (
     preprocess,
     prune_k2_singletons,
 )
-from repro.preprocess.decompose import NO_PARTITION
 from repro.solvers import ExactSolver
 from tests.conftest import random_instance
 
@@ -128,79 +127,6 @@ def bfs_partition(queries, ignore=frozenset()):
             frontier = reached
         groups.append([queries[index] for index in sorted(members)])
     return groups
-
-
-@st.composite
-def partition_chains(draw):
-    """Lists of distinct queries derived one from the next by removals,
-    additions (earlier queries coming back included) and reorders, each
-    with an ``ignore`` set that sometimes changes; the first and some
-    later lists may be empty."""
-    query = st.frozensets(st.sampled_from("abcdefgh"), min_size=1, max_size=3)
-    current = draw(st.lists(query, max_size=10, unique=True))
-    ignore = draw(st.frozensets(st.sampled_from("abcdefgh"), max_size=2))
-    chain = [(current, ignore)]
-    for _ in range(draw(st.integers(min_value=1, max_value=5))):
-        kept = [q for q in current if draw(st.integers(0, 3))]
-        for q in draw(st.lists(query, max_size=3)):
-            if q not in kept:
-                kept.insert(draw(st.integers(0, len(kept))), q)
-        if draw(st.integers(0, 3)) == 0:
-            kept = draw(st.permutations(kept))
-        if draw(st.integers(0, 3)) == 0:
-            ignore = draw(st.frozensets(st.sampled_from("abcdefgh"), max_size=2))
-        current = list(kept)
-        chain.append((current, ignore))
-    return chain
-
-
-class TestCarriedPartition:
-    """``partition_queries(..., previous=...)`` carries parts over and
-    must equal the full pass: groups, group order and in-group order."""
-
-    @given(partition_chains())
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_full_pass(self, chain):
-        previous = NO_PARTITION
-        for queries, ignore in chain:
-            parts = partition_queries(queries, ignore=ignore, previous=previous)
-            assert parts.groups == partition_queries(queries, ignore=ignore)
-            assert parts.groups == bfs_partition(queries, ignore)
-            for group, label in zip(parts.groups, parts.labels):
-                for q in group:
-                    assert all(parts.label_of(prop) == label for prop in q - ignore)
-            assert all(parts.label_of(prop) is None for prop in ignore)
-            assert len(set(parts.labels)) == len(parts.labels)
-            old = dict(zip(previous.labels, previous.groups))
-            for group, label, carried in zip(parts.groups, parts.labels, parts.carried):
-                assert carried == (label in old)
-                if carried:
-                    assert group is old[label]
-            assert sorted(set(parts.dropped) | set(parts.labels) & set(old)) == sorted(old)
-            previous = parts
-
-    def test_a_slide_walks_only_its_delta(self):
-        queries = [frozenset({f"p{i}", f"q{i}"}) for i in range(6)]
-        first = partition_queries(queries, previous=NO_PARTITION)
-        slid = queries[1:] + [frozenset({"q5", "r"}), frozenset({"s"})]
-        parts = partition_queries(slid, previous=first)
-        assert parts.groups == partition_queries(slid)
-        # p1..p4 carried over; {q5, r} joins p5's group, {s} is new.
-        assert parts.carried == [True, True, True, True, False, False]
-        assert parts.groups[:4] == [[q] for q in queries[1:5]]
-        assert parts.dropped == [first.labels[0], first.labels[5]]
-
-    def test_repeated_queries_are_refused(self):
-        with pytest.raises(ValueError):
-            partition_queries([frozenset("ab")] * 2, previous=NO_PARTITION)
-
-    def test_touching_a_part_breaks_it(self):
-        queries = [frozenset("ab"), frozenset("cd")]
-        first = partition_queries(queries, previous=NO_PARTITION)
-        grown = queries + [frozenset("bx")]
-        parts = partition_queries(grown, previous=first)
-        assert parts.groups == [[frozenset("ab"), frozenset("bx")], [frozenset("cd")]]
-        assert parts.carried == [False, True]
 
 
 class TestStep3:
