@@ -444,8 +444,9 @@ def preprocess(
         if split and pending:
             # Classifiers made only of free properties are the one thing
             # sub-groups share (docs/algorithms.md §2): settle them first,
-            # once, with the pruner's own removal pass.
-            free_parts = [q & free for q in pending]
+            # once, with the pruner's own removal pass.  Most pending
+            # queries hold no free property; those skip the intersection.
+            free_parts = [q & free for q in pending if not free.isdisjoint(q)]
             free_parts = [part for part in free_parts if len(part) >= 2]
             if free_parts:
                 pruner = DominatedPruner(

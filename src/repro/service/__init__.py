@@ -23,6 +23,7 @@ from repro.service.daemon import (
     PlannerClient,
     PlannerService,
     ServiceConfig,
+    ServiceConfigError,
     replay_reference,
 )
 from repro.service.journal import JournalError, WorkloadJournal, read_journal
@@ -41,6 +42,7 @@ __all__ = [
     "PlannerClient",
     "PlannerService",
     "ServiceConfig",
+    "ServiceConfigError",
     "replay_reference",
     "JournalError",
     "WorkloadJournal",

@@ -127,6 +127,10 @@ class ServiceConfig:
     journal_fsync: bool = True
 
 
+class ServiceConfigError(ReproError, ValueError):
+    """A :class:`ServiceConfig` the daemon cannot run."""
+
+
 class _LatencyRing:
     """Last-N latency samples with cheap percentile rendering."""
 
@@ -260,6 +264,14 @@ class PlannerService:
         self.breakers = BreakerBoard()
         self.cache = resolve_cache(self.config.cache)
         solver_kwargs = dict(self.config.solver_kwargs)
+        if int(solver_kwargs.get("jobs", 1)) > 1:
+            # Every batch's policy holds the breaker board, whose lock
+            # the component pool cannot pickle: each multi-component
+            # batch would fail, and journal replay would skip it.
+            raise ServiceConfigError(
+                f"the planner daemon solves in one process; jobs="
+                f"{solver_kwargs['jobs']} is not supported"
+            )
         self.planner = IncrementalPlanner(
             cost,
             solver_name=self.config.solver_name,

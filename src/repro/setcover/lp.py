@@ -15,9 +15,13 @@ variables are inflated by at most ``f``, giving ``f · OPT_LP ≤ f · OPT``
 Every relaxation in the package — this module's and the node LPs of
 :func:`repro.setcover.exact_wsc` — goes through :class:`LPRelaxation`,
 which calls HiGHS through SciPy's bindings (``scipy.optimize._highspy.
-_core``) directly.  It hands a ``_Highs`` object (one per thread,
-cleared before each solve) the model that
-``linprog(method="highs")`` passed: costs ``c``, column bounds
+_core``) directly.  Only that extension is loaded (:func:`_load_highs`):
+importing it the usual way first runs ``scipy/optimize/__init__.py``,
+which pulls in about 550 modules the package never calls (``linprog``,
+``scipy.linalg``, …), about 40 MB of resident memory and 0.4 s of
+start-up in every planner process.  :class:`LPRelaxation` hands a
+``_Highs`` object (one per thread, cleared before each solve) the model
+that ``linprog(method="highs")`` passed: costs ``c``, column bounds
 ``[0, 1]``, rows ``−inf ≤ −A·x ≤ −1``, with ``A`` in CSC form straight
 from :meth:`WSCInstance.member_arrays` (sorted and de-duplicated, so the
 arrays equal those ``linprog``'s COO → CSR → CSC conversions produced),
@@ -47,16 +51,68 @@ should prefer the LP-free primal–dual algorithm in
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
+from dataclasses import dataclass
+from types import ModuleType
 from typing import Mapping, Optional, Union
 
 import numpy as np
-from scipy.optimize import OptimizeResult
-from scipy.optimize._highspy import _core as highs
+import scipy
 
 from repro.core.wsc import WSCInstance, WSCSolution
 from repro.exceptions import SolverError
+
+#: The bindings' canonical module name, under which SciPy imports them.
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs() -> ModuleType:
+    """SciPy's HiGHS extension, without running ``scipy.optimize``'s
+    ``__init__``.
+
+    The module is registered in :data:`sys.modules` under its canonical
+    name, so a later ``import scipy.optimize`` reuses this object rather
+    than load the extension twice; if SciPy's own import came first, its
+    module is reused here.
+    """
+    loaded = sys.modules.get(HIGHS_MODULE)
+    if loaded is not None:
+        return loaded
+    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(HIGHS_MODULE, [directory])
+    if spec is None:
+        raise ImportError(
+            f"SciPy {scipy.__version__} has no HiGHS extension {HIGHS_MODULE} "
+            f"in {directory}; the package needs a SciPy release (1.15 or later) "
+            "that lays its HiGHS bindings out there"
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highs = _load_highs()
+
+
+@dataclass(frozen=True)
+class LPResult:
+    """One relaxation solve: ``success``, ``status`` (the HiGHS model
+    status), ``message``, and ``x``, ``fun`` and the row ``duals``,
+    which are ``None`` unless HiGHS found an optimum."""
+
+    success: bool
+    status: highs.HighsModelStatus
+    message: str
+    x: Optional[np.ndarray]
+    fun: Optional[float]
+    duals: Optional[np.ndarray]
+
 
 #: Above this many constraint-matrix nonzeros the general solver switches
 #: to the primal–dual algorithm; HiGHS handles more, but wall-clock grows
@@ -129,11 +185,9 @@ class LPRelaxation:
         self,
         lower: Union[float, np.ndarray] = 0.0,
         upper: Union[float, np.ndarray] = 1.0,
-    ) -> OptimizeResult:
-        """HiGHS's answer: ``success``, ``status`` (the HiGHS model
-        status), ``x``, ``fun``, ``message`` and ``duals``, the row duals
-        ``y_e`` (non-negative up to round-off; ``x``, ``fun`` and
-        ``duals`` are ``None`` unless HiGHS found an optimum)."""
+    ) -> LPResult:
+        """HiGHS's answer under these column bounds; ``duals`` are the
+        row duals ``y_e``, non-negative up to round-off."""
         model = self._model
         shape = (model.num_col_,)
         model.col_lower_ = np.broadcast_to(lower, shape).astype(np.float64)
@@ -146,11 +200,11 @@ class LPRelaxation:
         status = solver.getModelStatus()
         message = solver.modelStatusToString(status)
         if not ran or status != highs.HighsModelStatus.kOptimal:
-            return OptimizeResult(
+            return LPResult(
                 success=False, status=status, message=message, x=None, fun=None, duals=None
             )
         solution = solver.getSolution()
-        return OptimizeResult(
+        return LPResult(
             success=True,
             status=status,
             message=message,
@@ -160,7 +214,7 @@ class LPRelaxation:
         )
 
 
-def solve_relaxation(instance: WSCInstance) -> OptimizeResult:
+def solve_relaxation(instance: WSCInstance) -> LPResult:
     """Solve the WSC linear relaxation: the fractional ``x`` and the row
     ``duals``."""
     instance.validate_coverable()

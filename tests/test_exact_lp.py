@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
-from scipy.optimize._highspy import _core as highs
 
 from repro.core import MC3Instance, TableCost
 from repro.datasets import synthetic
@@ -14,7 +12,7 @@ from repro.exceptions import SolverError
 from repro.reductions import mc3_to_wsc
 from repro.setcover import exact_wsc, greedy_wsc, solve_wsc
 from repro.setcover.exact import RELATIVE_GAP, _NodeLP, _search
-from repro.setcover.lp import INFEASIBLE, LPRelaxation, dual_bound
+from repro.setcover.lp import INFEASIBLE, LPRelaxation, LPResult, dual_bound, highs
 from repro.solvers import ExactSolver
 from tests.conftest import random_instance
 from tests.test_best_of import COST_KINDS, wsc_components
@@ -122,7 +120,7 @@ class TestExactLP:
         as infeasible and return the incumbent."""
 
         def stopped(self, lower=0.0, upper=1.0):
-            return OptimizeResult(
+            return LPResult(
                 success=False,
                 status=highs.HighsModelStatus.kIterationLimit,
                 message="Iteration limit reached",

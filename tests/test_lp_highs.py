@@ -1,4 +1,4 @@
-"""The LP arm through ``milp`` equals the ``linprog`` path it replaced.
+"""The LP arm, calling HiGHS directly, equals the ``linprog`` path it replaced.
 
 :class:`repro.setcover.lp.LPRelaxation` hands HiGHS the model
 ``linprog(method="highs")`` did, so every LP answer must match a
@@ -14,13 +14,18 @@ and frequencies up to 5.
 
 import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -269,9 +274,27 @@ class TestDualBound:
         assert reference - Fraction(bound) <= Fraction(1e-9) * (1 + sum(set_sums))
 
 
+def _imports_scipy_optimize(node: ast.AST) -> bool:
+    """Whether ``node`` imports ``scipy.optimize`` or one of its
+    submodules, any of which runs ``scipy/optimize/__init__.py``."""
+
+    def inside(name: Optional[str]) -> bool:
+        return name is not None and (name + ".").startswith("scipy.optimize.")
+
+    if isinstance(node, ast.Import):
+        return any(inside(alias.name) for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return inside(node.module) or (
+            node.module == "scipy" and any(alias.name == "optimize" for alias in node.names)
+        )
+    return False
+
+
 def test_no_module_reaches_linprog():
     """Neither ``from scipy.optimize import linprog`` nor
-    ``scipy.optimize.linprog``: no path back to it is left."""
+    ``scipy.optimize.linprog``: no path back to it is left.  No module
+    imports ``scipy.optimize`` at all: :mod:`repro.setcover.lp` loads
+    only the HiGHS extension."""
     root = pathlib.Path(repro.__file__).parent
     offenders = []
     for path in sorted(root.rglob("*.py")):
@@ -279,9 +302,94 @@ def test_no_module_reaches_linprog():
             imported = isinstance(node, ast.ImportFrom) and any(
                 alias.name == "linprog" for alias in node.names
             )
-            if imported or (isinstance(node, ast.Attribute) and node.attr == "linprog"):
+            if (
+                imported
+                or _imports_scipy_optimize(node)
+                or (isinstance(node, ast.Attribute) and node.attr == "linprog")
+            ):
                 offenders.append(str(path.relative_to(root)))
     assert offenders == []
+
+
+def test_scan_flags_every_scipy_optimize_import():
+    flagged = [
+        "import scipy.optimize",
+        "import scipy.optimize as opt",
+        "import scipy.optimize._highspy._core",
+        "from scipy.optimize import OptimizeResult",
+        "from scipy.optimize._highspy import _core",
+        "from scipy import optimize",
+    ]
+    passed = ["import scipy", "from scipy import sparse", "import scipy.optimizer"]
+    for source, expected in [(s, True) for s in flagged] + [(s, False) for s in passed]:
+        (node,) = ast.parse(source).body
+        assert _imports_scipy_optimize(node) is expected, source
+
+
+def run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter with the package on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(repro.__file__).parents[1])]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env, check=True)
+
+
+class TestStandaloneExtension:
+    """:mod:`repro.setcover.lp` loads SciPy's HiGHS extension by itself:
+    planning never imports ``scipy.optimize``, and the extension is one
+    module object whichever of the two is imported first."""
+
+    def test_lp_arm_solve_never_imports_scipy_optimize(self):
+        run_fresh(
+            """
+            import sys
+            import repro
+            from repro.datasets import bestbuy_like
+            from repro.setcover import lp
+
+            solves = []
+            solve = lp.LPRelaxation.solve
+
+            def counting(self, *args, **kwargs):
+                solves.append(1)
+                return solve(self, *args, **kwargs)
+
+            lp.LPRelaxation.solve = counting
+            repro.make_solver("mc3-general").solve(bestbuy_like(60, seed=1))
+            assert solves, "the LP arm did not run"
+            assert "scipy.optimize" not in sys.modules
+            assert sys.modules[lp.HIGHS_MODULE] is lp.highs
+
+            import numpy as np
+            import scipy.optimize
+            from scipy.optimize._highspy import _core, _highs_wrapper
+
+            assert _core is lp.highs and _highs_wrapper._h is lp.highs
+            assert sys.modules["scipy.optimize._highspy._core"] is lp.highs
+            answer = scipy.optimize.linprog(
+                c=[1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], bounds=(0.0, 1.0)
+            )
+            assert answer.success and np.array_equal(answer.x, [1.0, 0.0])
+            """
+        )
+
+    def test_reuses_the_module_scipy_optimize_loaded(self):
+        run_fresh(
+            """
+            import scipy.optimize._highspy._core as core
+            from repro.setcover import lp
+
+            assert lp.highs is core
+            """
+        )
+
+    def test_missing_extension_raises_import_error(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, lp_module.HIGHS_MODULE)
+        monkeypatch.setattr(lp_module.scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match="no HiGHS extension"):
+            lp_module._load_highs()
 
 
 def fresh_handle():

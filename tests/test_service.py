@@ -53,6 +53,7 @@ from repro.service import (
     PlannerService,
     QueueFullError,
     ServiceConfig,
+    ServiceConfigError,
     ShuttingDownError,
     WorkloadJournal,
     read_journal,
@@ -399,6 +400,27 @@ class TestDaemon:
         assert bound["cost"] == stats["workload"]["total_cost"]
         assert 0 < bound["value"] <= bound["cost"] * (1 + 1e-6)
         assert bound["cost_ratio"] == bound["cost"] / bound["value"]
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_more_than_one_job_is_refused(self, jobs):
+        """The component pool cannot pickle the breaker board each
+        batch's policy holds, so a daemon with ``jobs > 1`` would fail
+        every multi-component batch: it is refused when built."""
+        config = ServiceConfig(solver_kwargs={"jobs": jobs})
+        with pytest.raises(ServiceConfigError, match=f"jobs={jobs}"):
+            PlannerService(plain_cost(), config)
+        for accepted in ({}, {"jobs": 1}, {"jobs": 0}):
+            PlannerService(plain_cost(), ServiceConfig(solver_kwargs=accepted))
+
+    def test_serve_with_more_than_one_job_exits_with_an_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        costs = tmp_path / "costs.csv"
+        costs.write_text("a,1\nb,2\n", encoding="utf-8")
+        socket = str(tmp_path / "planner.sock")
+        assert main(["serve", str(costs), "--socket", socket, "--jobs", "2"]) == 1
+        assert "jobs=2 is not supported" in capsys.readouterr().err
+        assert not os.path.exists(socket)
 
     def test_queue_full_sheds_with_typed_error(self):
         async def scenario():
